@@ -18,7 +18,6 @@ from .algorithms import (
     init_pd_state,
     pd_run,
     pd_step,
-    trace_to_csv,
 )
 from .costs import (
     CostEnsemble,
@@ -30,7 +29,6 @@ from .costs import (
     ensemble_to_dict,
     grad0_pi_norm,
     grad_stack,
-    gradient,
     least_squares_cost,
     make_case1_ensemble,
     make_case2_ensemble,
@@ -42,6 +40,7 @@ from .harness import (
     ExperimentReport,
     resolve_config,
     run_scenario,
+    trace_to_csv,
     tune_pd_stepsize,
 )
 from .linalg import (

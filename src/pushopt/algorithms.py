@@ -36,8 +36,6 @@ DIVERGENCE_THRESHOLD = 1e12
 PHASE_GP = "gp"
 PHASE_PD = "pd"
 
-TRACE_HEADER = ("t", "phase", "sum_z_err", "w_fp_err", "w_opt_err", "diverged")
-
 
 @dataclass(frozen=True)
 class GradientPushState:
@@ -189,7 +187,7 @@ def gp_run(net, ensemble, alpha, x0, iters, refs=None):
     return trace
 
 
-def pd_run(net, ensemble, alpha, init, iters, refs=None, record_initial=True):
+def pd_run(net, ensemble, alpha, init, iters, refs=None):
     """Run Push-DIGing for ``iters`` rounds from an explicit initial state.
 
     In mixed-phase traces the Push-DIGing state variable x plays the role
@@ -202,11 +200,10 @@ def pd_run(net, ensemble, alpha, init, iters, refs=None, record_initial=True):
     refs_pd = RunRefs(x_star=refs.x_star, w_fixed=None)
     state = init
     trace = RunTrace()
-    if record_initial:
-        _record(trace, net, state.x, state.z, refs_pd, t=state.t, phase=PHASE_PD,
-                diverged=pd_diverged(state))
+    _record(trace, net, state.x, state.z, refs_pd, t=state.t, phase=PHASE_PD,
+            diverged=pd_diverged(state))
     for _ in range(iters):
-        if trace.records and trace.records[-1].diverged:
+        if trace.records[-1].diverged:
             break
         state = pd_step(net, ensemble, alpha, state)
         _record(trace, net, state.x, state.z, refs_pd, t=state.t, phase=PHASE_PD,
@@ -224,13 +221,15 @@ def _record(trace, net, mixed, z, refs, t, phase, diverged):
 
 
 def hybrid_run(net, ensemble, alpha_gp, alpha_pd, gp_iters, total_iters, x0,
-               refs=None, fresh_pd_weights=False):
+               refs=None):
     """Gradient-push warm start handed off to Push-DIGing.
 
     The handoff takes the mixed state w, the weights y and the ratios z of
     the last gradient-push round, and initializes the tracked gradients at
-    grad F(z).  ``fresh_pd_weights`` restarts the weights at one instead of
-    inheriting them (non-default; the inherited weights are already mixed).
+    grad F(z).  The handoff state is already the last gradient-push record,
+    so the Push-DIGing initial record is dropped.  A warm start that was
+    flagged as diverged ends the trace at its flagged record: the flag may
+    come from x alone, which the handoff state does not carry.
     """
     if not (0 <= gp_iters <= total_iters):
         raise ValidationError(f"need 0 <= gp_iters <= total_iters, got {gp_iters}, {total_iters}")
@@ -241,35 +240,15 @@ def hybrid_run(net, ensemble, alpha_gp, alpha_pd, gp_iters, total_iters, x0,
         init = init_pd_state(net, ensemble, x0)
         return pd_run(net, ensemble, alpha_pd, init, total_iters, refs)
     head = gp_run(net, ensemble, alpha_gp, x0, gp_iters, refs)
+    if head.diverged:
+        return head
     gp_state = head.final_state
     handoff = PushDigingState(
         t=gp_state.t,
         x=gp_state.w.copy(),
         z=gp_state.z.copy(),
         v=grad_stack(ensemble, gp_state.z),
-        y=np.ones(net.n) if fresh_pd_weights else gp_state.y.copy(),
+        y=gp_state.y.copy(),
     )
-    tail = pd_run(net, ensemble, alpha_pd, handoff, total_iters - gp_iters, refs,
-                  record_initial=False)
-    trace = RunTrace(records=head.records + tail.records, final_state=tail.final_state)
-    return trace
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    return f"{value:.17g}"
-
-
-def trace_to_csv(trace, path):
-    """Write the canonical trace CSV (17 significant digits, empty for missing)."""
-    lines = [",".join(TRACE_HEADER)]
-    for r in trace.records:
-        lines.append(
-            ",".join(
-                (str(r.t), r.phase, _fmt(r.sum_z_err), _fmt(r.w_fp_err),
-                 _fmt(r.w_opt_err), str(int(r.diverged)))
-            )
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tail = pd_run(net, ensemble, alpha_pd, handoff, total_iters - gp_iters, refs)
+    return RunTrace(records=head.records + tail.records[1:], final_state=tail.final_state)

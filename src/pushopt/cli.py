@@ -158,9 +158,7 @@ def _gather_config(args, scenario):
 
 
 def _dump_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    hz.write_json(path, payload)
     print(path)
 
 
@@ -191,26 +189,15 @@ def _resolve_problem(cfg):
 def _cmd_certify(args):
     cfg = _gather_config(args, "custom")
     net, ensemble = _resolve_problem(cfg)
-    eps = cfg.eps if ensemble.case_tag == "case2" else None
-    cert = op.certify(net, ensemble, eps=eps, horizon=cfg.horizon)
+    cert = op.certify(net, ensemble, eps=hz.case_eps(cfg, ensemble), horizon=cfg.horizon)
     _dump_json(_out(cfg) / "certificate.json", op.certificate_to_dict(cert))
     return 0
-
-
-def _resolve_alpha(cfg, net, ensemble):
-    eps = cfg.eps if ensemble.case_tag == "case2" else None
-    ceiling = op.stepsize_ceiling(net, ensemble, eps)
-    if cfg.alpha is not None:
-        return cfg.alpha
-    if cfg.alpha_mult is not None:
-        return cfg.alpha_mult * ceiling
-    return ceiling
 
 
 def _cmd_fixed_point(args):
     cfg = _gather_config(args, "custom")
     net, ensemble = _resolve_problem(cfg)
-    alpha = _resolve_alpha(cfg, net, ensemble)
+    alpha = hz.resolve_alpha(cfg, net, ensemble)
     tol = args.tol if args.tol is not None else cfg.fp_tol
     fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, alpha), tol=tol)
     _dump_json(_out(cfg) / "fixed_point.json", op.fixed_point_to_dict(fp))
@@ -227,18 +214,9 @@ def _cmd_sweep_contraction(args):
 def _cmd_sweep_alpha(args):
     cfg = _gather_config(args, "custom")
     net, ensemble = _resolve_problem(cfg)
-    eps = cfg.eps if ensemble.case_tag == "case2" else None
-    cert = op.certify(net, ensemble, eps=eps, horizon=cfg.horizon)
-    x_star = co.ensemble_minimizer(ensemble)
-    points = cfg.alpha_points
-    rows = []
-    for i in range(points):
-        a = cert.alpha0 * (i + 1) / points
-        fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, a), tol=cfg.fp_tol)
-        err = hz.pi_norm(fp.w - np.outer(net.n * net.pi, x_star), net.pi)
-        rows.append((a, err, op.optimality_gap_bound(net, ensemble, cert, a)))
+    cert = op.certify(net, ensemble, eps=hz.case_eps(cfg, ensemble), horizon=cfg.horizon)
     out = _out(cfg)
-    hz.write_csv(out / "fp_sweep.csv", ("alpha", "fp_to_opt_err", "thm26_bound"), rows)
+    hz.fixed_point_sweep(cfg, net, ensemble, cert, out)
     print(out / "fp_sweep.csv")
     return 0
 
@@ -251,7 +229,7 @@ def _cmd_run(args):
     iters = args.iters if args.iters is not None else cfg.run_iters
     out = _out(cfg)
     if args.algorithm == "gp":
-        alpha = _resolve_alpha(cfg, net, ensemble)
+        alpha = hz.resolve_alpha(cfg, net, ensemble)
         w_fixed = None
         if not args.no_fixed_point:
             w_fixed = op.solve_fixed_point(
@@ -260,24 +238,17 @@ def _cmd_run(args):
         trace = alg.gp_run(net, ensemble, alpha, x0, iters,
                            alg.RunRefs(x_star=x_star, w_fixed=w_fixed))
     elif args.algorithm == "pd":
-        alpha = _resolve_alpha(cfg, net, ensemble)
+        alpha = hz.resolve_alpha(cfg, net, ensemble)
         trace = alg.pd_run(net, ensemble, alpha,
                            alg.init_pd_state(net, ensemble, x0), iters,
                            alg.RunRefs(x_star=x_star))
     else:
-        eps = cfg.eps if ensemble.case_tag == "case2" else None
-        alpha_gp = args.alpha_gp if args.alpha_gp is not None else op.stepsize_ceiling(
-            net, ensemble, eps)
-        if args.alpha_pd is not None:
-            alpha_pd = args.alpha_pd
-        else:
-            alpha_pd = hz.tune_pd_stepsize(net, ensemble, cfg.tune_grid_start,
-                                           cfg.tune_grid_step, cfg.tune_budget,
-                                           iters=cfg.tune_iters)
+        alpha0 = op.stepsize_ceiling(net, ensemble, hz.case_eps(cfg, ensemble))
+        alpha_gp, alpha_pd = hz.resolve_hybrid_stepsizes(cfg, net, ensemble, alpha0)
         trace = alg.hybrid_run(net, ensemble, alpha_gp, alpha_pd, cfg.gp_iters,
                                iters, x0, alg.RunRefs(x_star=x_star))
     path = out / f"run_{args.algorithm}.csv"
-    alg.trace_to_csv(trace, path)
+    hz.trace_to_csv(trace, path)
     print(path)
     return 0
 

@@ -109,11 +109,6 @@ def least_squares_cost(A, b, delta_reg, tol=1e-10):
     )
 
 
-def gradient(cost, x):
-    """Gradient of a local cost at x."""
-    return cost.gradient(x)
-
-
 def convexity_constants(cost, tol=1e-10):
     """(L, mu): extreme eigenvalues of the cost's Hessian."""
     return convexity_constants_from(cost.hess, tol=tol)

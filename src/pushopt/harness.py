@@ -21,8 +21,8 @@ Scenario families:
 * ``custom``: certificate (and optional fixed point) only, no assertions.
 
 The environment variable PUSHOPT_THREADS caps worker threads for sweep
-points (0 or 1 means sequential); results are ordered by grid index so the
-schedule cannot affect any artifact.
+points (0 or 1 means sequential, a non-integer is a ConfigError); results
+are ordered by grid index so the schedule cannot affect any artifact.
 """
 
 import json
@@ -183,10 +183,11 @@ def build_ensemble(cfg):
 
 
 def _max_workers():
+    value = os.environ.get("PUSHOPT_THREADS", "0")
     try:
-        return int(os.environ.get("PUSHOPT_THREADS", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise ConfigError(f"PUSHOPT_THREADS must be an integer, got {value!r}") from None
 
 
 def parallel_map(fn, items):
@@ -209,11 +210,34 @@ def _fmt(value):
 
 
 def write_csv(path, header, rows):
+    """Write a CSV: 17 significant digits for floats, empty for None."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+TRACE_HEADER = ("t", "phase", "sum_z_err", "w_fp_err", "w_opt_err", "diverged")
+
+
+def trace_to_csv(trace, path):
+    """Write the canonical run-trace CSV, one row per RunRecord."""
+    write_csv(path, TRACE_HEADER,
+              [(r.t, r.phase, r.sum_z_err, r.w_fp_err, r.w_opt_err, int(r.diverged))
+               for r in trace.records])
+
+
+def write_json(path, payload):
+    """Write JSON with a two-space indent and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def case_eps(cfg, ensemble):
+    """The configured eps for a case2 ensemble; case1 needs none."""
+    return cfg.eps if ensemble.case_tag == "case2" else None
 
 
 def fit_loglog_slope(x, y):
@@ -324,6 +348,54 @@ def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):
     return best_alpha
 
 
+def resolve_alpha(cfg, net, ensemble):
+    """Working stepsize: ``alpha``, else ``alpha_mult`` times the ceiling,
+    else the ceiling itself."""
+    if cfg.alpha is not None:
+        return cfg.alpha
+    ceiling = op.stepsize_ceiling(net, ensemble, case_eps(cfg, ensemble))
+    if cfg.alpha_mult is not None:
+        return cfg.alpha_mult * ceiling
+    return ceiling
+
+
+def resolve_hybrid_stepsizes(cfg, net, ensemble, alpha0):
+    """(alpha_gp, alpha_pd): ``"alpha0"`` takes the caller's ceiling and
+    ``"tuned"`` runs the Push-DIGing tuner."""
+    alpha_gp = alpha0 if cfg.alpha_gp == "alpha0" else float(cfg.alpha_gp)
+    if cfg.alpha_pd == "tuned":
+        alpha_pd = tune_pd_stepsize(net, ensemble, cfg.tune_grid_start,
+                                    cfg.tune_grid_step, cfg.tune_budget,
+                                    iters=cfg.tune_iters)
+    else:
+        alpha_pd = float(cfg.alpha_pd)
+    return alpha_gp, alpha_pd
+
+
+def fixed_point_sweep(cfg, net, ensemble, cert, out):
+    """Fixed-point-to-optimum error and gap bound over (0, alpha0].
+
+    Solves the fixed point at ``alpha_points`` evenly spaced stepsizes,
+    writes ``fp_sweep.csv`` into ``out`` and returns (alphas, errors,
+    bounds).
+    """
+    x_star = co.ensemble_minimizer(ensemble)
+    points = cfg.alpha_points
+    alphas = [cert.alpha0 * (i + 1) / points for i in range(points)]
+
+    def sweep_point(a):
+        sol = op.solve_fixed_point(op.OperatorContext(net, ensemble, a), tol=cfg.fp_tol)
+        err = pi_norm(sol.w - np.outer(net.n * net.pi, x_star), net.pi)
+        return err, op.optimality_gap_bound(net, ensemble, cert, a)
+
+    pairs = parallel_map(sweep_point, alphas)
+    errors = [p[0] for p in pairs]
+    bounds = [p[1] for p in pairs]
+    write_csv(out / "fp_sweep.csv", ("alpha", "fp_to_opt_err", "thm26_bound"),
+              list(zip(alphas, errors, bounds)))
+    return alphas, errors, bounds
+
+
 @dataclass
 class ExperimentReport:
     scenario: str
@@ -358,9 +430,7 @@ def _finish(report, out):
         if not path.exists() or path.stat().st_size == 0:
             raise ScenarioAssertionError(f"manifest entry {name} missing or empty",
                                          report=report)
-    with open(Path(out) / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(Path(out) / "report.json", report.to_dict())
     if not report.passed:
         failed = [a["name"] for a in report.assertions if not a["passed"]]
         raise ScenarioAssertionError(
@@ -408,8 +478,7 @@ def _base_constants(net, ensemble, cert):
 
 
 def _run_fig2(cfg, net, ensemble, out):
-    eps = cfg.eps if ensemble.case_tag == "case2" else None
-    alpha0, rate = op.contraction_constant(net, ensemble, eps)
+    alpha0, rate = op.contraction_constant(net, ensemble, case_eps(cfg, ensemble))
     points = cfg.contraction_points
     alphas = [2.0 * alpha0 * (i + 1) / points for i in range(points)]
     lips = parallel_map(
@@ -434,8 +503,7 @@ def _run_fig2(cfg, net, ensemble, out):
 
 
 def _run_fig35(cfg, net, ensemble, out):
-    eps = cfg.eps if ensemble.case_tag == "case2" else None
-    cert = op.certify(net, ensemble, eps=eps, horizon=cfg.horizon)
+    cert = op.certify(net, ensemble, eps=case_eps(cfg, ensemble), horizon=cfg.horizon)
     x_star = co.ensemble_minimizer(ensemble)
     fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, cert.alpha0),
                               tol=cfg.fp_tol)
@@ -445,20 +513,7 @@ def _run_fig35(cfg, net, ensemble, out):
     fp_errors = trace.column("w_fp_err")
     write_csv(out / "fp_convergence.csv", ("t", "w_fp_err"),
               [(r.t, r.w_fp_err) for r in trace.records])
-
-    points = cfg.alpha_points
-    alphas = [cert.alpha0 * (i + 1) / points for i in range(points)]
-
-    def sweep_point(a):
-        sol = op.solve_fixed_point(op.OperatorContext(net, ensemble, a), tol=cfg.fp_tol)
-        err = pi_norm(sol.w - np.outer(net.n * net.pi, x_star), net.pi)
-        return err, op.optimality_gap_bound(net, ensemble, cert, a)
-
-    pairs = parallel_map(sweep_point, alphas)
-    errors = [p[0] for p in pairs]
-    bounds = [p[1] for p in pairs]
-    write_csv(out / "fp_sweep.csv", ("alpha", "fp_to_opt_err", "thm26_bound"),
-              list(zip(alphas, errors, bounds)))
+    alphas, errors, bounds = fixed_point_sweep(cfg, net, ensemble, cert, out)
 
     constants = _base_constants(net, ensemble, cert)
     constants["fixed_point_residual"] = fp.residual
@@ -481,8 +536,7 @@ def _run_fig35(cfg, net, ensemble, out):
 
 
 def _run_fig46(cfg, net, ensemble, out):
-    eps = cfg.eps if ensemble.case_tag == "case2" else None
-    cert = op.certify(net, ensemble, eps=eps, horizon=cfg.horizon)
+    cert = op.certify(net, ensemble, eps=case_eps(cfg, ensemble), horizon=cfg.horizon)
     x_star = co.ensemble_minimizer(ensemble)
     refs = alg.RunRefs(x_star=x_star)
     supercrit = cfg.supercritical_mult or (1.45 if ensemble.case_tag == "case2" else 1.3)
@@ -494,7 +548,7 @@ def _run_fig46(cfg, net, ensemble, out):
         trace = alg.gp_run(net, ensemble, mult * cert.alpha0,
                            np.zeros((net.n, ensemble.d)), cfg.run_iters, refs)
         name = f"trace_mult_{mult:g}.csv"
-        alg.trace_to_csv(trace, out / name)
+        trace_to_csv(trace, out / name)
         manifest.append(name)
         diverged[f"{mult:g}"] = trace.diverged
         if mult in cfg.multipliers:
@@ -521,25 +575,11 @@ def _run_fig46(cfg, net, ensemble, out):
     return _finish(report, out)
 
 
-def _resolve_fig1_stepsizes(cfg, net, ensemble, cert):
-    if cfg.alpha_gp == "alpha0":
-        alpha_gp = cert.alpha0
-    else:
-        alpha_gp = float(cfg.alpha_gp)
-    if cfg.alpha_pd == "tuned":
-        alpha_pd = tune_pd_stepsize(net, ensemble, cfg.tune_grid_start,
-                                    cfg.tune_grid_step, cfg.tune_budget,
-                                    iters=cfg.tune_iters)
-    else:
-        alpha_pd = float(cfg.alpha_pd)
-    return alpha_gp, alpha_pd
-
-
 def _run_fig1(cfg, net, ensemble, out):
     cert = op.certify(net, ensemble, horizon=cfg.horizon)
     x_star = co.ensemble_minimizer(ensemble)
     refs = alg.RunRefs(x_star=x_star)
-    alpha_gp, alpha_pd = _resolve_fig1_stepsizes(cfg, net, ensemble, cert)
+    alpha_gp, alpha_pd = resolve_hybrid_stepsizes(cfg, net, ensemble, cert.alpha0)
     x0 = np.zeros((net.n, ensemble.d))
     gp = alg.gp_run(net, ensemble, alpha_gp, x0, cfg.total_iters, refs)
     pd = alg.pd_run(net, ensemble, alpha_pd,
@@ -548,7 +588,7 @@ def _run_fig1(cfg, net, ensemble, out):
                             cfg.total_iters, x0, refs)
     for name, trace in (("trace_gp.csv", gp), ("trace_pd.csv", pd),
                         ("trace_hybrid.csv", hybrid)):
-        alg.trace_to_csv(trace, out / name)
+        trace_to_csv(trace, out / name)
     constants = _base_constants(net, ensemble, cert)
     constants["alpha_gp"] = alpha_gp
     constants["alpha_pd"] = alpha_pd
@@ -574,23 +614,15 @@ def _run_fig1(cfg, net, ensemble, out):
 
 
 def _run_custom(cfg, net, ensemble, out):
-    eps = cfg.eps if ensemble.case_tag == "case2" else None
-    alpha = None
-    if cfg.alpha is not None:
-        alpha = cfg.alpha
-    elif cfg.alpha_mult is not None:
-        alpha = cfg.alpha_mult * op.stepsize_ceiling(net, ensemble, eps)
-    cert = op.certify(net, ensemble, eps=eps, alpha=alpha, horizon=cfg.horizon)
-    with open(out / "certificate.json", "w") as fh:
-        json.dump(op.certificate_to_dict(cert), fh, indent=2)
-        fh.write("\n")
+    alpha = resolve_alpha(cfg, net, ensemble)
+    cert = op.certify(net, ensemble, eps=case_eps(cfg, ensemble), alpha=alpha,
+                      horizon=cfg.horizon)
+    write_json(out / "certificate.json", op.certificate_to_dict(cert))
     manifest = ["certificate.json"]
-    if alpha is not None:
+    if cfg.alpha is not None or cfg.alpha_mult is not None:
         fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, alpha),
                                   tol=cfg.fp_tol)
-        with open(out / "fixed_point.json", "w") as fh:
-            json.dump(op.fixed_point_to_dict(fp), fh, indent=2)
-            fh.write("\n")
+        write_json(out / "fixed_point.json", op.fixed_point_to_dict(fp))
         manifest.append("fixed_point.json")
     report = ExperimentReport(
         scenario=cfg.scenario,

@@ -84,16 +84,26 @@ def spectral_norm(M, tol=1e-10, max_iter=20000, restarts=3, block=12):
         raise DimensionMismatchError("matrix entries must be finite")
     if M.size == 0:
         return 0.0
-    B = M.T @ M
+    best = _restarted_top_eig(M.T @ M, tol, max_iter, restarts, block=block)
+    return float(np.sqrt(best))
+
+
+def _restarted_top_eig(B, tol, max_iter, restarts, scale=None, block=12):
+    """Best top eigenvalue over up to ``restarts`` deterministic starts.
+
+    Two consecutive starts agreeing within ``tol * scale`` (or, without a
+    scale, ``tol`` relative to the best value so far) end the search.
+    """
     best = 0.0
     prev = None
     for r in range(max(1, restarts)):
-        lam = _top_eig_psd(B, tol, max_iter, start_index=r, block=block)
+        lam = _top_eig_psd(B, tol, max_iter, start_index=r, scale=scale, block=block)
         best = max(best, lam)
-        if prev is not None and abs(lam - prev) <= tol * max(best, _STOP_FLOOR):
+        stop = tol * scale if scale is not None else tol * max(best, _STOP_FLOOR)
+        if prev is not None and abs(lam - prev) <= stop:
             break
         prev = lam
-    return float(np.sqrt(best))
+    return best
 
 
 def _start_block(size, index, block):
@@ -144,25 +154,11 @@ def symmetric_extremes(H, tol=1e-10, max_iter=20000, restarts=3):
     the iteration matrix psd), stopping at ``tol`` relative to lam_max.
     """
     H = np.asarray(H, dtype=float)
-    lam_max = 0.0
-    prev = None
-    for r in range(max(1, restarts)):
-        lam = _top_eig_psd(H, tol, max_iter, start_index=r)
-        lam_max = max(lam_max, lam)
-        if prev is not None and abs(lam - prev) <= tol * max(lam_max, _STOP_FLOOR):
-            break
-        prev = lam
+    lam_max = _restarted_top_eig(H, tol, max_iter, restarts)
     if lam_max == 0.0:
         return 0.0, 0.0
     S = lam_max * np.eye(H.shape[0]) - H
-    shifted = 0.0
-    prev = None
-    for r in range(max(1, restarts)):
-        lam = _top_eig_psd(S, tol, max_iter, start_index=r, scale=lam_max)
-        shifted = max(shifted, lam)
-        if prev is not None and abs(lam - prev) <= tol * lam_max:
-            break
-        prev = lam
+    shifted = _restarted_top_eig(S, tol, max_iter, restarts, scale=lam_max)
     lam_min = lam_max - shifted
     return float(lam_max), float(max(lam_min, 0.0))
 

@@ -184,12 +184,17 @@ def build_mixing_matrix(g, perron_tol=1e-12):
         W[i - 1, j - 1] = 1.0 / (out_deg[j - 1] + 1)
     for j in range(n):
         W[j, j] = 1.0 / (out_deg[j] + 1)
+    return _network(g, W, perron_tol)
+
+
+def _network(g, W, perron_tol=1e-12):
+    """Attach the Perron vector, its limit and rho to (g, W), then validate."""
     pi = compute_perron(W, tol=perron_tol)
     net = MixingNetwork(
         graph=g,
         W=W,
         pi=pi,
-        w_inf=np.outer(pi, np.ones(n)),
+        w_inf=np.outer(pi, np.ones(g.n)),
         rho=_rho_from(W, pi),
         pi_min=float(pi.min()),
     )
@@ -255,19 +260,9 @@ def network_from_dict(payload, tol=1e-9):
         raise ValidationError("stored graph is not strongly connected")
     if np.any(W < 0.0) or np.max(np.abs(W.sum(axis=0) - 1.0)) > 1e-12:
         raise ValidationError("stored W is not column stochastic")
-    pi = compute_perron(W)
-    rho = _rho_from(W, pi)
-    if pi_stored.shape != (n,) or np.max(np.abs(pi_stored - pi)) > tol:
+    net = _network(g, W)
+    if pi_stored.shape != (n,) or np.max(np.abs(pi_stored - net.pi)) > tol:
         raise ValidationError("stored pi disagrees with the eigenvector of W")
-    if abs(rho_stored - rho) > tol:
+    if abs(rho_stored - net.rho) > tol:
         raise ValidationError("stored rho disagrees with the recomputed value")
-    net = MixingNetwork(
-        graph=g,
-        W=W,
-        pi=pi,
-        w_inf=np.outer(pi, np.ones(n)),
-        rho=rho,
-        pi_min=float(pi.min()),
-    )
-    validate_network(net)
     return net

@@ -3,6 +3,7 @@ import pytest
 
 from pushopt import algorithms as alg
 from pushopt import costs as co
+from pushopt import harness as hz
 from pushopt import network as nw
 from pushopt import operators as op
 from pushopt.errors import ValidationError
@@ -201,6 +202,19 @@ def test_hybrid_handoff_structure(net20, ens_case1):
     assert trace.records[21].sum_z_err <= 2.0 * trace.records[20].sum_z_err
 
 
+# at 20 alpha0 the warm start is flagged on x alone, so the handoff state
+# (w, z, grad F(z)) is itself under the divergence threshold
+@pytest.mark.parametrize("mult", [5.0, 20.0])
+def test_hybrid_stops_at_a_diverged_warm_start(net20, ens_case1, mult):
+    x_star = co.ensemble_minimizer(ens_case1)
+    alpha0, _ = op.contraction_constant(net20, ens_case1)
+    trace = alg.hybrid_run(net20, ens_case1, mult * alpha0, 0.003, 300, 500,
+                           np.ones((net20.n, ens_case1.d)), alg.RunRefs(x_star=x_star))
+    flags = trace.column("diverged")
+    assert trace.diverged and flags.index(True) == len(flags) - 1
+    assert trace.last().phase == "gp"
+
+
 def test_hybrid_validation(net20, ens_case1):
     with pytest.raises(ValidationError):
         alg.hybrid_run(net20, ens_case1, 0.1, 0.001, 10, 5,
@@ -228,7 +242,7 @@ def test_trace_csv_format(tmp_path, net20, ens_case1):
     trace = alg.gp_run(net20, ens_case1, 0.05, np.zeros((net20.n, ens_case1.d)), 3,
                        alg.RunRefs(x_star=x_star))
     path = tmp_path / "trace.csv"
-    alg.trace_to_csv(trace, path)
+    hz.trace_to_csv(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,phase,sum_z_err,w_fp_err,w_opt_err,diverged"
     first = lines[1].split(",")
@@ -241,6 +255,6 @@ def test_trace_csv_format(tmp_path, net20, ens_case1):
 def test_trace_csv_empty_refs(tmp_path, net20, ens_case1):
     trace = alg.gp_run(net20, ens_case1, 0.05, np.zeros((net20.n, ens_case1.d)), 2)
     path = tmp_path / "trace.csv"
-    alg.trace_to_csv(trace, path)
+    hz.trace_to_csv(trace, path)
     row = path.read_text().splitlines()[1].split(",")
     assert row[2] == row[3] == row[4] == ""

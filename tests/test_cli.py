@@ -97,6 +97,24 @@ def test_sweep_alpha_csv(tmp_path):
         assert err <= bound
 
 
+def test_sweep_alpha_matches_reproduce_fig3(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"alpha_points": 6}))
+    a, b = tmp_path / "sweep", tmp_path / "fig3"
+    assert cli_main(["sweep-alpha", "--seed", "4", "--config", str(cfgfile),
+                     "--out-dir", str(a)]) == 0
+    assert cli_main(["reproduce", "fig3", "--seed", "4", "--config", str(cfgfile),
+                     "--out-dir", str(b)]) == 0
+    assert (a / "fp_sweep.csv").read_bytes() == (b / "fp_sweep.csv").read_bytes()
+
+
+def test_non_integer_thread_count_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PUSHOPT_THREADS", "two")
+    assert cli_main(["sweep-contraction", "--points", "2",
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "PUSHOPT_THREADS" in capsys.readouterr().err
+
+
 def test_reproduce_deterministic_bytes(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"seed": 9, "contraction_points": 30}))
