@@ -134,34 +134,56 @@ def pd_step(net, ensemble, alpha, state):
     return PushDigingState(t=state.t + 1, x=x, z=z, v=v, y=y)
 
 
-def _blocks_exceeded(state, arrays):
-    for a in arrays:
-        norms = np.sqrt((a * a).sum(axis=1))
-        if not np.all(np.isfinite(norms)) or np.max(norms) > DIVERGENCE_THRESHOLD:
-            return True
-    return False
+def _blocks_exceeded(arrays):
+    """Whether a block norm is non-finite or above the divergence threshold.
+
+    A plain bool for an (n, d) state; for a stacked (K, n, d) state, one
+    flag per candidate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.logical_and.reduce(
+            [np.sqrt((a * a).sum(axis=-1)) <= DIVERGENCE_THRESHOLD for a in arrays]
+        ).all(axis=-1)
+    return ~ok if ok.ndim else not ok
 
 
 def gp_diverged(state):
-    return _blocks_exceeded(state, (state.x, state.w, state.z))
+    return _blocks_exceeded((state.x, state.w, state.z))
 
 
 def pd_diverged(state):
-    return _blocks_exceeded(state, (state.x, state.z, state.v))
+    return _blocks_exceeded((state.x, state.z, state.v))
 
 
-def _metrics(net, mixed, z, refs):
-    """(sum_z_err, w_fp_err, w_opt_err) against the available references."""
-    sum_z = fp = opt = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if refs.x_star is not None:
-            diff = z - refs.x_star[None, :]
-            sum_z = float(np.sqrt((diff * diff).sum(axis=1)).sum())
-            target = np.outer(net.n * net.pi, refs.x_star)
-            opt = float(pi_norm(mixed - target, net.pi))
-        if refs.w_fixed is not None:
-            fp = float(pi_norm(mixed - refs.w_fixed, net.pi))
-    return sum_z, fp, opt
+def _sum_z_err(z, x_star):
+    """Sum over agents of the distance of each ratio block to x_star."""
+    diff = z - x_star[None, :]
+    return float(np.sqrt((diff * diff).sum(axis=1)).sum())
+
+
+def _recorder(trace, net, refs, phase):
+    """A function appending one metrics record per call to ``trace``.
+
+    Records hold (sum_z_err, w_fp_err, w_opt_err) against the available
+    references; the optimum's mixed state n * pi_j * x_star is built once
+    per run.
+    """
+    target = None if refs.x_star is None else np.outer(net.n * net.pi, refs.x_star)
+
+    def record(mixed, z, t, diverged):
+        sum_z = fp = opt = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if refs.x_star is not None:
+                sum_z = _sum_z_err(z, refs.x_star)
+                opt = float(pi_norm(mixed - target, net.pi))
+            if refs.w_fixed is not None:
+                fp = float(pi_norm(mixed - refs.w_fixed, net.pi))
+        trace.records.append(
+            RunRecord(t=t, phase=phase, sum_z_err=sum_z, w_fp_err=fp, w_opt_err=opt,
+                      diverged=bool(diverged))
+        )
+
+    return record
 
 
 def gp_run(net, ensemble, alpha, x0, iters, refs=None):
@@ -173,16 +195,15 @@ def gp_run(net, ensemble, alpha, x0, iters, refs=None):
     """
     if iters < 0:
         raise ValidationError("iteration count must be >= 0")
-    refs = refs or RunRefs()
     state = init_gp_state(net, ensemble, x0)
     trace = RunTrace()
-    _record(trace, net, state.w, state.z, refs, t=0, phase=PHASE_GP, diverged=gp_diverged(state))
+    record = _recorder(trace, net, refs or RunRefs(), PHASE_GP)
+    record(state.w, state.z, 0, gp_diverged(state))
     for _ in range(iters):
         if trace.records[-1].diverged:
             break
         state = gp_step(net, ensemble, alpha, state)
-        _record(trace, net, state.w, state.z, refs, t=state.t, phase=PHASE_GP,
-                diverged=gp_diverged(state))
+        record(state.w, state.z, state.t, gp_diverged(state))
     trace.final_state = state
     return trace
 
@@ -197,27 +218,17 @@ def pd_run(net, ensemble, alpha, init, iters, refs=None):
     if iters < 0:
         raise ValidationError("iteration count must be >= 0")
     refs = refs or RunRefs()
-    refs_pd = RunRefs(x_star=refs.x_star, w_fixed=None)
     state = init
     trace = RunTrace()
-    _record(trace, net, state.x, state.z, refs_pd, t=state.t, phase=PHASE_PD,
-            diverged=pd_diverged(state))
+    record = _recorder(trace, net, RunRefs(x_star=refs.x_star), PHASE_PD)
+    record(state.x, state.z, state.t, pd_diverged(state))
     for _ in range(iters):
         if trace.records[-1].diverged:
             break
         state = pd_step(net, ensemble, alpha, state)
-        _record(trace, net, state.x, state.z, refs_pd, t=state.t, phase=PHASE_PD,
-                diverged=pd_diverged(state))
+        record(state.x, state.z, state.t, pd_diverged(state))
     trace.final_state = state
     return trace
-
-
-def _record(trace, net, mixed, z, refs, t, phase, diverged):
-    sum_z, fp, opt = _metrics(net, mixed, z, refs)
-    trace.records.append(
-        RunRecord(t=t, phase=phase, sum_z_err=sum_z, w_fp_err=fp, w_opt_err=opt,
-                  diverged=bool(diverged))
-    )
 
 
 def hybrid_run(net, ensemble, alpha_gp, alpha_pd, gp_iters, total_iters, x0,

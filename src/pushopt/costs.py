@@ -219,13 +219,17 @@ def make_case2_ensemble(n, d, m_rank, seed, max_attempts=100):
 
 
 def grad_stack(ensemble, u):
-    """Gradients of all local costs at their own blocks of u, stacked (n, d)."""
+    """Gradients of all local costs at their own blocks of u, stacked (n, d).
+
+    Leading axes of u are carried through, so a (K, n, d) stack of points
+    gives K gradient stacks, each slice equal to its own (n, d) call.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != (ensemble.n, ensemble.d):
+    if u.shape[-2:] != (ensemble.n, ensemble.d):
         raise DimensionMismatchError(
             f"stacked point {u.shape} vs ensemble ({ensemble.n}, {ensemble.d})"
         )
-    return np.einsum("jab,jb->ja", ensemble.hess_stack, u) + ensemble.lin_stack
+    return np.einsum("jab,...jb->...ja", ensemble.hess_stack, u) + ensemble.lin_stack
 
 
 def grad0_pi_norm(ensemble, pi):

@@ -21,14 +21,15 @@ Scenario families:
 * ``custom``: certificate (and optional fixed point) only, no assertions.
 
 The environment variable PUSHOPT_THREADS caps worker threads for sweep
-points (0 or 1 means sequential, a non-integer is a ConfigError); results
-are ordered by grid index so the schedule cannot affect any artifact.
+points (0 or 1 means sequential, a non-integer is a ConfigError, and no
+more threads than CPUs are started); results are ordered by grid index so
+the schedule cannot affect any artifact.
 """
 
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,15 @@ def _validate_config(cfg):
                         ("supercritical_mult", cfg.supercritical_mult)):
         if value is not None and value <= 0:
             raise ConfigError(f"{name} must be positive")
+    for name, keyword in (("alpha_gp", "alpha0"), ("alpha_pd", "tuned")):
+        value = getattr(cfg, name)
+        if value != keyword and not _positive_number(value):
+            raise ConfigError(f"{name} must be {keyword!r} or a positive number, got {value!r}")
+
+
+def _positive_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < np.inf)
 
 
 def config_to_dict(cfg, with_out_dir=True):
@@ -185,7 +195,7 @@ def build_ensemble(cfg):
 def _max_workers():
     value = os.environ.get("PUSHOPT_THREADS", "0")
     try:
-        return int(value)
+        return min(int(value), os.cpu_count() or 1)
     except ValueError:
         raise ConfigError(f"PUSHOPT_THREADS must be an integer, got {value!r}") from None
 
@@ -302,6 +312,35 @@ def check_plateau_ordering(plateaus):
     return ordered, f"plateaus {['%.4g' % p for p in plateaus]}"
 
 
+# candidates per stacked tuning run: the default budget fits in one block,
+# and one stacked array stays under 2**20 floats on large instances
+_TUNE_BLOCK = 200
+_TUNE_BLOCK_FLOATS = 1 << 20
+
+
+def _pd_candidates(net, ensemble, alphas, x0, iters, x_star):
+    """(diverged, first, last) of Push-DIGing from x0 at each stepsize.
+
+    All stepsizes run as one stacked (K, n, d) state through ``pd_step``,
+    and each slice rounds exactly like its own run.  ``diverged`` flags a
+    candidate any of whose rounds crossed the divergence threshold;
+    ``first`` and ``last`` are the starting and final ``sum_z_err`` (a
+    flagged candidate's ``last`` is meaningless).
+    """
+    init = alg.init_pd_state(net, ensemble, x0)
+    k = len(alphas)
+    state = replace(init, x=np.repeat(init.x[None], k, axis=0),
+                    z=np.repeat(init.z[None], k, axis=0), v=np.repeat(init.v[None], k, axis=0))
+    alpha = np.asarray(alphas)[:, None, None]
+    diverged = alg.pd_diverged(state)
+    for _ in range(iters):
+        state = alg.pd_step(net, ensemble, alpha, state)
+        diverged |= alg.pd_diverged(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = [alg._sum_z_err(z, x_star) for z in state.z]
+    return diverged, alg._sum_z_err(init.z, x_star), last
+
+
 def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):
     """Walk the stepsize grid upward the way one tunes by hand.
 
@@ -312,6 +351,12 @@ def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):
     stepsize).  The scan stops at the first flagged divergence after a
     qualifier exists, or once a run ends three decades above the best.
 
+    Candidates run as one stacked Push-DIGing run per block of grid points
+    (the default budget is one block); the walk then replays these rules
+    over the block in grid order and runs the next block only if it has
+    not stopped.  Every candidate's outcome is bit-identical to running it
+    on its own.
+
     Raises
     ------
     AllDivergedError
@@ -320,29 +365,28 @@ def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):
     if grid_start <= 0 or grid_step <= 0 or budget < 1:
         raise ConfigError("tuning grid parameters must be positive")
     x_star = co.ensemble_minimizer(ensemble)
-    refs = alg.RunRefs(x_star=x_star)
     x0 = np.zeros((net.n, ensemble.d))
+    block = max(1, min(_TUNE_BLOCK, _TUNE_BLOCK_FLOATS // x0.size))
     best_alpha = None
     best_err = np.inf
-    for k in range(budget):
-        a = grid_start + grid_step * k
-        trace = alg.pd_run(net, ensemble, a, alg.init_pd_state(net, ensemble, x0),
-                           iters, refs)
-        if trace.diverged:
-            if best_alpha is not None:
-                break
-            raise AllDivergedError(
-                f"first grid stepsize {a} already diverges; lower grid_start"
-            )
-        first, last = trace.records[0].sum_z_err, trace.last().sum_z_err
-        if not np.isfinite(last) or last >= first:
-            if best_alpha is not None and (not np.isfinite(last) or last > 1e3 * max(best_err, 1e-300)):
-                break
-            continue
-        if last <= best_err:
-            best_alpha, best_err = a, last
-        elif last > 1e3 * max(best_err, 1e-300):
-            break
+    for start in range(0, budget, block):
+        alphas = [grid_start + grid_step * k for k in range(start, min(start + block, budget))]
+        diverged, first, lasts = _pd_candidates(net, ensemble, alphas, x0, iters, x_star)
+        for a, flagged, last in zip(alphas, diverged, lasts):
+            if flagged:
+                if best_alpha is not None:
+                    return best_alpha
+                raise AllDivergedError(
+                    f"first grid stepsize {a} already diverges; lower grid_start"
+                )
+            if not np.isfinite(last) or last >= first:
+                if best_alpha is not None and (not np.isfinite(last) or last > 1e3 * max(best_err, 1e-300)):
+                    return best_alpha
+                continue
+            if last <= best_err:
+                best_alpha, best_err = a, last
+            elif last > 1e3 * max(best_err, 1e-300):
+                return best_alpha
     if best_alpha is None:
         raise AllDivergedError("no grid stepsize made progress within the budget")
     return best_alpha

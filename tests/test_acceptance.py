@@ -32,6 +32,12 @@ FIG1_SEEDS = tuple(range(10))
 # tens of runs instead of thousands
 TUNE = dict(grid_start=5e-4, grid_step=2.5e-4, budget=60, iters=400)
 
+# the stepsizes the one-run-per-candidate tuner selected on FIG1_SEEDS with
+# TUNE; the stacked tuner must select the same values, bit for bit
+FIG1_TUNED = (0.009000000000000001, 0.013250000000000001, 0.01375,
+              0.013250000000000001, 0.0125, 0.013000000000000001, 0.01375,
+              0.013500000000000002, 0.011250000000000001, 0.0115)
+
 
 def _report(number, label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -269,6 +275,10 @@ def test_criterion_07_hybrid_superiority(fig1_instances):
     assert ok
 
 
+def test_tuned_stepsizes_match_the_sequential_walk(fig1_instances):
+    assert tuple(tuned for *_, tuned in fig1_instances) == FIG1_TUNED
+
+
 def test_criterion_08_lemma_suite():
     """Every analytic property holds on 100 random draws."""
     results = lemma_checks.run_all()
@@ -342,8 +352,8 @@ def test_criterion_10_determinism(tmp_path):
     import time
 
     ok = True
-    for figure, scenario in (("fig2", "fig2_contraction"), ("fig3", "fig3_case1"),
-                             ("fig6", "fig6_case2_sweep")):
+    for figure, scenario in (("fig1", "fig1_hybrid"), ("fig2", "fig2_contraction"),
+                             ("fig3", "fig3_case1"), ("fig6", "fig6_case2_sweep")):
         payload = {"scenario": scenario, "seed": 7}
         reports = []
         for run in ("a", "b"):

@@ -159,13 +159,17 @@ def test_trace_records_strictly_increasing_and_flags(net20, ens_case1):
 
 def test_divergence_threshold_definition(net20, ens_case1):
     state = alg.init_gp_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
-    assert not alg.gp_diverged(state)
+    assert alg.gp_diverged(state) is False
     big = alg.GradientPushState(
         t=0,
         x=np.full((net20.n, ens_case1.d), 2e12),
         w=state.w, z=state.z, y=state.y,
     )
     assert alg.gp_diverged(big)
+    # a stacked (K, n, d) state gets one flag per candidate
+    stack = np.stack([state.x, big.x, state.x + np.nan])
+    flags = alg.gp_diverged(alg.GradientPushState(t=0, x=stack, w=stack, z=stack, y=state.y))
+    assert flags.tolist() == [False, True, True]
 
 
 def test_hybrid_edges_match_pure_runs(net20, ens_case1):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pushopt import costs as co
 from pushopt import network as nw
@@ -113,6 +114,18 @@ def test_non_integer_thread_count_exits_one(tmp_path, monkeypatch, capsys):
     assert cli_main(["sweep-contraction", "--points", "2",
                      "--out-dir", str(tmp_path)]) == 1
     assert "PUSHOPT_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha_gp", "fast"), ("alpha_gp", -0.03), ("alpha_pd", "alpha0"), ("alpha_pd", True),
+])
+def test_bad_hybrid_stepsize_exits_one(tmp_path, capsys, key, value):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    assert cli_main(["reproduce", "fig1", "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_reproduce_deterministic_bytes(tmp_path):

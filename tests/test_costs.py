@@ -161,6 +161,15 @@ def test_grad_stack_matches_per_cost_gradients(ens_case1):
     stacked = co.grad_stack(ens_case1, u)
     for j, c in enumerate(ens_case1.costs):
         assert np.allclose(stacked[j], c.gradient(u[j]), atol=1e-12)
+    # a leading candidate axis: each slice equals its own (n, d) call
+    many = rng.standard_normal((4, ens_case1.n, ens_case1.d))
+    stacked = co.grad_stack(ens_case1, many)
+    assert stacked.shape == many.shape
+    for k in range(4):
+        assert np.array_equal(stacked[k], co.grad_stack(ens_case1, many[k]))
+    for bad in (many[..., :-1], many[0, 0]):
+        with pytest.raises(DimensionMismatchError):
+            co.grad_stack(ens_case1, bad)
 
 
 def test_scale_ensemble_scales_constants_exactly(ens_case1):

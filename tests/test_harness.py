@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,6 +35,28 @@ def test_resolve_config_rejects_bad_input():
         hz.resolve_config({"scenario": "fig1_hybrid", "gp_iters": 10, "total_iters": 5})
     with pytest.raises(ConfigError):
         hz.resolve_config([1, 2])
+    for key, value in (("alpha_gp", "tuned"), ("alpha_pd", 0.0), ("alpha_pd", "0.001"),
+                       ("alpha_gp", float("nan"))):
+        with pytest.raises(ConfigError, match=key):
+            hz.resolve_config({"scenario": "fig1_hybrid", key: value})
+
+
+def test_thread_count_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("PUSHOPT_THREADS", "64")
+    assert hz._max_workers() == 2
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(hz, "ThreadPoolExecutor", Pool)
+    assert hz.parallel_map(abs, [-1, 2, -3]) == [1, 2, 3]
+    assert pools == [2]
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: None)
+    assert hz._max_workers() == 1
 
 
 def test_config_overrides_apply():
@@ -41,6 +64,8 @@ def test_config_overrides_apply():
                              "seed": 3, "contraction_points": 17})
     assert cfg.case == "case2" and cfg.d == 10 and cfg.contraction_points == 17
     assert cfg.seed == 3
+    cfg = hz.resolve_config({"scenario": "fig1_hybrid", "alpha_gp": 0.03, "alpha_pd": 1})
+    assert (cfg.alpha_gp, cfg.alpha_pd) == (0.03, 1)
 
 
 def test_builders_deterministic():
