@@ -108,6 +108,8 @@ _SCENARIO_DEFAULTS = {
 }
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+_INT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.type is int)
+_FLOAT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.type is float)
 
 
 def resolve_config(payload):
@@ -128,13 +130,26 @@ def resolve_config(payload):
     for key, value in _CASE_DEFAULTS[case].items():
         merged.setdefault(key, value)
     if "multipliers" in merged:
-        merged["multipliers"] = tuple(float(v) for v in merged["multipliers"])
+        mults = merged["multipliers"]
+        if not isinstance(mults, (list, tuple)) or not all(map(_finite_number, mults)):
+            raise ConfigError(f"multipliers must be a list of finite numbers, got {mults!r}")
+        merged["multipliers"] = tuple(float(v) for v in mults)
     cfg = ExperimentConfig(**merged)
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg):
+    for name in _INT_KEYS:
+        value = getattr(cfg, name)
+        if value is not None and not _integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in _FLOAT_KEYS:
+        value = getattr(cfg, name)
+        if value is not None and not _finite_number(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
     if not (0.0 < cfg.p <= 1.0):
@@ -143,9 +158,10 @@ def _validate_config(cfg):
         raise ConfigError("case1 needs m and delta_reg > 0")
     if cfg.case == "case2" and (cfg.m_rank is None or cfg.eps is None or cfg.eps <= 0):
         raise ConfigError("case2 needs m_rank and eps > 0")
-    for name in ("run_iters", "gp_iters", "total_iters", "contraction_points",
-                 "alpha_points", "tune_budget", "tune_iters", "horizon"):
-        if getattr(cfg, name) < 0:
+    for name in ("seed", "net_seed", "cost_seed", "run_iters", "gp_iters", "total_iters",
+                 "contraction_points", "alpha_points", "tune_budget", "tune_iters", "horizon",
+                 "fp_tol"):
+        if (getattr(cfg, name) or 0) < 0:
             raise ConfigError(f"{name} must be nonnegative")
     if cfg.gp_iters > cfg.total_iters:
         raise ConfigError("gp_iters must not exceed total_iters")
@@ -157,13 +173,17 @@ def _validate_config(cfg):
             raise ConfigError(f"{name} must be positive")
     for name, keyword in (("alpha_gp", "alpha0"), ("alpha_pd", "tuned")):
         value = getattr(cfg, name)
-        if value != keyword and not _positive_number(value):
+        if value != keyword and not (_finite_number(value) and value > 0):
             raise ConfigError(f"{name} must be {keyword!r} or a positive number, got {value!r}")
 
 
-def _positive_number(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < np.inf)
+def _integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _finite_number(value):
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and bool(np.isfinite(value)))
 
 
 def config_to_dict(cfg, with_out_dir=True):
@@ -550,7 +570,7 @@ def _run_fig35(cfg, net, ensemble, out):
     cert = op.certify(net, ensemble, eps=case_eps(cfg, ensemble), horizon=cfg.horizon)
     x_star = co.ensemble_minimizer(ensemble)
     fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, cert.alpha0),
-                              tol=cfg.fp_tol)
+                              tol=cfg.fp_tol, lipschitz=cert.lipschitz_alpha)
     refs = alg.RunRefs(x_star=x_star, w_fixed=fp.w)
     trace = alg.gp_run(net, ensemble, cert.alpha0, np.zeros((net.n, ensemble.d)),
                        cfg.run_iters, refs)

@@ -61,6 +61,30 @@ def flatten_block_operator(M):
     return np.ascontiguousarray(M.transpose(0, 2, 1, 3)).reshape(n * d, n * d)
 
 
+def solve_refined(A, b):
+    """Solve the square system A x = b with one extended-precision refinement.
+
+    Householder QR of [A | b] yields R and Q^T b at once and back
+    substitution gives x; one refinement step then adds the solution for
+    the residual b - A x, formed in extended precision (``np.longdouble``;
+    a plain refinement step where that is double).  An LU solve is faster
+    but OpenBLAS's threaded LU rounds differently with the thread count;
+    QR, back substitution and numpy's non-BLAS extended-precision product
+    do not, so x does not depend on the machine's CPU count.
+    """
+    def qr_solve(rhs):
+        R = np.linalg.qr(np.column_stack([A, rhs]), mode="r")
+        x = R[:, -1].copy()
+        for k in range(len(x) - 1, -1, -1):
+            x[k] = (x[k] - R[k, k + 1:-1] @ x[k + 1:]) / R[k, k]
+        return x
+
+    x = qr_solve(b)
+    wide = np.longdouble
+    residual = b.astype(wide) - A.astype(wide) @ x.astype(wide)
+    return x + qr_solve(residual.astype(float))
+
+
 def spectral_norm(M, tol=1e-10, max_iter=20000, restarts=3, block=12):
     """Largest singular value by block power iteration on M^T M.
 

@@ -15,7 +15,8 @@ computes:
 * the certified stepsize ceiling and contraction rate for both benchmark
   cost cases,
 * the measured operator Lipschitz constant for quadratic-Hessian costs,
-* the fixed point by Picard iteration with an a-posteriori stopping bound,
+* the fixed point by a dense solve, certified by Picard steps with an
+  a-posteriori stopping bound,
 * the empirical push-sum constants (coefficient of the 1/y gap and the
   largest inverse weight),
 * the convergence envelope for runs, the fixed-point radius, the
@@ -40,7 +41,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .linalg import induced_pi_norm, pi_norm
+from .linalg import flatten_block_operator, induced_pi_norm, pi_norm, solve_refined
 
 
 @dataclass(frozen=True)
@@ -220,29 +221,48 @@ def contraction_constant(net, ensemble, eps=None):
 
 
 def solve_fixed_point(ctx, tol=1e-12, max_iter=1_000_000, lipschitz=None):
-    """Picard iteration from zero with an a-posteriori stopping bound.
+    """Fixed point by a dense solve, certified by Picard polish steps.
 
-    Stops once ``step * L / (1 - L) <= tol`` where L is the measured
-    operator Lipschitz constant, which converts the tolerance into a
-    guaranteed weighted distance to the fixed point.
+    The operator is affine, T(w) = M w + T(0) with M from
+    ``operator_matrix`` (which needs constant Hessians) and
+    T(0) = -alpha W lin_stack, so its fixed point solves (I - M) w = T(0);
+    ``solve_refined`` gives that point to about rounding accuracy.  Picard
+    iteration then runs from it and stops once ``step * L / (1 - L) <=
+    tol``, where L is the operator's measured Lipschitz constant (pass it
+    as ``lipschitz`` if already known), which converts the tolerance into
+    a guaranteed weighted distance to the fixed point.  Near the rounding
+    floor the polish can fall into a cycle of states, where that rule
+    never fires; the same loop is then rerun from zero, which is plain
+    Picard iteration and yields its result bit for bit.
+    ``FixedPoint.iterations`` counts the Picard steps of the pass that
+    produced ``w``: the polish steps, or after a cycle those of the rerun
+    from zero.
+
+    Raises
+    ------
+    ValidationError
+        If ``tol`` is negative.
+    NoConvergenceError
+        If a pass exhausts ``max_iter``, or the rerun from zero cycles too.
     """
+    if not tol >= 0.0:
+        raise ValidationError(f"fixed-point tolerance must be nonnegative, got {tol}")
     net, ens = ctx.net, ctx.ensemble
-    lip = operator_lipschitz(ctx) if lipschitz is None else lipschitz
+    M = operator_matrix(ctx)
+    lip = induced_pi_norm(M, net.pi) if lipschitz is None else lipschitz
     if lip >= 1.0:
         raise NotContractiveError(f"no contraction at alpha={ctx.alpha}: Lipschitz {lip}")
     factor = lip / (1.0 - lip) if lip > 0.0 else 0.0
-    w = np.zeros((net.n, ens.d))
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w_next = gradient_push_operator(ctx, w)
-        step = pi_norm(w_next - w, net.pi)
-        w = w_next
-        if step * factor <= tol:
-            break
-    else:
+    zero = np.zeros((net.n, ens.d))
+    offset = gradient_push_operator(ctx, zero).ravel()
+    start = solve_refined(np.eye(zero.size) - flatten_block_operator(M), offset)
+    found = (_picard(ctx, start.reshape(zero.shape), factor, tol, max_iter)
+             or _picard(ctx, zero, factor, tol, max_iter))
+    if found is None:
         raise NoConvergenceError(
-            f"fixed point not reached in {max_iter} iterations at alpha={ctx.alpha}"
+            f"fixed-point iteration cycles above tolerance {tol} at alpha={ctx.alpha}"
         )
+    w, iterations = found
     residual = pi_norm(gradient_push_operator(ctx, w) - w, net.pi)
     w_bar = w.mean(axis=0)
     consensus = pi_norm(w - np.outer(net.n * net.pi, w_bar), net.pi)
@@ -253,6 +273,30 @@ def solve_fixed_point(ctx, tol=1e-12, max_iter=1_000_000, lipschitz=None):
         residual=float(residual),
         consensus_error=float(consensus),
         iterations=iterations,
+    )
+
+
+def _picard(ctx, w, factor, tol, max_iter):
+    """(w, steps) once ``step * factor <= tol``, or None on a cycle.
+
+    A cycle of states is found Brent-style: the state saved at steps 1, 2,
+    4, 8, ... is compared bit for bit with every later one.
+    """
+    pi = ctx.net.pi
+    saved = None
+    for iterations in range(1, max_iter + 1):
+        w_next = gradient_push_operator(ctx, w)
+        step = pi_norm(w_next - w, pi)
+        w = w_next
+        if step * factor <= tol:
+            return w, iterations
+        state = w.tobytes()
+        if state == saved:
+            return None
+        if iterations & (iterations - 1) == 0:
+            saved = state
+    raise NoConvergenceError(
+        f"fixed point not reached in {max_iter} iterations at alpha={ctx.alpha}"
     )
 
 
@@ -410,16 +454,20 @@ def legacy_stepsize_threshold(net, ensemble, inv_y_max):
 def certify(net, ensemble, eps=None, alpha=None, horizon=500):
     """Assemble the full contraction certificate at the working stepsize.
 
-    ``alpha`` defaults to the stepsize ceiling.  All stored bounds
-    (perturbation product, optimality gap, consensus gap) are evaluated at
-    that working stepsize; the per-alpha bound functions remain available
-    for sweeps.
+    ``alpha`` defaults to the stepsize ceiling and may not exceed it: the
+    contraction rate, and every bound built on it, only holds up to the
+    ceiling.  All stored bounds (perturbation product, optimality gap,
+    consensus gap) are evaluated at that working stepsize; the per-alpha
+    bound functions remain available for sweeps.
     """
     alpha0, C = contraction_constant(net, ensemble, eps)
     if alpha is None:
         alpha = alpha0
-    if alpha <= 0.0:
-        raise InvalidRateError("working stepsize must be positive")
+    if not 0.0 < alpha <= alpha0:
+        raise InvalidRateError(
+            f"working stepsize {alpha} outside (0, alpha0 = {alpha0}]: the "
+            "certificate only holds up to the stepsize ceiling"
+        )
     eta = operator_lipschitz(OperatorContext(net, ensemble, alpha0))
     lip_alpha = eta if alpha == alpha0 else operator_lipschitz(
         OperatorContext(net, ensemble, alpha)

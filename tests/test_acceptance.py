@@ -353,7 +353,8 @@ def test_criterion_10_determinism(tmp_path):
 
     ok = True
     for figure, scenario in (("fig1", "fig1_hybrid"), ("fig2", "fig2_contraction"),
-                             ("fig3", "fig3_case1"), ("fig6", "fig6_case2_sweep")):
+                             ("fig3", "fig3_case1"), ("fig5", "fig5_case2"),
+                             ("fig6", "fig6_case2_sweep")):
         payload = {"scenario": scenario, "seed": 7}
         reports = []
         for run in ("a", "b"):

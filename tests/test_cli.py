@@ -64,6 +64,33 @@ def test_fixed_point_command(tmp_path):
     assert len(fp["w"]) == 20
 
 
+def test_fixed_point_negative_tolerance_exits_one(tmp_path, capsys):
+    assert cli_main(["fixed-point", "--alpha-mult", "0.5", "--seed", "7", "--tol=-1",
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "tolerance" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"fp_tol": -1e-12}))
+    assert cli_main(["fixed-point", "--alpha-mult", "0.5", "--seed", "7",
+                     "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+    assert "fp_tol" in capsys.readouterr().err
+    assert not (tmp_path / "fixed_point.json").exists()
+
+
+def test_fixed_point_zero_tolerance_reaches_an_exact_float_fixed_point(tmp_path):
+    assert cli_main(["fixed-point", "--alpha-mult", "0.5", "--seed", "7", "--tol", "0",
+                     "--out-dir", str(tmp_path)]) == 0
+    fp = json.loads((tmp_path / "fixed_point.json").read_text())
+    assert fp["residual"] == 0.0
+
+
+def test_mistyped_config_number_exits_one(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n": "20"}))
+    assert cli_main(["reproduce", "fig2", "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+    assert "n must be an integer" in capsys.readouterr().err
+
+
 def test_run_gp_trace_monotone_then_plateau(tmp_path):
     assert cli_main(["run", "gp", "--alpha-mult", "1.0", "--iters", "400",
                      "--seed", "4", "--out-dir", str(tmp_path)]) == 0

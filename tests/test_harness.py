@@ -7,7 +7,12 @@ import pytest
 from pushopt import costs as co
 from pushopt import harness as hz
 from pushopt import network as nw
-from pushopt.errors import AllDivergedError, ConfigError, ScenarioAssertionError
+from pushopt.errors import (
+    AllDivergedError,
+    ConfigError,
+    InvalidRateError,
+    ScenarioAssertionError,
+)
 
 
 def test_resolve_config_scenario_defaults():
@@ -39,6 +44,17 @@ def test_resolve_config_rejects_bad_input():
                        ("alpha_gp", float("nan"))):
         with pytest.raises(ConfigError, match=key):
             hz.resolve_config({"scenario": "fig1_hybrid", key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "20"), ("n", 20.5), ("n", True), ("seed", -1), ("net_seed", "3"),
+    ("tune_grid_start", "x"), ("fp_tol", "1e-12"), ("fp_tol", -1e-12), ("fp_tol", float("inf")),
+    ("p", float("nan")), ("eps", "0.01"), ("multipliers", ["x"]),
+    ("multipliers", 0.5), ("out_dir", 5),
+])
+def test_resolve_config_rejects_mistyped_numbers(key, value):
+    with pytest.raises(ConfigError, match=rf"^{key} must"):
+        hz.resolve_config({"scenario": "fig5_case2", key: value})
 
 
 def test_thread_count_capped_at_cpu_count(monkeypatch):
@@ -146,6 +162,15 @@ def test_scenario_custom_emits_certificate(tmp_path):
     assert cert["alpha0"] > 0 and cert["contraction_rate"] > 0
     fp = json.loads((tmp_path / "fixed_point.json").read_text())
     assert fp["residual"] <= cfg.fp_tol
+
+
+def test_scenario_custom_rejects_a_stepsize_above_the_ceiling(tmp_path):
+    cfg = hz.resolve_config({
+        "scenario": "custom", "seed": 11, "alpha_mult": 1.5, "out_dir": str(tmp_path),
+    })
+    with pytest.raises(InvalidRateError, match="alpha0"):
+        hz.run_scenario(cfg)
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_tune_pd_single_agent_walks_to_stability_edge():

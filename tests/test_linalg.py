@@ -119,3 +119,15 @@ def test_symmetric_extremes_trivial_and_oracle():
         mine = la.symmetric_extremes(H)
         assert mine[0] == pytest.approx(lam[-1], rel=1e-8)
         assert mine[1] == pytest.approx(lam[0], rel=1e-8)
+
+
+def test_solve_refined_matches_lu_to_rounding():
+    rng = np.random.default_rng(31)
+    for size in (1, 7, 60):
+        A = np.eye(size) + 0.3 * rng.standard_normal((size, size))
+        b = rng.standard_normal(size)
+        x = la.solve_refined(A, b)
+        oracle = np.linalg.solve(A, b)
+        scale = np.linalg.cond(A) * np.max(np.abs(oracle))
+        assert np.max(np.abs(x - oracle)) <= 1e-14 * scale
+        assert np.max(np.abs(A @ x - b)) <= 1e-14 * (1 + np.max(np.abs(b)))

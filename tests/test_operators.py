@@ -1,14 +1,23 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pushopt import costs as co
+from pushopt import harness as hz
 from pushopt import network as nw
 from pushopt import operators as op
 from pushopt.errors import (
     DegenerateMixingError,
     InvalidRateError,
+    NoConvergenceError,
     NonpositiveYError,
     NotContractiveError,
+    ValidationError,
 )
 from pushopt.linalg import flatten_block_operator, pi_norm
 
@@ -174,6 +183,101 @@ def test_fixed_point_residual_radius_and_dense_oracle(net20, ens_case1):
     offset = (net20.W @ (-cert.alpha0 * ens_case1.lin_stack)).ravel()
     w_dense = np.linalg.solve(np.eye(nd) - M, offset).reshape(net20.n, ens_case1.d)
     assert np.max(np.abs(w_dense - fp.w)) <= 1e-10
+
+
+def picard_from_zero(ctx, tol):
+    """Oracle: plain Picard iteration from zero with the a-posteriori stop."""
+    lip = op.operator_lipschitz(ctx)
+    factor = lip / (1.0 - lip)
+    w = np.zeros((ctx.net.n, ctx.ensemble.d))
+    for iterations in itertools.count(1):
+        w_next = op.gradient_push_operator(ctx, w)
+        step = pi_norm(w_next - w, ctx.net.pi)
+        w = w_next
+        if step * factor <= tol:
+            return w, iterations
+
+
+def fig5_instance(**overrides):
+    cfg = hz.resolve_config({"scenario": "fig5_case2", **overrides})
+    net, ens = hz.build_network(cfg), hz.build_ensemble(cfg)
+    return net, ens, op.stepsize_ceiling(net, ens, cfg.eps)
+
+
+def test_fixed_point_polish_stays_within_tol_of_the_dense_solution():
+    # the fig5 solves: the ceiling plus the 40-point sweep over (0, alpha0]
+    net, ens, alpha0 = fig5_instance()
+    nd = net.n * ens.d
+    for a in [alpha0] + [alpha0 * (i + 1) / 40 for i in range(40)]:
+        ctx = op.OperatorContext(net, ens, a)
+        fp = op.solve_fixed_point(ctx, tol=1e-12)
+        M = flatten_block_operator(op.operator_matrix(ctx))
+        offset = (net.W @ (-a * ens.lin_stack)).ravel()
+        w_dense = np.linalg.solve(np.eye(nd) - M, offset).reshape(net.n, ens.d)
+        assert pi_norm(fp.w - w_dense, net.pi) <= 1e-12
+        assert fp.iterations <= 100
+
+
+def test_fixed_point_rounding_cycle_falls_back_to_picard_from_zero():
+    # on fig5's network draw 3 at alpha0/40 the polish from the dense
+    # solution revisits a state before the stop rule fires; the rerun from
+    # zero must then reproduce plain Picard iteration bit for bit (its tens
+    # of thousands of steps also show that the polish did not stop)
+    net, ens, alpha0 = fig5_instance(net_seed=3)
+    ctx = op.OperatorContext(net, ens, alpha0 * 1 / 40)
+    fp = op.solve_fixed_point(ctx, tol=1e-12)
+    w, iterations = picard_from_zero(ctx, 1e-12)
+    assert iterations > 1000
+    assert fp.iterations == iterations
+    assert np.array_equal(fp.w, w)
+
+
+def test_fixed_point_cycle_from_zero_too_raises_at_once(monkeypatch, complete4):
+    ctx = op.OperatorContext(complete4, identical_cost_ensemble(4), 0.1)
+    calls = []
+
+    def flip(ctx, w):  # every orbit has period two and never settles
+        calls.append(w)
+        return 1.0 - w
+
+    monkeypatch.setattr(op, "gradient_push_operator", flip)
+    with pytest.raises(NoConvergenceError, match="cycles"):
+        op.solve_fixed_point(ctx, lipschitz=0.5)
+    assert len(calls) < 20
+
+
+def test_fixed_point_rejects_a_negative_tolerance(net20, ens_case1):
+    ctx = op.OperatorContext(net20, ens_case1, 0.01)
+    for tol in (-1e-12, float("nan")):
+        with pytest.raises(ValidationError, match="tolerance"):
+            op.solve_fixed_point(ctx, tol=tol)
+
+
+def test_fixed_point_bits_do_not_depend_on_blas_threads():
+    script = (
+        "import hashlib; from pushopt import harness as hz, operators as op; "
+        "cfg = hz.resolve_config({'scenario': 'fig5_case2'}); "
+        "net, ens = hz.build_network(cfg), hz.build_ensemble(cfg); "
+        "a = op.stepsize_ceiling(net, ens, cfg.eps) / 40; "
+        "fp = op.solve_fixed_point(op.OperatorContext(net, ens, a)); "
+        "print(hashlib.sha256(fp.w.tobytes()).hexdigest())"
+    )
+    src = str(Path(op.__file__).parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_certify_rejects_a_stepsize_above_the_ceiling(net20, ens_case1):
+    alpha0, _ = op.contraction_constant(net20, ens_case1)
+    with pytest.raises(InvalidRateError, match="alpha0"):
+        op.certify(net20, ens_case1, alpha=1.9 * alpha0)
+    assert op.certify(net20, ens_case1, alpha=alpha0).alpha == alpha0
 
 
 def test_consensus_constants_trivial(complete4, single_agent):
