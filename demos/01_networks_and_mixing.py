@@ -14,7 +14,7 @@ from pushopt import (
 
 n, p, seed = 20, 0.7, 42
 graph = generate_digraph(n, p, seed)
-print(f"digraph: n={n}, p={p}, seed={seed} -> {len(graph.edges)} arcs "
+print(f"digraph: n={n}, p={p}, seed={seed} -> {graph.adj.sum()} arcs "
       f"(expected about {0.7 * n * (n - 1):.0f})")
 
 net = build_mixing_matrix(graph)

@@ -44,9 +44,7 @@ from .harness import (
     tune_pd_stepsize,
 )
 from .linalg import (
-    apply_block_operator,
     induced_pi_norm,
-    kron_block,
     pi_norm,
     spectral_norm,
     symmetric_extremes,

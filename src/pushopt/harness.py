@@ -163,6 +163,8 @@ def _validate_config(cfg):
                  "fp_tol"):
         if (getattr(cfg, name) or 0) < 0:
             raise ConfigError(f"{name} must be nonnegative")
+    if cfg.alpha_points < 2:
+        raise ConfigError("alpha_points must be >= 2: the fixed-point sweep fits a slope")
     if cfg.gp_iters > cfg.total_iters:
         raise ConfigError("gp_iters must not exceed total_iters")
     if any(m <= 0 for m in cfg.multipliers):

@@ -36,25 +36,6 @@ def pi_norm(w, pi):
     return float(np.sqrt(((w * w).sum(axis=1) / pi).sum()))
 
 
-def apply_block_operator(M, w):
-    """Apply an (n, n, d, d) block operator: result_i = sum_j M[i, j] w_j."""
-    M = np.asarray(M, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if M.ndim != 4 or w.ndim != 2:
-        raise DimensionMismatchError(f"expected (n,n,d,d) and (n,d), got {M.shape}, {w.shape}")
-    n, n2, d, d2 = M.shape
-    if n != n2 or d != d2 or w.shape != (n, d):
-        raise DimensionMismatchError(f"operator {M.shape} incompatible with state {w.shape}")
-    return np.einsum("ijab,jb->ia", M, w)
-
-
-def kron_block(A, d):
-    """Lift an n x n matrix to the block operator with blocks A[i, j] * I_d."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    return A[:, :, None, None] * np.eye(d)[None, None, :, :]
-
-
 def flatten_block_operator(M):
     """Reinterpret an (n, n, d, d) block operator as a dense nd x nd matrix."""
     n, _, d, _ = M.shape

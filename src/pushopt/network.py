@@ -3,8 +3,10 @@
 Conventions
 -----------
 Agents are numbered 1..n.  An edge (i, j) means that agent j sends to
-agent i, so information flows j -> i.  Every agent implicitly keeps a
-self-loop; self-loops are never stored in the edge set.
+agent i, so information flows j -> i.  A graph is held as an (n, n) bool
+adjacency array ``adj`` with ``adj[i - 1, j - 1]`` set for the edge (i, j).
+Every agent implicitly keeps a self-loop; the diagonal of ``adj`` stays
+False.  The JSON form lists the edges as sorted 1-based [i, j] pairs.
 
 The mixing matrix uses the uniform out-degree rule: column j distributes
 mass equally over j itself and every receiver of j,
@@ -32,10 +34,17 @@ from .linalg import induced_pi_norm
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """A directed graph on agents 1..n with implicit self-loops."""
+    """A directed graph on agents 1..n with implicit self-loops.
 
-    n: int
-    edges: frozenset
+    ``adj`` is an (n, n) bool array: ``adj[i - 1, j - 1]`` is True when
+    agent j sends to agent i.  Its diagonal is False.
+    """
+
+    adj: np.ndarray
+
+    @property
+    def n(self):
+        return self.adj.shape[0]
 
 
 @dataclass(frozen=True)
@@ -55,38 +64,41 @@ class MixingNetwork:
 
 
 def make_digraph(n, edges):
-    """Build a DirectedGraph after validating vertex range and loop-freeness."""
+    """Build a DirectedGraph from 1-based integer pairs (i, j), j sending to i.
+
+    Raises ValidationError unless ``edges`` is a sequence of integer pairs
+    (Python or numpy integers, not bools) inside 1..n with no self-loop.
+    """
     if n < 1:
         raise ValidationError(f"agent count must be >= 1, got {n}")
-    edges = frozenset((int(i), int(j)) for i, j in edges)
-    for i, j in edges:
+    adj = np.zeros((n, n), dtype=bool)
+    try:
+        pairs = list(edges)
+    except TypeError:
+        raise ValidationError(f"edges must be a sequence of pairs, got {edges!r}") from None
+    for e in pairs:
+        if not (isinstance(e, (list, tuple, np.ndarray)) and len(e) == 2
+                and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                        for v in e)):
+            raise ValidationError(f"edge {e!r} is not a pair of integer agent labels")
+        i, j = e
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValidationError(f"edge ({i},{j}) outside 1..{n}")
         if i == j:
             raise ValidationError(f"self-loop ({i},{i}) must stay implicit")
-    return DirectedGraph(n=n, edges=edges)
+        adj[i - 1, j - 1] = True
+    return DirectedGraph(adj)
 
 
 def is_strongly_connected(g):
-    """Two-pass reachability check: breadth-first on the arcs and on their reversal."""
-    n = g.n
-    if n == 1:
-        return True
-    fwd = [[] for _ in range(n)]
-    rev = [[] for _ in range(n)]
-    for i, j in g.edges:
-        fwd[j - 1].append(i - 1)  # j sends to i
-        rev[i - 1].append(j - 1)
-    for adj in (fwd, rev):
-        seen = np.zeros(n, dtype=bool)
+    """Breadth-first reachability from agent 1 along the arcs and along their reversal."""
+    for adj in (g.adj, g.adj.T):
+        seen = np.zeros(g.n, dtype=bool)
         seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
+        frontier = seen.copy()
+        while frontier.any():  # receivers of the frontier not seen yet
+            frontier = adj[:, frontier].any(axis=1) & ~seen
+            seen |= frontier
         if not seen.all():
             return False
     return True
@@ -113,11 +125,9 @@ def generate_digraph(n, p, seed, max_attempts=100):
         raise ValidationError(f"arc probability must lie in (0, 1], got {p}")
     for attempt in range(max_attempts):
         rng = np.random.default_rng(seed + attempt)
-        u = rng.random((n, n))
-        mask = u < p
+        mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
-        edges = frozenset((int(i) + 1, int(j) + 1) for i, j in np.argwhere(mask))
-        g = DirectedGraph(n=n, edges=edges)
+        g = DirectedGraph(mask)
         if is_strongly_connected(g):
             return g
     raise FailedConnectivityError(
@@ -175,15 +185,8 @@ def _rho_from(W, pi, tol=1e-10):
 
 def build_mixing_matrix(g, perron_tol=1e-12):
     """Assemble the uniform-weight mixing matrix and its spectral objects."""
-    n = g.n
-    out_deg = np.zeros(n, dtype=int)
-    for _, j in g.edges:
-        out_deg[j - 1] += 1
-    W = np.zeros((n, n))
-    for i, j in g.edges:
-        W[i - 1, j - 1] = 1.0 / (out_deg[j - 1] + 1)
-    for j in range(n):
-        W[j, j] = 1.0 / (out_deg[j] + 1)
+    links = g.adj | np.eye(g.n, dtype=bool)
+    W = np.where(links, 1.0 / links.sum(axis=0), 0.0)
     return _network(g, W, perron_tol)
 
 
@@ -212,11 +215,7 @@ def validate_network(net, tol=1e-12):
         raise ValidationError("negative communication weight")
     if np.max(np.abs(W.sum(axis=0) - 1.0)) > tol:
         raise ValidationError("columns of W do not sum to one")
-    positive = W > 0.0
-    expected = np.eye(n, dtype=bool)
-    for i, j in g.edges:
-        expected[i - 1, j - 1] = True
-    if not np.array_equal(positive, expected):
+    if not np.array_equal(W > 0.0, g.adj | np.eye(n, dtype=bool)):
         raise ValidationError("sparsity pattern of W does not match the edge set")
     if np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > tol:
         raise ValidationError("pi must be positive with total mass one")
@@ -234,7 +233,7 @@ def network_to_dict(net):
     """Serialize as {n, edges, W (row-major), pi, rho}; edges sorted."""
     return {
         "n": net.n,
-        "edges": [list(e) for e in sorted(net.graph.edges)],
+        "edges": (np.argwhere(net.graph.adj) + 1).tolist(),
         "W": [float(v) for v in net.W.ravel()],
         "pi": [float(v) for v in net.pi],
         "rho": float(net.rho),

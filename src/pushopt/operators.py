@@ -205,19 +205,26 @@ def contraction_constant(net, ensemble, eps=None):
     case1 uses the closed form min_k mu_k L_k / (n (mu_k + L_k) pi_k);
     case2 measures the Lipschitz constant at the ceiling and converts it.
     """
+    alpha0, C, _ = _contraction(net, ensemble, eps)
+    return alpha0, C
+
+
+def _contraction(net, ensemble, eps):
+    """(alpha0, C, eta): eta is the Lipschitz constant measured at alpha0,
+    or None for case1, whose rate needs no measurement."""
     alpha0 = stepsize_ceiling(net, ensemble, eps)
     if ensemble.case_tag == "case1":
         L = np.array([c.L for c in ensemble.costs])
         mu = np.array([c.mu for c in ensemble.costs])
         C = float(np.min(mu * L / (net.n * (mu + L) * net.pi)))
-        return alpha0, C
+        return alpha0, C, None
     eta = operator_lipschitz(OperatorContext(net, ensemble, alpha0))
     if eta >= 1.0:
         raise NotContractiveError(
             f"operator at the ceiling measured Lipschitz {eta} >= 1; "
             "aggregate cost is likely not strongly convex"
         )
-    return alpha0, (1.0 - eta) / alpha0
+    return alpha0, (1.0 - eta) / alpha0, eta
 
 
 def solve_fixed_point(ctx, tol=1e-12, max_iter=1_000_000, lipschitz=None):
@@ -460,7 +467,7 @@ def certify(net, ensemble, eps=None, alpha=None, horizon=500):
     consensus gap) are evaluated at that working stepsize; the per-alpha
     bound functions remain available for sweeps.
     """
-    alpha0, C = contraction_constant(net, ensemble, eps)
+    alpha0, C, eta = _contraction(net, ensemble, eps)
     if alpha is None:
         alpha = alpha0
     if not 0.0 < alpha <= alpha0:
@@ -468,7 +475,8 @@ def certify(net, ensemble, eps=None, alpha=None, horizon=500):
             f"working stepsize {alpha} outside (0, alpha0 = {alpha0}]: the "
             "certificate only holds up to the stepsize ceiling"
         )
-    eta = operator_lipschitz(OperatorContext(net, ensemble, alpha0))
+    if eta is None:
+        eta = operator_lipschitz(OperatorContext(net, ensemble, alpha0))
     lip_alpha = eta if alpha == alpha0 else operator_lipschitz(
         OperatorContext(net, ensemble, alpha)
     )

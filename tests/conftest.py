@@ -35,6 +35,16 @@ def single_agent():
     return nw.build_mixing_matrix(nw.make_digraph(1, []))
 
 
+def apply_block_operator(M, w):
+    """Apply an (n, n, d, d) block operator: result_i = sum_j M[i, j] w_j."""
+    return np.einsum("ijab,jb->ia", M, w)
+
+
+def kron_block(A, d):
+    """Lift an n x n matrix to the block operator with blocks A[i, j] * I_d."""
+    return np.asarray(A, dtype=float)[:, :, None, None] * np.eye(d)
+
+
 def perron_oracle(W):
     """Dense eigendecomposition: eigenvector at the eigenvalue closest to 1."""
     vals, vecs = np.linalg.eig(W)

@@ -44,6 +44,10 @@ def test_resolve_config_rejects_bad_input():
                        ("alpha_gp", float("nan"))):
         with pytest.raises(ConfigError, match=key):
             hz.resolve_config({"scenario": "fig1_hybrid", key: value})
+    for scenario in ("fig3_case1", "fig5_case2"):
+        for points in (-1, 0, 1):
+            with pytest.raises(ConfigError, match="alpha_points"):
+                hz.resolve_config({"scenario": scenario, "alpha_points": points})
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,28 +9,70 @@ from pushopt import network as nw
 from pushopt.errors import FailedConnectivityError, ValidationError
 
 
+def oracle_edges(adj):
+    """The edge set as 1-based (i, j) tuples, j sending to i."""
+    return frozenset((int(i) + 1, int(j) + 1) for i, j in np.argwhere(adj))
+
+
+def oracle_strongly_connected(n, edges):
+    """Depth-first reachability over adjacency lists of the edge tuples."""
+    if n == 1:
+        return True
+    fwd = [[] for _ in range(n)]
+    rev = [[] for _ in range(n)]
+    for i, j in edges:
+        fwd[j - 1].append(i - 1)  # j sends to i
+        rev[i - 1].append(j - 1)
+    for adj in (fwd, rev):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        if not seen.all():
+            return False
+    return True
+
+
+def oracle_mixing_matrix(n, edges):
+    """Uniform out-degree weights filled in one edge at a time."""
+    out_deg = np.zeros(n, dtype=int)
+    for _, j in edges:
+        out_deg[j - 1] += 1
+    W = np.zeros((n, n))
+    for i, j in edges:
+        W[i - 1, j - 1] = 1.0 / (out_deg[j - 1] + 1)
+    for j in range(n):
+        W[j, j] = 1.0 / (out_deg[j] + 1)
+    return W
+
+
 def test_single_vertex_graph():
     g = nw.generate_digraph(1, 0.5, seed=3)
-    assert g.n == 1 and g.edges == frozenset()
+    assert g.n == 1 and g.adj.shape == (1, 1) and not g.adj.any()
     assert nw.is_strongly_connected(g)
 
 
 def test_full_probability_gives_complete_digraph():
     g = nw.generate_digraph(3, 1.0, seed=0)
-    assert len(g.edges) == 6
+    assert g.adj.sum() == 6
 
 
 def test_standard_instance_connected_and_plausible_density():
     g = nw.generate_digraph(20, 0.7, seed=42)
     assert nw.is_strongly_connected(g)
     # binomial(380, 0.7): mean 266, sd ~8.9; allow four sigma
-    assert abs(len(g.edges) - 266) < 36
+    assert abs(g.adj.sum() - 266) < 36
 
 
 def test_generation_deterministic():
     a = nw.generate_digraph(20, 0.7, seed=42)
     b = nw.generate_digraph(20, 0.7, seed=42)
-    assert a.edges == b.edges
+    assert np.array_equal(a.adj, b.adj)
     Wa = nw.build_mixing_matrix(a).W
     Wb = nw.build_mixing_matrix(b).W
     assert np.array_equal(Wa, Wb)
@@ -43,7 +86,7 @@ def test_generation_matches_documented_stream():
     u = np.random.default_rng(42).random((20, 20))
     expected = {(i + 1, j + 1) for i in range(20) for j in range(20)
                 if i != j and u[i, j] < 0.7}
-    assert g.edges == frozenset(expected)
+    assert {(int(i) + 1, int(j) + 1) for i, j in np.argwhere(g.adj)} == expected
 
 
 def test_generation_rejects_disconnected_regimes():
@@ -60,6 +103,57 @@ def test_parameter_validation():
         nw.make_digraph(3, [(1, 1)])
     with pytest.raises(ValidationError):
         nw.make_digraph(3, [(1, 4)])
+
+
+@pytest.mark.parametrize("edges", [
+    [[1]], [[1, 2, 3]], [["a", 2]], 5, None, [[1.5, 2]], [(np.float64(1), 2)],
+    [[True, 2]], [(1, np.bool_(True))], [1, 2], ["12"], [{1, 2}],
+])
+def test_malformed_edge_lists_rejected(edges, net20):
+    with pytest.raises(ValidationError):
+        nw.make_digraph(3, edges)
+    with pytest.raises(ValidationError):
+        nw.network_from_dict({**nw.network_to_dict(net20), "edges": edges})
+
+
+def test_numpy_integer_pairs_accepted():
+    pairs = np.array([[2, 1], [3, 2], [1, 3]])
+    g = nw.make_digraph(np.int64(3), pairs)
+    assert g.adj.dtype == bool and oracle_edges(g.adj) == {(2, 1), (3, 2), (1, 3)}
+
+
+def test_graph_holds_only_the_adjacency_array(net20):
+    g = net20.graph
+    assert [f.name for f in fields(nw.DirectedGraph)] == ["adj"]
+    assert not hasattr(g, "edges")
+    assert g.adj.shape == (20, 20) and g.adj.dtype == bool and not g.adj.diagonal().any()
+
+
+def test_strong_connectivity_matches_edge_tuple_oracle():
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for n in (1, 2, 3, 5, 10, 30, 60, 100, 200):
+        threshold = np.log(n) / n if n > 1 else 0.5
+        for p in (0.5 * threshold, threshold, 1.5 * threshold, 0.3):
+            for _ in range(3):
+                mask = rng.random((n, n)) < min(p, 1.0)
+                np.fill_diagonal(mask, False)
+                got = nw.is_strongly_connected(nw.DirectedGraph(mask))
+                assert got == oracle_strongly_connected(n, oracle_edges(mask))
+                verdicts.add((n > 1, got))
+    assert verdicts == {(False, True), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (400, 0.7, 7), (20, 0.7, 42), (30, 0.15, 3), (100, 0.05, 3), (200, 0.03, 1),
+])
+def test_mixing_matrix_and_edges_match_edge_tuple_oracle(n, p, seed):
+    net = nw.build_mixing_matrix(nw.generate_digraph(n, p, seed))
+    edges = oracle_edges(net.graph.adj)
+    assert oracle_strongly_connected(n, edges)
+    W = oracle_mixing_matrix(n, edges)
+    assert np.array_equal(net.W.view(np.uint64), W.view(np.uint64))
+    assert nw.network_to_dict(net)["edges"] == [list(e) for e in sorted(edges)]
 
 
 def test_single_agent_network(single_agent):
@@ -109,7 +203,7 @@ def test_serialization_round_trip(net20, tmp_path):
     text = json.dumps(payload)
     loaded = nw.network_from_dict(json.loads(text))
     assert np.array_equal(loaded.W, net20.W)
-    assert loaded.graph.edges == net20.graph.edges
+    assert np.array_equal(loaded.graph.adj, net20.graph.adj)
     assert abs(loaded.rho - net20.rho) <= 1e-12
 
 

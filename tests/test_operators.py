@@ -123,6 +123,23 @@ def test_contraction_constant_case2(net20, ens_case2):
     assert C == pytest.approx((1.0 - eta) / alpha0, rel=1e-12)
 
 
+def test_certify_measures_the_ceiling_lipschitz_once(net20, ens_case2, monkeypatch):
+    alpha0, C = op.contraction_constant(net20, ens_case2, eps=0.01)
+    eta = op.operator_lipschitz(op.OperatorContext(net20, ens_case2, alpha0))
+    measured = []
+    real = op.operator_lipschitz
+
+    def counting(ctx, *args, **kwargs):
+        measured.append(ctx.alpha)
+        return real(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(op, "operator_lipschitz", counting)
+    cert = op.certify(net20, ens_case2, eps=0.01, alpha=alpha0)
+    assert measured == [alpha0]
+    assert cert.contraction_rate == C
+    assert cert.lipschitz_at_ceiling == cert.eta_ceiling == cert.lipschitz_alpha == eta
+
+
 def test_not_contractive_signalled():
     # two flat quadratics: aggregate has a kernel, no contraction possible
     flat = co.quadratic_cost(np.diag([1.0, 0.0]), np.zeros(2))
