@@ -22,7 +22,6 @@ from .algorithms import (
 from .costs import (
     CostEnsemble,
     LocalCost,
-    convexity_constants,
     cost_ensemble,
     ensemble_from_dict,
     ensemble_minimizer,

@@ -189,7 +189,7 @@ def _resolve_problem(cfg):
 def _cmd_certify(args):
     cfg = _gather_config(args, "custom")
     net, ensemble = _resolve_problem(cfg)
-    cert = op.certify(net, ensemble, eps=hz.case_eps(cfg, ensemble), horizon=cfg.horizon)
+    cert = hz.certify_config(cfg, net, ensemble)
     _dump_json(_out(cfg) / "certificate.json", op.certificate_to_dict(cert))
     return 0
 
@@ -214,7 +214,7 @@ def _cmd_sweep_contraction(args):
 def _cmd_sweep_alpha(args):
     cfg = _gather_config(args, "custom")
     net, ensemble = _resolve_problem(cfg)
-    cert = op.certify(net, ensemble, eps=hz.case_eps(cfg, ensemble), horizon=cfg.horizon)
+    cert = hz.certify_config(cfg, net, ensemble)
     out = _out(cfg)
     hz.fixed_point_sweep(cfg, net, ensemble, cert, out)
     print(out / "fp_sweep.csv")

@@ -35,6 +35,7 @@ from .errors import (
     FailedAggregatePDError,
     SingularSystemError,
     ValidationError,
+    payload_count,
 )
 from .linalg import pi_norm, symmetric_extremes
 
@@ -43,6 +44,8 @@ KIND_REGLS = "regularized_ls"
 
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
+_MINIMIZER_TOL = 1e-9  # aggregate gradient residual at x*, relative to 1 + ||x*||
+_STORED_TOL = 1e-8  # relative agreement of a stored L or mu with the recomputed value
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,8 @@ class LocalCost:
     """One agent's cost with its smoothness/strong-convexity constants.
 
     ``hess`` is the constant Hessian and ``lin`` the gradient at zero, so
-    grad f(x) = hess @ x + lin for either kind.
+    grad f(x) = hess @ x + lin for either kind; for a quadratic they are
+    its P and q.
     """
 
     kind: str
@@ -59,8 +63,6 @@ class LocalCost:
     mu: float
     hess: np.ndarray
     lin: np.ndarray
-    P: np.ndarray = None
-    q: np.ndarray = None
     A: np.ndarray = None
     b: np.ndarray = None
     delta_reg: float = None
@@ -70,29 +72,28 @@ class LocalCost:
         if x.shape != (self.d,):
             raise DimensionMismatchError(f"point of shape {x.shape}, cost dimension {self.d}")
         if self.kind == KIND_QUADRATIC:
-            return self.P @ x + self.q
+            return self.hess @ x + self.lin
         return self.A.T @ (self.A @ x - self.b) + self.delta_reg * x
 
 
-def quadratic_cost(P, q, tol=1e-10):
+def quadratic_cost(P, q):
     """Cost x'Px/2 + q'x.  P must be symmetric positive semidefinite."""
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
     d = q.shape[0]
     if P.shape != (d, d):
         raise DimensionMismatchError(f"P shape {P.shape} vs linear term of length {d}")
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q))):
+        raise ValidationError("quadratic cost data must be finite")
     if np.max(np.abs(P - P.T)) > _SYM_TOL:
         raise ValidationError("quadratic matrix must be symmetric")
-    L, mu = convexity_constants_from(P, tol=tol)
+    L, mu = symmetric_extremes(P)
     if mu < -_PSD_TOL:
         raise ValidationError(f"quadratic matrix has negative eigenvalue {mu}")
-    return LocalCost(
-        kind=KIND_QUADRATIC, d=d, L=L, mu=max(mu, 0.0),
-        hess=P, lin=q.copy(), P=P, q=q,
-    )
+    return LocalCost(kind=KIND_QUADRATIC, d=d, L=L, mu=max(mu, 0.0), hess=P, lin=q.copy())
 
 
-def least_squares_cost(A, b, delta_reg, tol=1e-10):
+def least_squares_cost(A, b, delta_reg):
     """Cost (||Ax - b||^2 + delta ||x||^2) / 2 with delta > 0."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -100,23 +101,15 @@ def least_squares_cost(A, b, delta_reg, tol=1e-10):
         raise DimensionMismatchError(f"data shapes {A.shape}, {b.shape} incompatible")
     if delta_reg < 0.0:
         raise ValidationError("regularization weight must be nonnegative")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.isfinite(delta_reg)):
+        raise ValidationError("least-squares cost data must be finite")
     d = A.shape[1]
     hess = A.T @ A + delta_reg * np.eye(d)
-    L, mu = convexity_constants_from(hess, tol=tol)
+    L, mu = symmetric_extremes(hess)
     return LocalCost(
         kind=KIND_REGLS, d=d, L=L, mu=mu,
         hess=hess, lin=-(A.T @ b), A=A, b=b, delta_reg=float(delta_reg),
     )
-
-
-def convexity_constants(cost, tol=1e-10):
-    """(L, mu): extreme eigenvalues of the cost's Hessian."""
-    return convexity_constants_from(cost.hess, tol=tol)
-
-
-def convexity_constants_from(H, tol=1e-10):
-    lam_max, lam_min = symmetric_extremes(H, tol=tol)
-    return float(lam_max), float(lam_min)
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ def cost_ensemble(costs, case_tag):
     hess_stack = np.stack([c.hess for c in costs])
     lin_stack = np.stack([c.lin for c in costs])
     agg_hess = hess_stack.mean(axis=0)
-    _, mu_agg = convexity_constants_from(agg_hess)
+    _, mu_agg = symmetric_extremes(agg_hess)
     L_values = np.array([c.L for c in costs])
     if case_tag == "case1" and any(c.mu <= 0.0 for c in costs):
         raise ValidationError("case1 requires every local cost strongly convex")
@@ -237,11 +230,11 @@ def grad0_pi_norm(ensemble, pi):
     return pi_norm(ensemble.lin_stack, pi)
 
 
-def ensemble_minimizer(ensemble, tol=1e-9):
+def ensemble_minimizer(ensemble):
     """Minimizer of the average cost by a dense solve of the normal equations.
 
     The solution is validated by the aggregate gradient residual
-    ``||sum_j grad f_j(x*)|| <= tol * (1 + ||x*||)``.
+    ``||sum_j grad f_j(x*)|| <= _MINIMIZER_TOL * (1 + ||x*||)``.
     """
     rhs = -ensemble.lin_stack.mean(axis=0)
     try:
@@ -249,7 +242,7 @@ def ensemble_minimizer(ensemble, tol=1e-9):
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"aggregate Hessian is singular: {exc}") from None
     total_grad = grad_stack(ensemble, np.tile(x_star, (ensemble.n, 1))).sum(axis=0)
-    if np.linalg.norm(total_grad) > tol * (1.0 + np.linalg.norm(x_star)):
+    if np.linalg.norm(total_grad) > _MINIMIZER_TOL * (1.0 + np.linalg.norm(x_star)):
         raise SingularSystemError(
             f"minimizer residual {np.linalg.norm(total_grad)} above tolerance"
         )
@@ -275,8 +268,8 @@ def ensemble_to_dict(ensemble):
     for c in ensemble.costs:
         entry = {"kind": c.kind, "L": float(c.L), "mu": float(c.mu)}
         if c.kind == KIND_QUADRATIC:
-            entry["P"] = [float(v) for v in c.P.ravel()]
-            entry["q"] = [float(v) for v in c.q]
+            entry["P"] = [float(v) for v in c.hess.ravel()]
+            entry["q"] = [float(v) for v in c.lin]
         else:
             entry["A"] = [float(v) for v in c.A.ravel()]
             entry["m"] = int(c.A.shape[0])
@@ -286,13 +279,17 @@ def ensemble_to_dict(ensemble):
     return payload
 
 
-def ensemble_from_dict(payload, tol=1e-8):
-    """Rebuild an ensemble, recomputing L_k and mu_k and verifying the stored values."""
+def ensemble_from_dict(payload):
+    """Rebuild an ensemble, recomputing L_k and mu_k and verifying the stored values.
+
+    Counts must be positive integers and every array finite with the stored
+    shape; anything else is a ValidationError.
+    """
     try:
         case_tag = payload["case_tag"]
-        d = int(payload["d"])
+        d = payload_count(payload["d"], "d")
         entries = payload["costs"]
-        if int(payload["n"]) != len(entries):
+        if payload_count(payload["n"], "n") != len(entries):
             raise ValidationError("stored n disagrees with the number of costs")
         costs = []
         for entry in entries:
@@ -301,18 +298,18 @@ def ensemble_from_dict(payload, tol=1e-8):
                 q = np.asarray(entry["q"], dtype=float)
                 cost = quadratic_cost(P, q)
             elif entry["kind"] == KIND_REGLS:
-                m = int(entry["m"])
+                m = payload_count(entry["m"], "m")
                 A = np.asarray(entry["A"], dtype=float).reshape(m, d)
                 b = np.asarray(entry["b"], dtype=float)
                 cost = least_squares_cost(A, b, float(entry["delta_reg"]))
             else:
                 raise ValidationError(f"unknown cost kind {entry['kind']!r}")
             for name, stored, recomputed in (("L", entry["L"], cost.L), ("mu", entry["mu"], cost.mu)):
-                if abs(stored - recomputed) > tol * max(1.0, abs(recomputed)):
+                if abs(stored - recomputed) > _STORED_TOL * max(1.0, abs(recomputed)):
                     raise ValidationError(
                         f"stored {name}={stored} disagrees with recomputed {recomputed}"
                     )
             costs.append(cost)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed ensemble payload: {exc}") from None
     return cost_ensemble(costs, case_tag)

@@ -3,8 +3,11 @@
 Bad user input (configs, shapes, CLI arguments, serialized payloads) derives
 from ValidationError; failures of numeric procedures derive from
 NumericError.  The CLI maps ValidationError to exit code 1 and NumericError
-to exit code 2.
+to exit code 2.  ``payload_count`` is the count check the payload loaders
+share.
 """
+
+from numbers import Integral
 
 
 class PushOptError(Exception):
@@ -73,3 +76,10 @@ class ScenarioAssertionError(NumericError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def payload_count(value, name):
+    """A count read from a serialized payload: a positive integer, not a float or bool."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

@@ -29,7 +29,7 @@ the schedule cannot affect any artifact.
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,15 @@ COST_SEED_OFFSET = 1000003
 # kept as documented reference values, resolution is instance-relative
 FIG1_REFERENCE_ALPHA_GP = 0.0297
 FIG1_REFERENCE_ALPHA_PD = 0.001175
+
+# thresholds of the inline scenario assertions, shared with the acceptance gate
+_PLATEAU_WINDOW = 50  # trailing trace entries averaged into a plateau
+_CONTRACTION_SLACK = 1e-9  # allowed excess of a Lipschitz value over 1 - C alpha
+_ENVELOPE_SLACK_SCALE = 1e-12  # envelope allowance per unit of 1 + starting gap
+_SLOPE_LOW = 0.85  # accepted log-log slope range of the fixed-point gap
+_SLOPE_HIGH = 1.15
+_FP_FLOOR = 1e-9  # fixed-point error target: the larger of this floor
+_FP_REL = 1e-10  # and this fraction of the starting error
 
 
 @dataclass(frozen=True)
@@ -188,17 +197,11 @@ def _finite_number(value):
             and not isinstance(value, bool) and bool(np.isfinite(value)))
 
 
-def config_to_dict(cfg, with_out_dir=True):
-    """Config as a plain dict; reports omit out_dir so two runs of one
-    config into different directories emit byte-identical artifacts."""
-    out = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    if not with_out_dir:
-        out.pop("out_dir")
+def config_to_dict(cfg):
+    """Config as a plain dict without out_dir, so two runs of one config
+    into different directories emit byte-identical reports."""
+    out = asdict(cfg)
+    del out["out_dir"]
     return out
 
 
@@ -272,6 +275,12 @@ def case_eps(cfg, ensemble):
     return cfg.eps if ensemble.case_tag == "case2" else None
 
 
+def certify_config(cfg, net, ensemble, alpha=None):
+    """The certificate of a config's instance, with its eps and horizon."""
+    return op.certify(net, ensemble, eps=case_eps(cfg, ensemble), alpha=alpha,
+                      horizon=cfg.horizon)
+
+
 def fit_loglog_slope(x, y):
     """Least-squares slope of log y against log x."""
     x = np.asarray(x, dtype=float)
@@ -279,33 +288,34 @@ def fit_loglog_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def plateau_level(values, window=50):
-    """Mean of the last ``window`` entries; the plateau read off a trace."""
-    tail = np.asarray(values[-window:], dtype=float)
+def plateau_level(values):
+    """Mean of the last ``_PLATEAU_WINDOW`` entries; the plateau read off a trace."""
+    tail = np.asarray(values[-_PLATEAU_WINDOW:], dtype=float)
     return float(tail.mean())
 
 
-def check_contraction_sweep(alphas, lipschitz, alpha0, rate, slack=1e-9):
+def check_contraction_sweep(alphas, lipschitz, alpha0, rate):
     """Measured Lipschitz values must sit under 1 - C alpha up to the ceiling."""
     worst = -np.inf
     for a, lip in zip(alphas, lipschitz):
         if a <= alpha0 * (1 + 1e-12):
             worst = max(worst, lip - (1.0 - rate * a))
-    return worst <= slack, f"max excess over envelope {worst:.3e} (slack {slack:g})"
+    return (worst <= _CONTRACTION_SLACK,
+            f"max excess over envelope {worst:.3e} (slack {_CONTRACTION_SLACK:g})")
 
 
-def check_envelope_domination(cert, fp_errors, slack_scale=1e-12):
+def check_envelope_domination(cert, fp_errors):
     """Distance-to-fixed-point trace under the certified envelope.
 
     The envelope clock starts at the first exchanged state (index 1), which
     is the point from which the limit-operator recursion provably drives
-    the run; an additive allowance of ``slack_scale * (1 + start)`` absorbs
+    the run; an additive allowance of ``_ENVELOPE_SLACK_SCALE * (1 + start)`` absorbs
     the floating-point floor both sides hit late in the run.
     """
     if len(fp_errors) < 3:
         return True, "trace too short to violate"
     start = fp_errors[1]
-    slack = slack_scale * (1.0 + start)
+    slack = _ENVELOPE_SLACK_SCALE * (1.0 + start)
     worst = -np.inf
     for s in range(2, len(fp_errors)):
         env = op.convergence_envelope(cert, start, s - 2)
@@ -318,13 +328,14 @@ def check_rowwise_bound(errors, bounds):
     return worst <= 0.0, f"max error minus bound {worst:.3e}"
 
 
-def check_slope(alphas, errors, low=0.85, high=1.15):
+def check_slope(alphas, errors):
     slope = fit_loglog_slope(alphas, errors)
-    return low <= slope <= high, f"log-log slope {slope:.4f} (want [{low}, {high}])"
+    return (_SLOPE_LOW <= slope <= _SLOPE_HIGH,
+            f"log-log slope {slope:.4f} (want [{_SLOPE_LOW}, {_SLOPE_HIGH}])")
 
 
-def check_fp_convergence(fp_errors, floor=1e-9, rel=1e-10):
-    target = max(floor, rel * fp_errors[0])
+def check_fp_convergence(fp_errors):
+    target = max(_FP_FLOOR, _FP_REL * fp_errors[0])
     best = float(np.min(fp_errors))
     return best <= target, f"min fixed-point error {best:.3e} vs target {target:.3e}"
 
@@ -520,7 +531,11 @@ def run_scenario(cfg):
         "fig6_case2_sweep": _run_fig46,
         "custom": _run_custom,
     }[cfg.scenario]
-    return runner(cfg, net, ensemble, out)
+    constants, assertions, manifest = runner(cfg, net, ensemble, out)
+    report = ExperimentReport(scenario=cfg.scenario, config=config_to_dict(cfg),
+                              constants=constants, assertions=assertions,
+                              manifest=manifest, out_dir=str(out))
+    return _finish(report, out)
 
 
 def _base_constants(net, ensemble, cert):
@@ -553,23 +568,15 @@ def _run_fig2(cfg, net, ensemble, out):
     rows = [(a, lip, 1.0 - rate * a) for a, lip in zip(alphas, lips)]
     write_csv(out / "contraction_sweep.csv",
               ("alpha", "lipschitz", "contraction_envelope"), rows)
-    report = ExperimentReport(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg, with_out_dir=False),
-        constants={"alpha0": alpha0, "contraction_rate": rate, "rho": net.rho,
-                   "pi_min": net.pi_min, "case": ensemble.case_tag},
-        assertions=[_assertion(
-            "lipschitz_under_envelope",
-            check_contraction_sweep(alphas, lips, alpha0, rate),
-        )],
-        manifest=["contraction_sweep.csv"],
-        out_dir=str(out),
-    )
-    return _finish(report, out)
+    constants = {"alpha0": alpha0, "contraction_rate": rate, "rho": net.rho,
+                 "pi_min": net.pi_min, "case": ensemble.case_tag}
+    assertions = [_assertion("lipschitz_under_envelope",
+                             check_contraction_sweep(alphas, lips, alpha0, rate))]
+    return constants, assertions, ["contraction_sweep.csv"]
 
 
 def _run_fig35(cfg, net, ensemble, out):
-    cert = op.certify(net, ensemble, eps=case_eps(cfg, ensemble), horizon=cfg.horizon)
+    cert = certify_config(cfg, net, ensemble)
     x_star = co.ensemble_minimizer(ensemble)
     fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, cert.alpha0),
                               tol=cfg.fp_tol, lipschitz=cert.lipschitz_alpha)
@@ -584,29 +591,20 @@ def _run_fig35(cfg, net, ensemble, out):
     constants = _base_constants(net, ensemble, cert)
     constants["fixed_point_residual"] = fp.residual
     constants["gap_bounds_per_alpha"] = [[a, b] for a, b in zip(alphas, bounds)]
-    report = ExperimentReport(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg, with_out_dir=False),
-        constants=constants,
-        assertions=[
-            _assertion("fixed_point_convergence", check_fp_convergence(fp_errors)),
-            _assertion("envelope_domination",
-                       check_envelope_domination(cert, fp_errors)),
-            _assertion("gap_bound_rowwise", check_rowwise_bound(errors, bounds)),
-            _assertion("gap_slope_linear", check_slope(alphas, errors)),
-        ],
-        manifest=["fp_convergence.csv", "fp_sweep.csv"],
-        out_dir=str(out),
-    )
-    return _finish(report, out)
+    assertions = [
+        _assertion("fixed_point_convergence", check_fp_convergence(fp_errors)),
+        _assertion("envelope_domination", check_envelope_domination(cert, fp_errors)),
+        _assertion("gap_bound_rowwise", check_rowwise_bound(errors, bounds)),
+        _assertion("gap_slope_linear", check_slope(alphas, errors)),
+    ]
+    return constants, assertions, ["fp_convergence.csv", "fp_sweep.csv"]
 
 
 def _run_fig46(cfg, net, ensemble, out):
-    cert = op.certify(net, ensemble, eps=case_eps(cfg, ensemble), horizon=cfg.horizon)
+    cert = certify_config(cfg, net, ensemble)
     x_star = co.ensemble_minimizer(ensemble)
     refs = alg.RunRefs(x_star=x_star)
-    supercrit = cfg.supercritical_mult or (1.45 if ensemble.case_tag == "case2" else 1.3)
-    multipliers = list(cfg.multipliers) + [supercrit]
+    multipliers = list(cfg.multipliers) + [cfg.supercritical_mult]
     manifest = []
     plateaus = []
     diverged = {}
@@ -625,24 +623,16 @@ def _run_fig46(cfg, net, ensemble, out):
     constants["plateaus"] = plateaus
     constants["plateau_bounds"] = bounds
     constants["diverged"] = diverged
-    report = ExperimentReport(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg, with_out_dir=False),
-        constants=constants,
-        assertions=[
-            _assertion("plateau_ordering", check_plateau_ordering(plateaus)),
-            _assertion("plateau_under_gap_bound",
-                       check_rowwise_bound(plateaus,
-                                           [b + cfg.fp_tol for b in bounds])),
-        ],
-        manifest=manifest,
-        out_dir=str(out),
-    )
-    return _finish(report, out)
+    assertions = [
+        _assertion("plateau_ordering", check_plateau_ordering(plateaus)),
+        _assertion("plateau_under_gap_bound",
+                   check_rowwise_bound(plateaus, [b + cfg.fp_tol for b in bounds])),
+    ]
+    return constants, assertions, manifest
 
 
 def _run_fig1(cfg, net, ensemble, out):
-    cert = op.certify(net, ensemble, horizon=cfg.horizon)
+    cert = certify_config(cfg, net, ensemble)
     x_star = co.ensemble_minimizer(ensemble)
     refs = alg.RunRefs(x_star=x_star)
     alpha_gp, alpha_pd = resolve_hybrid_stepsizes(cfg, net, ensemble, cert.alpha0)
@@ -652,8 +642,8 @@ def _run_fig1(cfg, net, ensemble, out):
                     alg.init_pd_state(net, ensemble, x0), cfg.total_iters, refs)
     hybrid = alg.hybrid_run(net, ensemble, alpha_gp, alpha_pd, cfg.gp_iters,
                             cfg.total_iters, x0, refs)
-    for name, trace in (("trace_gp.csv", gp), ("trace_pd.csv", pd),
-                        ("trace_hybrid.csv", hybrid)):
+    manifest = ["trace_gp.csv", "trace_pd.csv", "trace_hybrid.csv"]
+    for name, trace in zip(manifest, (gp, pd, hybrid)):
         trace_to_csv(trace, out / name)
     constants = _base_constants(net, ensemble, cert)
     constants["alpha_gp"] = alpha_gp
@@ -664,25 +654,17 @@ def _run_fig1(cfg, net, ensemble, out):
         "hybrid": hybrid.last().sum_z_err,
     }
     hybrid_wins = hybrid.last().sum_z_err <= pd.last().sum_z_err
-    report = ExperimentReport(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg, with_out_dir=False),
-        constants=constants,
-        assertions=[_assertion(
-            "hybrid_final_at_most_pd",
-            (hybrid_wins,
-             f"hybrid {hybrid.last().sum_z_err:.4e} vs pd {pd.last().sum_z_err:.4e}"),
-        )],
-        manifest=["trace_gp.csv", "trace_pd.csv", "trace_hybrid.csv"],
-        out_dir=str(out),
-    )
-    return _finish(report, out)
+    assertions = [_assertion(
+        "hybrid_final_at_most_pd",
+        (hybrid_wins,
+         f"hybrid {hybrid.last().sum_z_err:.4e} vs pd {pd.last().sum_z_err:.4e}"),
+    )]
+    return constants, assertions, manifest
 
 
 def _run_custom(cfg, net, ensemble, out):
     alpha = resolve_alpha(cfg, net, ensemble)
-    cert = op.certify(net, ensemble, eps=case_eps(cfg, ensemble), alpha=alpha,
-                      horizon=cfg.horizon)
+    cert = certify_config(cfg, net, ensemble, alpha=alpha)
     write_json(out / "certificate.json", op.certificate_to_dict(cert))
     manifest = ["certificate.json"]
     if cfg.alpha is not None or cfg.alpha_mult is not None:
@@ -690,12 +672,4 @@ def _run_custom(cfg, net, ensemble, out):
                                   tol=cfg.fp_tol)
         write_json(out / "fixed_point.json", op.fixed_point_to_dict(fp))
         manifest.append("fixed_point.json")
-    report = ExperimentReport(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg, with_out_dir=False),
-        constants=_base_constants(net, ensemble, cert),
-        assertions=[],
-        manifest=manifest,
-        out_dir=str(out),
-    )
-    return _finish(report, out)
+    return _base_constants(net, ensemble, cert), [], manifest

@@ -16,6 +16,10 @@ import numpy as np
 from .errors import DimensionMismatchError, NoConvergenceError
 
 _STOP_FLOOR = 1e-300  # avoids a zero threshold when the true norm is zero
+_EIG_TOL = 1e-10  # relative eigen-residual that stops the block power iteration
+_EIG_MAX_ITER = 20000  # its iterations per start before NoConvergenceError
+_EIG_RESTARTS = 3  # its deterministic starts
+_EIG_BLOCK = 12  # columns of its iterated subspace
 
 
 def pi_norm(w, pi):
@@ -66,45 +70,45 @@ def solve_refined(A, b):
     return x + qr_solve(residual.astype(float))
 
 
-def spectral_norm(M, tol=1e-10, max_iter=20000, restarts=3, block=12):
+def spectral_norm(M):
     """Largest singular value by block power iteration on M^T M.
 
-    Iterates a small deterministic subspace (size ``block``) under M^T M
-    with QR re-orthonormalization, so tight clusters of top singular
+    Iterates a small deterministic subspace (``_EIG_BLOCK`` columns) under
+    M^T M with QR re-orthonormalization, so tight clusters of top singular
     values, which stall single-vector iteration, converge at the rate of
-    the cluster-to-remainder gap instead.  Runs up to ``restarts``
+    the cluster-to-remainder gap instead.  Runs up to ``_EIG_RESTARTS``
     deterministic starts (ones plus Gaussian columns from generators
     seeded with the restart index) and returns the square root of the
     largest Ritz value found; two consecutive starts agreeing within
-    ``tol`` end the search early.
+    ``_EIG_TOL`` end the search early.
 
     Raises
     ------
     NoConvergenceError
-        If any start exhausts ``max_iter`` iterations with the top Ritz
-        residual above ``tol`` relative to the estimate.
+        If any start exhausts ``_EIG_MAX_ITER`` iterations with the top
+        Ritz residual above ``_EIG_TOL`` relative to the estimate.
     """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise DimensionMismatchError("matrix entries must be finite")
     if M.size == 0:
         return 0.0
-    best = _restarted_top_eig(M.T @ M, tol, max_iter, restarts, block=block)
-    return float(np.sqrt(best))
+    return float(np.sqrt(_restarted_top_eig(M.T @ M)))
 
 
-def _restarted_top_eig(B, tol, max_iter, restarts, scale=None, block=12):
-    """Best top eigenvalue over up to ``restarts`` deterministic starts.
+def _restarted_top_eig(B, scale=None):
+    """Best top eigenvalue over up to ``_EIG_RESTARTS`` deterministic starts.
 
-    Two consecutive starts agreeing within ``tol * scale`` (or, without a
-    scale, ``tol`` relative to the best value so far) end the search.
+    Two consecutive starts agreeing within ``_EIG_TOL * scale`` (or,
+    without a scale, ``_EIG_TOL`` relative to the best value so far) end
+    the search.
     """
     best = 0.0
     prev = None
-    for r in range(max(1, restarts)):
-        lam = _top_eig_psd(B, tol, max_iter, start_index=r, scale=scale, block=block)
+    for r in range(_EIG_RESTARTS):
+        lam = _top_eig_psd(B, start_index=r, scale=scale)
         best = max(best, lam)
-        stop = tol * scale if scale is not None else tol * max(best, _STOP_FLOOR)
+        stop = _EIG_TOL * (scale if scale is not None else max(best, _STOP_FLOOR))
         if prev is not None and abs(lam - prev) <= stop:
             break
         prev = lam
@@ -123,7 +127,7 @@ def _start_block(size, index, block):
     return q
 
 
-def _top_eig_psd(B, tol, max_iter, start_index=0, scale=None, block=12):
+def _top_eig_psd(B, start_index=0, scale=None):
     """Largest eigenvalue of a symmetric psd matrix by block power iteration.
 
     ``scale`` sets the absolute stopping scale; by default the running
@@ -132,9 +136,9 @@ def _top_eig_psd(B, tol, max_iter, start_index=0, scale=None, block=12):
     size = B.shape[0]
     # keep the subspace strictly smaller than the space so this stays a
     # genuine iteration rather than a one-shot dense diagonalization
-    b = max(1, min(block, size - 1)) if size > 1 else 1
+    b = max(1, min(_EIG_BLOCK, size - 1)) if size > 1 else 1
     V = _start_block(size, start_index, b)
-    for _ in range(max_iter):
+    for _ in range(_EIG_MAX_ITER):
         U = B @ V
         if not np.any(U):
             return 0.0  # the subspace sits in the kernel; the norm along it is zero
@@ -143,32 +147,33 @@ def _top_eig_psd(B, tol, max_iter, start_index=0, scale=None, block=12):
         lam = float(ritz[-1])
         top = V @ vecs[:, -1]
         resid = np.linalg.norm(U @ vecs[:, -1] - lam * top)
-        if resid <= tol * max(lam, scale if scale is not None else 0.0, _STOP_FLOOR):
+        if resid <= _EIG_TOL * max(lam, scale if scale is not None else 0.0, _STOP_FLOOR):
             return max(lam, 0.0)
         V, _ = np.linalg.qr(U)
     raise NoConvergenceError(
-        f"eigen-residual above tolerance {tol} after {max_iter} power iterations"
+        f"eigen-residual above tolerance {_EIG_TOL} after {_EIG_MAX_ITER} power iterations"
     )
 
 
-def symmetric_extremes(H, tol=1e-10, max_iter=20000, restarts=3):
+def symmetric_extremes(H):
     """(largest, smallest) eigenvalue of a symmetric psd matrix.
 
     The largest eigenvalue comes from power iteration on H itself; the
     smallest from power iteration on ``lam_max I - H`` (a shift that keeps
-    the iteration matrix psd), stopping at ``tol`` relative to lam_max.
+    the iteration matrix psd), stopping at ``_EIG_TOL`` relative to
+    lam_max.  Both run ``spectral_norm``'s iteration: up to
+    ``_EIG_RESTARTS`` starts of at most ``_EIG_MAX_ITER`` steps each.
     """
     H = np.asarray(H, dtype=float)
-    lam_max = _restarted_top_eig(H, tol, max_iter, restarts)
+    lam_max = _restarted_top_eig(H)
     if lam_max == 0.0:
         return 0.0, 0.0
     S = lam_max * np.eye(H.shape[0]) - H
-    shifted = _restarted_top_eig(S, tol, max_iter, restarts, scale=lam_max)
-    lam_min = lam_max - shifted
+    lam_min = lam_max - _restarted_top_eig(S, scale=lam_max)
     return float(lam_max), float(max(lam_min, 0.0))
 
 
-def induced_pi_norm(M, pi, tol=1e-10):
+def induced_pi_norm(M, pi):
     """Operator norm in the pi-weighted metric.
 
     For an n x n matrix this is the spectral norm of D^-1 M D with
@@ -188,4 +193,4 @@ def induced_pi_norm(M, pi, tol=1e-10):
         T = flatten_block_operator(M * (s[None, :, None, None] / s[:, None, None, None]))
     else:
         raise DimensionMismatchError(f"expected a matrix or block operator, got ndim={M.ndim}")
-    return spectral_norm(T, tol=tol)
+    return spectral_norm(T)

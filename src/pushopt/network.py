@@ -14,9 +14,9 @@ mass equally over j itself and every receiver of j,
     W[i, j] = 1 / (out_degree(j) + 1)   for i a receiver of j, or i == j,
 
 so every column sums to one.  ``pi`` is the positive right eigenvector of W
-at eigenvalue 1 normalized to total mass one, ``w_inf`` is the rank-one
-limit of the powers of W (every column equals pi), and ``rho`` is the
-pi-weighted induced norm of ``W - w_inf``, which measures mixing speed.
+at eigenvalue 1 normalized to total mass one, and ``rho`` is the
+pi-weighted induced norm of W minus the rank-one limit of its powers
+(every column of that limit equals pi), which measures mixing speed.
 """
 
 from dataclasses import dataclass
@@ -28,8 +28,14 @@ from .errors import (
     NoConvergenceError,
     NumericError,
     ValidationError,
+    payload_count,
 )
 from .linalg import induced_pi_norm
+
+_PERRON_TOL = 1e-12  # residual max|W pi - pi| the power iteration for pi must reach
+_PERRON_MAX_ITER = 100_000  # its iterations before NoConvergenceError
+_INVARIANT_TOL = 1e-12  # column sums of W and eigen-residual of pi, on every network
+_STORED_TOL = 1e-9  # agreement of a stored pi and rho with the recomputed values
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,6 @@ class MixingNetwork:
     graph: DirectedGraph
     W: np.ndarray
     pi: np.ndarray
-    w_inf: np.ndarray
     rho: float
     pi_min: float
 
@@ -136,14 +141,15 @@ def generate_digraph(n, p, seed, max_attempts=100):
     )
 
 
-def compute_perron(W, tol=1e-12, max_iter=100000):
+def compute_perron(W):
     """Positive right eigenvector of a column-stochastic W at eigenvalue 1.
 
     Power iteration from the uniform vector, renormalized to total mass one
-    each step, until ``max|W pi - pi| <= tol``.  Once below the tolerance
-    the iteration keeps polishing while the residual still improves, so the
-    returned vector sits at the floating-point floor rather than just under
-    ``tol`` (downstream push-sum diagnostics compare 1/y(t) against
+    each step, until ``max|W pi - pi| <= _PERRON_TOL``, for at most
+    ``_PERRON_MAX_ITER`` steps.  Once below the tolerance the iteration
+    keeps polishing while the residual still improves, so the returned
+    vector sits at the floating-point floor rather than just under the
+    tolerance (downstream push-sum diagnostics compare 1/y(t) against
     1/(n pi) at the 1e-14 level).
     """
     W = np.asarray(W, dtype=float)
@@ -152,7 +158,7 @@ def compute_perron(W, tol=1e-12, max_iter=100000):
     reached = False
     best = np.inf
     best_vec = x
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         y = W @ x
         y = y / y.sum()
         resid = np.max(np.abs(W @ y - y))
@@ -160,52 +166,42 @@ def compute_perron(W, tol=1e-12, max_iter=100000):
             best, best_vec = resid, y
         elif reached:
             break  # stagnated at the floating-point floor
-        reached = reached or resid <= tol
+        reached = reached or resid <= _PERRON_TOL
         x = y
     if not reached:
         raise NoConvergenceError(
-            f"eigenvector residual above {tol} after {max_iter} power iterations"
+            f"eigenvector residual above {_PERRON_TOL} after {_PERRON_MAX_ITER} "
+            "power iterations"
         )
     if np.any(best_vec <= 0.0):
         raise NumericError("eigenvector lost positivity; W is not primitive")
     return best_vec
 
 
-def compute_rho(net, tol=1e-10):
-    """Pi-weighted induced norm of ``W - w_inf``; lies in [0, 1)."""
-    return _rho_from(net.W, net.pi, tol=tol)
-
-
-def _rho_from(W, pi, tol=1e-10):
-    rho = induced_pi_norm(W - np.outer(pi, np.ones(len(pi))), pi, tol=tol)
+def compute_rho(W, pi):
+    """Pi-weighted induced norm of W minus its limit outer(pi, 1); lies in [0, 1)."""
+    rho = induced_pi_norm(W - np.outer(pi, np.ones(len(pi))), pi)
     if rho >= 1.0:
         raise NumericError(f"mixing norm measured at {rho} >= 1; invalid network")
     return rho
 
 
-def build_mixing_matrix(g, perron_tol=1e-12):
+def build_mixing_matrix(g):
     """Assemble the uniform-weight mixing matrix and its spectral objects."""
     links = g.adj | np.eye(g.n, dtype=bool)
     W = np.where(links, 1.0 / links.sum(axis=0), 0.0)
-    return _network(g, W, perron_tol)
+    return _network(g, W)
 
 
-def _network(g, W, perron_tol=1e-12):
-    """Attach the Perron vector, its limit and rho to (g, W), then validate."""
-    pi = compute_perron(W, tol=perron_tol)
-    net = MixingNetwork(
-        graph=g,
-        W=W,
-        pi=pi,
-        w_inf=np.outer(pi, np.ones(g.n)),
-        rho=_rho_from(W, pi),
-        pi_min=float(pi.min()),
-    )
+def _network(g, W):
+    """Attach the Perron vector and rho to (g, W), then validate."""
+    pi = compute_perron(W)
+    net = MixingNetwork(graph=g, W=W, pi=pi, rho=compute_rho(W, pi), pi_min=float(pi.min()))
     validate_network(net)
     return net
 
 
-def validate_network(net, tol=1e-12):
+def validate_network(net):
     """Check every structural invariant of a MixingNetwork."""
     g, W, pi = net.graph, net.W, net.pi
     n = g.n
@@ -213,16 +209,14 @@ def validate_network(net, tol=1e-12):
         raise ValidationError(f"W shape {W.shape} does not match n={n}")
     if np.any(W < 0.0):
         raise ValidationError("negative communication weight")
-    if np.max(np.abs(W.sum(axis=0) - 1.0)) > tol:
+    if np.max(np.abs(W.sum(axis=0) - 1.0)) > _INVARIANT_TOL:
         raise ValidationError("columns of W do not sum to one")
     if not np.array_equal(W > 0.0, g.adj | np.eye(n, dtype=bool)):
         raise ValidationError("sparsity pattern of W does not match the edge set")
-    if np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > tol:
+    if np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > _INVARIANT_TOL:
         raise ValidationError("pi must be positive with total mass one")
-    if np.max(np.abs(W @ pi - pi)) > max(tol, 1e-12):
+    if np.max(np.abs(W @ pi - pi)) > _INVARIANT_TOL:
         raise ValidationError("pi is not an eigenvector of W at eigenvalue 1")
-    if np.max(np.abs(net.w_inf - np.outer(pi, np.ones(n)))) > tol:
-        raise ValidationError("columns of w_inf must all equal pi")
     if not (0.0 <= net.rho < 1.0):
         raise ValidationError(f"rho={net.rho} outside [0, 1)")
     if not is_strongly_connected(g):
@@ -240,14 +234,14 @@ def network_to_dict(net):
     }
 
 
-def network_from_dict(payload, tol=1e-9):
+def network_from_dict(payload):
     """Rebuild a MixingNetwork from its serialized form, revalidating everything.
 
     The stored pi and rho are cross-checked against values recomputed from W;
     the recomputed (full-precision) values are kept.
     """
     try:
-        n = int(payload["n"])
+        n = payload_count(payload["n"], "n")
         edges = payload["edges"]
         W = np.asarray(payload["W"], dtype=float).reshape(n, n)
         pi_stored = np.asarray(payload["pi"], dtype=float)
@@ -257,11 +251,11 @@ def network_from_dict(payload, tol=1e-9):
     g = make_digraph(n, edges)
     if not is_strongly_connected(g):
         raise ValidationError("stored graph is not strongly connected")
-    if np.any(W < 0.0) or np.max(np.abs(W.sum(axis=0) - 1.0)) > 1e-12:
+    if not (np.all(W >= 0.0) and np.max(np.abs(W.sum(axis=0) - 1.0)) <= _INVARIANT_TOL):
         raise ValidationError("stored W is not column stochastic")
     net = _network(g, W)
-    if pi_stored.shape != (n,) or np.max(np.abs(pi_stored - net.pi)) > tol:
+    if pi_stored.shape != (n,) or not np.max(np.abs(pi_stored - net.pi)) <= _STORED_TOL:
         raise ValidationError("stored pi disagrees with the eigenvector of W")
-    if abs(rho_stored - net.rho) > tol:
+    if not abs(rho_stored - net.rho) <= _STORED_TOL:
         raise ValidationError("stored rho disagrees with the recomputed value")
     return net

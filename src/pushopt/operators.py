@@ -43,6 +43,10 @@ from .errors import (
 )
 from .linalg import flatten_block_operator, induced_pi_norm, pi_norm, solve_refined
 
+_PICARD_MAX_ITER = 1_000_000  # Picard steps per pass of the fixed-point polish
+_PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
+_BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
+
 
 @dataclass(frozen=True)
 class OperatorContext:
@@ -194,9 +198,9 @@ def operator_matrix(ctx):
     return net.W[:, :, None, None] * S[None, :, :, :]
 
 
-def operator_lipschitz(ctx, tol=1e-10):
+def operator_lipschitz(ctx):
     """Measured Lipschitz constant of the limit operator in the weighted norm."""
-    return induced_pi_norm(operator_matrix(ctx), ctx.net.pi, tol=tol)
+    return induced_pi_norm(operator_matrix(ctx), ctx.net.pi)
 
 
 def contraction_constant(net, ensemble, eps=None):
@@ -227,7 +231,7 @@ def _contraction(net, ensemble, eps):
     return alpha0, (1.0 - eta) / alpha0, eta
 
 
-def solve_fixed_point(ctx, tol=1e-12, max_iter=1_000_000, lipschitz=None):
+def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
     """Fixed point by a dense solve, certified by Picard polish steps.
 
     The operator is affine, T(w) = M w + T(0) with M from
@@ -250,7 +254,8 @@ def solve_fixed_point(ctx, tol=1e-12, max_iter=1_000_000, lipschitz=None):
     ValidationError
         If ``tol`` is negative.
     NoConvergenceError
-        If a pass exhausts ``max_iter``, or the rerun from zero cycles too.
+        If a pass exhausts ``_PICARD_MAX_ITER`` steps, or the rerun from
+        zero cycles too.
     """
     if not tol >= 0.0:
         raise ValidationError(f"fixed-point tolerance must be nonnegative, got {tol}")
@@ -263,8 +268,7 @@ def solve_fixed_point(ctx, tol=1e-12, max_iter=1_000_000, lipschitz=None):
     zero = np.zeros((net.n, ens.d))
     offset = gradient_push_operator(ctx, zero).ravel()
     start = solve_refined(np.eye(zero.size) - flatten_block_operator(M), offset)
-    found = (_picard(ctx, start.reshape(zero.shape), factor, tol, max_iter)
-             or _picard(ctx, zero, factor, tol, max_iter))
+    found = _picard(ctx, start.reshape(zero.shape), factor, tol) or _picard(ctx, zero, factor, tol)
     if found is None:
         raise NoConvergenceError(
             f"fixed-point iteration cycles above tolerance {tol} at alpha={ctx.alpha}"
@@ -283,7 +287,7 @@ def solve_fixed_point(ctx, tol=1e-12, max_iter=1_000_000, lipschitz=None):
     )
 
 
-def _picard(ctx, w, factor, tol, max_iter):
+def _picard(ctx, w, factor, tol):
     """(w, steps) once ``step * factor <= tol``, or None on a cycle.
 
     A cycle of states is found Brent-style: the state saved at steps 1, 2,
@@ -291,7 +295,7 @@ def _picard(ctx, w, factor, tol, max_iter):
     """
     pi = ctx.net.pi
     saved = None
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _PICARD_MAX_ITER + 1):
         w_next = gradient_push_operator(ctx, w)
         step = pi_norm(w_next - w, pi)
         w = w_next
@@ -303,7 +307,7 @@ def _picard(ctx, w, factor, tol, max_iter):
         if iterations & (iterations - 1) == 0:
             saved = state
     raise NoConvergenceError(
-        f"fixed point not reached in {max_iter} iterations at alpha={ctx.alpha}"
+        f"fixed point not reached in {_PICARD_MAX_ITER} iterations at alpha={ctx.alpha}"
     )
 
 
@@ -356,10 +360,11 @@ def estimate_consensus_constants(net, horizon=500, noise_floor=1e-14):
     return coeff, inv_y_max
 
 
-def perturbation_product(alpha, coeff, rate, rho, truncation=1e-16):
+def perturbation_product(alpha, coeff, rate, rho):
     """Product prod_j (1 + alpha * coeff * rho^j / (1 - rate * alpha)).
 
-    Truncated once a factor's excess over one drops below ``truncation``.
+    Truncated once a factor's excess over one drops below
+    ``_PRODUCT_TRUNCATION``.
     The result is checked against the closed-form cap
     exp(alpha * coeff / ((1 - rate * alpha) (1 - rho))).
     """
@@ -374,7 +379,7 @@ def perturbation_product(alpha, coeff, rate, rho, truncation=1e-16):
     # accumulate in log space so extreme coefficients cannot overflow the
     # running product before the cap check
     log_value = 0.0
-    while term >= truncation:
+    while term >= _PRODUCT_TRUNCATION:
         log_value += math.log1p(term)
         term *= rho
     if log_value > log_cap * (1.0 + 1e-12) + 1e-15:
@@ -388,12 +393,12 @@ def _radius(net, ensemble, rate):
     return pi_norm(mix_stack(net, ensemble.lin_stack), net.pi) / rate
 
 
-def convergence_envelope(cert, initial_gap, t, branch_tol=1e-12):
+def convergence_envelope(cert, initial_gap, t):
     """Bound on the weighted distance to the fixed point after t + 1 steps.
 
     Evaluates V (1 - C a)^(t+1) * initial_gap plus the geometric remainder
     driven by the push-sum perturbation; the degenerate remainder branch is
-    used when 1 - C * alpha matches rho to within ``branch_tol``.
+    used when 1 - C * alpha matches rho to within ``_BRANCH_TOL``.
     """
     if t < 0:
         raise ValidationError("iteration index must be >= 0")
@@ -402,7 +407,7 @@ def convergence_envelope(cert, initial_gap, t, branch_tol=1e-12):
     decay = 1.0 - C * a
     head = V * decay ** (t + 1) * initial_gap
     base = a * b * R * rho**t
-    if abs(decay - rho) <= branch_tol:
+    if abs(decay - rho) <= _BRANCH_TOL:
         remainder = t * V * base + base
     else:
         remainder = (a * b * R * V * decay) / (decay - rho) * (decay**t - rho**t) + base

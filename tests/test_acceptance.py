@@ -315,7 +315,7 @@ def test_criterion_09_oracle_agreement(case1_instances):
 
     # dense eigensolver and SVD against the iterative kernels
     pi_gap = float(np.max(np.abs(net.pi - perron_oracle(net.W))))
-    rho_oracle = induced_pi_norm_oracle(net.W - net.w_inf, net.pi)
+    rho_oracle = induced_pi_norm_oracle(net.W - np.outer(net.pi, np.ones(net.n)), net.pi)
     rho_gap = abs(net.rho - rho_oracle) / rho_oracle
     M = rng.standard_normal((12, 12))
     from pushopt.linalg import spectral_norm

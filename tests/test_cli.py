@@ -6,6 +6,7 @@ import pytest
 from pushopt import costs as co
 from pushopt import network as nw
 from pushopt.cli import cli_main
+from pushopt.errors import ValidationError
 
 
 def test_usage_errors_exit_one(capsys):
@@ -46,6 +47,37 @@ def test_gen_costs_round_trip(tmp_path):
     assert ens.case_tag == "case2" and ens.d == 10
 
 
+@pytest.mark.parametrize("fixture, path, change", [
+    ("net20", ("n",), lambda v: 20.9),
+    ("net20", ("n",), lambda v: True),
+    ("net20", ("W",), lambda v: v[:-1]),
+    ("net20", ("W",), lambda v: [float("nan")] + v[1:]),
+    ("ens_case1", ("n",), lambda v: 20.0),
+    ("ens_case1", ("d",), lambda v: 3.7),
+    ("ens_case1", ("costs", 0, "m"), lambda v: 4.2),
+    ("ens_case1", ("costs", 0, "m"), lambda v: True),
+    ("ens_case1", ("costs", 0, "A"), lambda v: v[:-1]),
+    ("ens_case1", ("costs", 0, "b"), lambda v: [float("nan")] + v[1:]),
+    ("ens_case2", ("costs", 0, "P"), lambda v: v[:-1]),
+    ("ens_case2", ("costs", 0, "P"), lambda v: [float("nan")] + v[1:]),
+], ids=["net-n-float", "net-n-bool", "net-W-short", "net-W-nan", "ens-n-float", "ens-d-float",
+        "ens-m-float", "ens-m-bool", "ens-A-short", "ens-b-nan", "ens-P-short", "ens-P-nan"])
+def test_payload_loaders_reject_non_integer_counts_and_misshapen_arrays(
+        request, fixture, path, change):
+    if fixture == "net20":
+        to_dict, from_dict = nw.network_to_dict, nw.network_from_dict
+    else:
+        to_dict, from_dict = co.ensemble_to_dict, co.ensemble_from_dict
+    payload = json.loads(json.dumps(to_dict(request.getfixturevalue(fixture))))
+    *parents, key = path
+    target = payload
+    for step in parents:
+        target = target[step]
+    target[key] = change(target[key])
+    with pytest.raises(ValidationError):
+        from_dict(payload)
+
+
 def test_certify_case2_emits_contraction_data(tmp_path):
     assert cli_main(["certify", "--case", "case2", "--seed", "4", "--eps", "0.01",
                      "--out-dir", str(tmp_path)]) == 0
@@ -54,6 +86,14 @@ def test_certify_case2_emits_contraction_data(tmp_path):
     np.testing.assert_allclose(cert["contraction_rate"],
                                (1 - cert["eta_ceiling"]) / cert["alpha0"],
                                rtol=1e-12)
+
+
+def test_reproduce_fig1_case2_certifies_with_the_configured_eps(tmp_path):
+    assert cli_main(["reproduce", "fig1", "--case", "case2",
+                     "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["eps"] == 0.01
+    assert all(a["passed"] for a in report["assertions"])
 
 
 def test_fixed_point_command(tmp_path):

@@ -14,7 +14,7 @@ from pushopt.errors import (
 def cost_value(cost, x):
     """Independent function-value oracle for finite differences."""
     if cost.kind == "quadratic":
-        return 0.5 * x @ cost.P @ x + cost.q @ x
+        return 0.5 * x @ cost.hess @ x + cost.lin @ x
     r = cost.A @ x - cost.b
     return 0.5 * (r @ r + cost.delta_reg * x @ x)
 
@@ -56,9 +56,9 @@ def test_gradient_matches_finite_differences():
 
 def test_convexity_constants_trivial():
     quad = co.quadratic_cost(np.diag([3.0, 1.0]), np.zeros(2))
-    assert co.convexity_constants(quad) == pytest.approx((3.0, 1.0), rel=1e-9)
+    assert (quad.L, quad.mu) == pytest.approx((3.0, 1.0), rel=1e-9)
     flat = co.least_squares_cost(np.zeros((2, 2)), np.zeros(2), 2.0)
-    assert co.convexity_constants(flat) == pytest.approx((2.0, 2.0), rel=1e-9)
+    assert (flat.L, flat.mu) == pytest.approx((2.0, 2.0), rel=1e-9)
 
 
 def test_convexity_constants_match_dense_eigensolver():
@@ -104,7 +104,7 @@ def test_case2_ensemble_rank_deficient_but_aggregate_pd():
     ens = co.make_case2_ensemble(20, 10, 4, 9)
     assert ens.case_tag == "case2"
     for c in ens.costs:
-        lam = np.linalg.eigvalsh(c.P)
+        lam = np.linalg.eigvalsh(c.hess)
         assert lam[0] <= 1e-8  # rank at most 4 in dimension 10
         assert lam[-1] > 0
     assert ens.mu_agg > 0

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import apply_block_operator, induced_pi_norm_oracle, kron_block, svd_norm_oracle
 from pushopt import linalg as la
-from pushopt.errors import DimensionMismatchError
+from pushopt.errors import DimensionMismatchError, NoConvergenceError
 
 
 def test_pi_norm_trivial_values():
@@ -79,7 +79,7 @@ def test_spectral_norm_handles_clustered_top_values():
 
 def test_induced_pi_norm_identity_and_mixing_gap(net20):
     assert la.induced_pi_norm(np.eye(net20.n), net20.pi) == pytest.approx(1.0, rel=1e-10)
-    gap = net20.W - net20.w_inf
+    gap = net20.W - np.outer(net20.pi, np.ones(net20.n))
     assert la.induced_pi_norm(gap, net20.pi) == pytest.approx(net20.rho, rel=1e-10)
 
 
@@ -131,3 +131,10 @@ def test_solve_refined_matches_lu_to_rounding():
         scale = np.linalg.cond(A) * np.max(np.abs(oracle))
         assert np.max(np.abs(x - oracle)) <= 1e-14 * scale
         assert np.max(np.abs(A @ x - b)) <= 1e-14 * (1 + np.max(np.abs(b)))
+
+
+def test_block_power_iteration_raises_at_its_cap(monkeypatch):
+    monkeypatch.setattr(la, "_EIG_MAX_ITER", 1)
+    M = np.random.default_rng(8).standard_normal((30, 30))
+    with pytest.raises(NoConvergenceError, match="after 1 power iterations"):
+        la.spectral_norm(M)

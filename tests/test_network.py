@@ -6,7 +6,7 @@ import pytest
 
 from conftest import induced_pi_norm_oracle, perron_oracle
 from pushopt import network as nw
-from pushopt.errors import FailedConnectivityError, ValidationError
+from pushopt.errors import FailedConnectivityError, NoConvergenceError, ValidationError
 
 
 def oracle_edges(adj):
@@ -170,11 +170,9 @@ def test_complete_digraph_doubly_stochastic(complete4):
 
 
 def test_mixing_invariants(net20):
-    n = net20.n
     assert np.max(np.abs(net20.W.sum(axis=0) - 1.0)) <= 1e-12
     assert np.max(np.abs(net20.W @ net20.pi - net20.pi)) <= 1e-12
     assert np.all(net20.pi > 0) and abs(net20.pi.sum() - 1.0) <= 1e-12
-    assert np.allclose(net20.w_inf, np.outer(net20.pi, np.ones(n)), atol=1e-15)
     assert 0.0 <= net20.rho < 1.0
     nw.validate_network(net20)
 
@@ -193,9 +191,16 @@ def test_perron_uniform_for_doubly_stochastic():
     assert nw.compute_perron(np.ones((1, 1)))[0] == 1.0
 
 
+def test_perron_iteration_raises_at_its_cap(monkeypatch, net20):
+    monkeypatch.setattr(nw, "_PERRON_MAX_ITER", 2)
+    with pytest.raises(NoConvergenceError, match="after 2 power iterations"):
+        nw.compute_perron(net20.W)
+
+
 def test_rho_matches_dense_svd(net20):
-    oracle = induced_pi_norm_oracle(net20.W - net20.w_inf, net20.pi)
-    assert abs(nw.compute_rho(net20) - oracle) <= 1e-10
+    w_inf = np.outer(net20.pi, np.ones(net20.n))
+    oracle = induced_pi_norm_oracle(net20.W - w_inf, net20.pi)
+    assert abs(nw.compute_rho(net20.W, net20.pi) - oracle) <= 1e-10
 
 
 def test_serialization_round_trip(net20, tmp_path):

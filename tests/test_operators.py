@@ -263,6 +263,15 @@ def test_fixed_point_cycle_from_zero_too_raises_at_once(monkeypatch, complete4):
     assert len(calls) < 20
 
 
+def test_fixed_point_raises_at_the_picard_cap(monkeypatch, complete4):
+    ctx = op.OperatorContext(complete4, identical_cost_ensemble(4), 0.1)
+    monkeypatch.setattr(op, "_PICARD_MAX_ITER", 5)
+    # every orbit drifts by a constant step, so it neither settles nor cycles
+    monkeypatch.setattr(op, "gradient_push_operator", lambda ctx, w: w + 1.0)
+    with pytest.raises(NoConvergenceError, match="not reached in 5 iterations"):
+        op.solve_fixed_point(ctx, lipschitz=0.5)
+
+
 def test_fixed_point_rejects_a_negative_tolerance(net20, ens_case1):
     ctx = op.OperatorContext(net20, ens_case1, 0.01)
     for tol in (-1e-12, float("nan")):
