@@ -104,7 +104,7 @@ def build_parser():
     p.add_argument("--alpha-mult", type=float, dest="alpha_mult")
     p.add_argument("--alpha-gp", type=float, dest="alpha_gp")
     p.add_argument("--alpha-pd", type=float, dest="alpha_pd")
-    p.add_argument("--iters", type=int)
+    p.add_argument("--iters", type=int, dest="run_iters")
     p.add_argument("--gp-iters", type=int, dest="gp_iters")
     p.add_argument("--no-fixed-point", action="store_true",
                    help="skip the fixed-point reference column for gp runs")
@@ -147,6 +147,11 @@ def _gather_config(args, scenario):
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
+    # reproduce and sweep-contraction run their own scenario; the other
+    # commands read a config's scenario only for its defaults
+    if scenario != "custom" and payload.get("scenario", scenario) != scenario:
+        raise ConfigError(f"config scenario {payload['scenario']!r} does not match "
+                          f"this command's {scenario!r}")
     payload.setdefault("scenario", scenario)
     for key in hz.ExperimentConfig.__dataclass_fields__:
         value = getattr(args, key, None)
@@ -223,10 +228,12 @@ def _cmd_sweep_alpha(args):
 
 def _cmd_run(args):
     cfg = _gather_config(args, "custom")
+    iters = cfg.run_iters
+    if args.algorithm == "hybrid" and cfg.gp_iters > iters:
+        raise ConfigError(f"gp_iters ({cfg.gp_iters}) must not exceed the {iters} rounds run")
     net, ensemble = _resolve_problem(cfg)
     x_star = co.ensemble_minimizer(ensemble)
     x0 = np.zeros((net.n, ensemble.d))
-    iters = args.iters if args.iters is not None else cfg.run_iters
     out = _out(cfg)
     if args.algorithm == "gp":
         alpha = hz.resolve_alpha(cfg, net, ensemble)

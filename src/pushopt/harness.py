@@ -62,7 +62,6 @@ FIG1_REFERENCE_ALPHA_PD = 0.001175
 
 # thresholds of the inline scenario assertions, shared with the acceptance gate
 _PLATEAU_WINDOW = 50  # trailing trace entries averaged into a plateau
-_CONTRACTION_SLACK = 1e-9  # allowed excess of a Lipschitz value over 1 - C alpha
 _ENVELOPE_SLACK_SCALE = 1e-12  # envelope allowance per unit of 1 + starting gap
 _SLOPE_LOW = 0.85  # accepted log-log slope range of the fixed-point gap
 _SLOPE_HIGH = 1.15
@@ -174,10 +173,12 @@ def _validate_config(cfg):
             raise ConfigError(f"{name} must be nonnegative")
     if cfg.alpha_points < 2:
         raise ConfigError("alpha_points must be >= 2: the fixed-point sweep fits a slope")
-    if cfg.gp_iters > cfg.total_iters:
+    if cfg.contraction_points < 2:
+        raise ConfigError("contraction_points must be >= 2: only points up to alpha0 are checked")
+    if cfg.scenario == "fig1_hybrid" and cfg.gp_iters > cfg.total_iters:
         raise ConfigError("gp_iters must not exceed total_iters")
-    if any(m <= 0 for m in cfg.multipliers):
-        raise ConfigError("stepsize multipliers must be positive")
+    if not cfg.multipliers or any(m <= 0 for m in cfg.multipliers):
+        raise ConfigError("stepsize multipliers must be a nonempty list of positive values")
     for name, value in (("alpha", cfg.alpha), ("alpha_mult", cfg.alpha_mult),
                         ("supercritical_mult", cfg.supercritical_mult)):
         if value is not None and value <= 0:
@@ -300,8 +301,8 @@ def check_contraction_sweep(alphas, lipschitz, alpha0, rate):
     for a, lip in zip(alphas, lipschitz):
         if a <= alpha0 * (1 + 1e-12):
             worst = max(worst, lip - (1.0 - rate * a))
-    return (worst <= _CONTRACTION_SLACK,
-            f"max excess over envelope {worst:.3e} (slack {_CONTRACTION_SLACK:g})")
+    return (worst <= op.CONTRACTION_SLACK,
+            f"max excess over envelope {worst:.3e} (slack {op.CONTRACTION_SLACK:g})")
 
 
 def check_envelope_domination(cert, fp_errors):

@@ -46,6 +46,7 @@ from .linalg import flatten_block_operator, induced_pi_norm, pi_norm, solve_refi
 _PICARD_MAX_ITER = 1_000_000  # Picard steps per pass of the fixed-point polish
 _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
+CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,18 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Every constant needed to predict a gradient-push run.
+    """Every constant needed to predict a gradient-push run, checked on construction.
 
     ``contraction_rate`` is the slope C of the certified Lipschitz bound
-    1 - C * alpha; ``lipschitz_at_ceiling`` is the measured operator
-    Lipschitz constant at the stepsize ceiling (the case2 certificate is
-    built from it, for case1 it is informational).  ``gamma_lmax`` and
-    ``gamma_lbar`` are the harmonic rates mu*L/(mu+L) built from the
-    largest resp. mean smoothness constant; they enter different bounds
-    and are deliberately kept apart.  ``legacy_threshold`` is None when
-    the network mixes exactly in one step (rho == 0), where the older
-    threshold imposes no restriction.
+    1 - C * alpha; construction raises NumericError if the measured
+    ``lipschitz_alpha`` exceeds that bound by more than ``CONTRACTION_SLACK``.
+    ``lipschitz_at_ceiling``, the one stored ceiling constant, is the measured
+    Lipschitz constant at the stepsize ceiling (the case2 rate is built from
+    it; ``eta_ceiling`` returns it on case2 and None on case1).
+    ``gamma_lmax`` and ``gamma_lbar`` are the harmonic rates mu*L/(mu+L) built
+    from the largest resp. mean smoothness constant; they enter different
+    bounds and are deliberately kept apart.  ``legacy_threshold`` is None
+    when rho == 0, where the older threshold imposes no restriction.
     """
 
     case_tag: str
@@ -99,7 +101,6 @@ class ContractionCertificate:
     alpha: float
     lipschitz_alpha: float
     lipschitz_at_ceiling: float
-    eta_ceiling: float
     consensus_coeff: float
     perturbation_coeff: float
     inv_y_max: float
@@ -128,6 +129,13 @@ class ContractionCertificate:
         for name in ("radius", "gap_bound", "consensus_bound", "grad0_norm"):
             if getattr(self, name) < 0.0:
                 raise NumericError(f"{name} must be nonnegative")
+        excess = self.lipschitz_alpha - (1.0 - self.contraction_rate * self.alpha)
+        if not excess <= CONTRACTION_SLACK:
+            raise NumericError(f"measured Lipschitz exceeds 1 - C alpha by {excess:.3e}")
+
+    @property
+    def eta_ceiling(self):
+        return self.lipschitz_at_ceiling if self.case_tag == "case2" else None
 
 
 def mix_stack(net, w):
@@ -389,10 +397,6 @@ def perturbation_product(alpha, coeff, rate, rho):
     return math.exp(log_value)
 
 
-def _radius(net, ensemble, rate):
-    return pi_norm(mix_stack(net, ensemble.lin_stack), net.pi) / rate
-
-
 def convergence_envelope(cert, initial_gap, t):
     """Bound on the weighted distance to the fixed point after t + 1 steps.
 
@@ -421,19 +425,23 @@ def optimality_gap_bound(net, ensemble, cert, alpha):
     (L R / (n pi_min) + ||grad F(0)||), with gamma the harmonic rate built
     from the mean smoothness constant.
     """
-    if ensemble.mu_agg <= 0.0:
-        raise ValidationError("bound needs a strongly convex aggregate cost")
-    L = ensemble.L_max
-    gamma = cert.gamma_lbar
-    root = math.sqrt(float(np.sum(1.0 / net.pi)))
-    inner = L * cert.radius / (net.n * net.pi_min) + cert.grad0_norm
-    return float(alpha * net.rho / (1.0 - net.rho) * (1.0 + L / gamma * root) * inner)
+    return _gap_bounds(net, ensemble, cert.gamma_lbar, cert.radius, cert.grad0_norm, alpha)[0]
 
 
 def consensus_gap_bound(net, ensemble, cert, alpha):
     """Bound on the weighted consensus error of the fixed point."""
-    inner = ensemble.L_max * cert.radius / (net.n * net.pi_min) + cert.grad0_norm
-    return float(alpha * net.rho / (1.0 - net.rho) * inner)
+    return _gap_bounds(net, ensemble, cert.gamma_lbar, cert.radius, cert.grad0_norm, alpha)[1]
+
+
+def _gap_bounds(net, ensemble, gamma, radius, grad0, alpha):
+    """(optimality gap, consensus gap) bounds; both scale one inner term by a rho / (1 - rho)."""
+    if ensemble.mu_agg <= 0.0:
+        raise ValidationError("bound needs a strongly convex aggregate cost")
+    L = ensemble.L_max
+    root = math.sqrt(float(np.sum(1.0 / net.pi)))
+    inner = L * radius / (net.n * net.pi_min) + grad0
+    scale = alpha * net.rho / (1.0 - net.rho)
+    return float(scale * (1.0 + L / gamma * root) * inner), float(scale * inner)
 
 
 def legacy_stepsize_threshold(net, ensemble, inv_y_max):
@@ -488,7 +496,7 @@ def certify(net, ensemble, eps=None, alpha=None, horizon=500):
     coeff, inv_y_max = estimate_consensus_constants(net, horizon=horizon)
     b = coeff * ensemble.L_max
     V = perturbation_product(alpha, b, C, net.rho)
-    radius = _radius(net, ensemble, C)
+    radius = pi_norm(mix_stack(net, ensemble.lin_stack), net.pi) / C
     grad0 = grad0_pi_norm(ensemble, net.pi)
     beta = ensemble.mu_agg
     gamma_lmax = beta * ensemble.L_max / (beta + ensemble.L_max)
@@ -497,7 +505,8 @@ def certify(net, ensemble, eps=None, alpha=None, horizon=500):
         legacy = legacy_stepsize_threshold(net, ensemble, inv_y_max)
     except DegenerateMixingError:
         legacy = None
-    partial = ContractionCertificate(
+    gap, consensus = _gap_bounds(net, ensemble, gamma_lbar, radius, grad0, alpha)
+    return ContractionCertificate(
         case_tag=ensemble.case_tag,
         eps=eps,
         alpha0=alpha0,
@@ -505,15 +514,14 @@ def certify(net, ensemble, eps=None, alpha=None, horizon=500):
         alpha=alpha,
         lipschitz_alpha=lip_alpha,
         lipschitz_at_ceiling=eta,
-        eta_ceiling=eta if ensemble.case_tag == "case2" else None,
         consensus_coeff=coeff,
         perturbation_coeff=b,
         inv_y_max=inv_y_max,
         perturbation_product=V,
         radius=radius,
         grad0_norm=grad0,
-        gap_bound=0.0,
-        consensus_bound=0.0,
+        gap_bound=gap,
+        consensus_bound=consensus,
         legacy_threshold=legacy,
         gamma_lmax=gamma_lmax,
         gamma_lbar=gamma_lbar,
@@ -523,25 +531,16 @@ def certify(net, ensemble, eps=None, alpha=None, horizon=500):
         L_bar=ensemble.L_bar,
         mu_agg=beta,
     )
-    gap = optimality_gap_bound(net, ensemble, partial, alpha)
-    consensus = consensus_gap_bound(net, ensemble, partial, alpha)
-    return ContractionCertificate(
-        **{
-            **partial.__dict__,
-            "gap_bound": gap,
-            "consensus_bound": consensus,
-        }
-    )
 
 
 def certificate_to_dict(cert):
-    """Scalar fields of a certificate, JSON-ready."""
+    """Scalar fields of a certificate, JSON-ready, with the derived
+    ``eta_ceiling`` right after ``lipschitz_at_ceiling``."""
     out = {}
     for key, value in cert.__dict__.items():
-        if isinstance(value, float):
-            out[key] = float(value)
-        else:
-            out[key] = value
+        out[key] = value
+        if key == "lipschitz_at_ceiling":
+            out["eta_ceiling"] = cert.eta_ceiling
     return out
 
 

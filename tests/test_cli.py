@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pushopt import costs as co
+from pushopt import harness as hz
 from pushopt import network as nw
+from pushopt import operators as op
 from pushopt.cli import cli_main
 from pushopt.errors import ValidationError
 
@@ -86,6 +88,94 @@ def test_certify_case2_emits_contraction_data(tmp_path):
     np.testing.assert_allclose(cert["contraction_rate"],
                                (1 - cert["eta_ceiling"]) / cert["alpha0"],
                                rtol=1e-12)
+
+
+CERTIFICATE_KEYS = [
+    "case_tag", "eps", "alpha0", "contraction_rate", "alpha", "lipschitz_alpha",
+    "lipschitz_at_ceiling", "eta_ceiling", "consensus_coeff", "perturbation_coeff",
+    "inv_y_max", "perturbation_product", "radius", "grad0_norm", "gap_bound",
+    "consensus_bound", "legacy_threshold", "gamma_lmax", "gamma_lbar", "rho", "pi_min",
+    "L_max", "L_bar", "mu_agg",
+]
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_certificate_json_keys_and_order(tmp_path, case):
+    assert cli_main(["certify", "--case", case, "--seed", "4",
+                     "--out-dir", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert list(cert) == CERTIFICATE_KEYS
+    if case == "case1":
+        assert cert["eta_ceiling"] is None
+    else:
+        assert cert["eta_ceiling"] == cert["lipschitz_at_ceiling"]
+
+
+# the case1 closed-form rate is conservative: at seed 4 even 2 C still holds
+@pytest.mark.parametrize("case, factor", [("case1", 3.0), ("case2", 1.001)])
+def test_certify_overclaiming_rate_exits_two(tmp_path, monkeypatch, capsys, case, factor):
+    real = op._contraction
+
+    def inflated(net, ensemble, eps):
+        alpha0, C, eta = real(net, ensemble, eps)
+        return alpha0, factor * C, eta
+
+    monkeypatch.setattr(op, "_contraction", inflated)
+    assert cli_main(["certify", "--case", case, "--seed", "4",
+                     "--out-dir", str(tmp_path)]) == 2
+    assert "exceeds 1 - C alpha" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_config_scenario_must_match_a_scenario_command(tmp_path, monkeypatch, capsys):
+    built = _count_calls(monkeypatch, hz, "build_network")
+    cfgfile = tmp_path / "cfg.json"
+    for command, other in ((["reproduce", "fig5"], "fig2_contraction"),
+                           (["sweep-contraction"], "fig5_case2")):
+        cfgfile.write_text(json.dumps({"scenario": other}))
+        assert cli_main(command + ["--config", str(cfgfile),
+                                   "--out-dir", str(tmp_path / "o")]) == 1
+        assert other in capsys.readouterr().err
+    assert built == [] and not (tmp_path / "o").exists()
+    cfgfile.write_text(json.dumps({"scenario": "fig2_contraction", "contraction_points": 3}))
+    assert cli_main(["sweep-contraction", "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o" / "contraction_sweep.csv").read_text().splitlines()) == 4
+    # the other commands still read the key for its defaults
+    cfgfile.write_text(json.dumps({"scenario": "fig5_case2"}))
+    assert cli_main(["certify", "--config", str(cfgfile), "--seed", "4",
+                     "--out-dir", str(tmp_path / "c")]) == 0
+    assert json.loads((tmp_path / "c" / "certificate.json").read_text())["case_tag"] == "case2"
+
+
+def test_run_hybrid_checks_gp_iters_against_its_own_rounds(tmp_path, monkeypatch, capsys):
+    assert cli_main(["run", "hybrid", "--gp-iters", "700", "--alpha-pd", "0.001",
+                     "--seed", "4", "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "run_hybrid.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows].count("pd") == 300
+    tuned = _count_calls(monkeypatch, hz, "tune_pd_stepsize")
+    built = _count_calls(monkeypatch, hz, "build_network")
+    assert cli_main(["run", "hybrid", "--gp-iters", "100", "--iters", "50",
+                     "--seed", "4", "--out-dir", str(tmp_path / "o")]) == 1
+    assert "gp_iters" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"gp_iters": 600}))
+    assert cli_main(["reproduce", "fig1", "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+    assert "total_iters" in capsys.readouterr().err
+    assert tuned == [] and built == [] and not (tmp_path / "o").exists()
 
 
 def test_reproduce_fig1_case2_certifies_with_the_configured_eps(tmp_path):

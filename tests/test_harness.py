@@ -48,6 +48,14 @@ def test_resolve_config_rejects_bad_input():
         for points in (-1, 0, 1):
             with pytest.raises(ConfigError, match="alpha_points"):
                 hz.resolve_config({"scenario": scenario, "alpha_points": points})
+    for points in (-1, 0, 1):
+        with pytest.raises(ConfigError, match="contraction_points"):
+            hz.resolve_config({"scenario": "fig2_contraction", "contraction_points": points})
+    for scenario in ("fig4_case1_sweep", "fig6_case2_sweep"):
+        with pytest.raises(ConfigError, match="multipliers"):
+            hz.resolve_config({"scenario": scenario, "multipliers": []})
+    # total_iters bounds gp_iters only where it sets the round count, in fig1
+    assert hz.resolve_config({"scenario": "custom", "gp_iters": 700}).gp_iters == 700
 
 
 @pytest.mark.parametrize("key, value", [

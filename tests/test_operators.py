@@ -17,6 +17,7 @@ from pushopt.errors import (
     NoConvergenceError,
     NonpositiveYError,
     NotContractiveError,
+    NumericError,
     ValidationError,
 )
 from pushopt.linalg import flatten_block_operator, pi_norm
@@ -138,6 +139,23 @@ def test_certify_measures_the_ceiling_lipschitz_once(net20, ens_case2, monkeypat
     assert measured == [alpha0]
     assert cert.contraction_rate == C
     assert cert.lipschitz_at_ceiling == cert.eta_ceiling == cert.lipschitz_alpha == eta
+
+
+@pytest.mark.parametrize("case, factor", [("case1", 2.0), ("case2", 1.001)])
+def test_certificate_checks_its_contraction_claim(request, net20, monkeypatch, case, factor):
+    ens = request.getfixturevalue(f"ens_{case}")
+    eps = 0.01 if case == "case2" else None
+    cert = op.certify(net20, ens, eps=eps)
+    assert cert.lipschitz_alpha <= 1.0 - cert.contraction_rate * cert.alpha + op.CONTRACTION_SLACK
+    real = op._contraction
+
+    def inflated(net, ensemble, eps):
+        alpha0, C, eta = real(net, ensemble, eps)
+        return alpha0, factor * C, eta
+
+    monkeypatch.setattr(op, "_contraction", inflated)
+    with pytest.raises(NumericError, match="exceeds 1 - C alpha"):
+        op.certify(net20, ens, eps=eps)
 
 
 def test_not_contractive_signalled():
