@@ -7,7 +7,9 @@ Two cost kinds are supported:
 
 Both have affine gradients and a constant Hessian (P, resp. A'A + delta I),
 so smoothness and strong-convexity constants are the extreme Hessian
-eigenvalues, computed with the shared power-iteration kernel.
+eigenvalues, computed with the shared power-iteration kernel: one stacked
+``symmetric_extremes`` call for all of an ensemble's costs, one more for
+its aggregate Hessian.
 
 Aggregate quantities (the minimizer, its strong convexity ``mu_agg`` and
 the harmonic rates built from it) always refer to the average cost
@@ -78,6 +80,15 @@ class LocalCost:
 
 def quadratic_cost(P, q):
     """Cost x'Px/2 + q'x.  P must be symmetric positive semidefinite."""
+    return _with_constants([_quadratic(P, q)])[0]
+
+
+def least_squares_cost(A, b, delta_reg):
+    """Cost (||Ax - b||^2 + delta ||x||^2) / 2 with delta > 0."""
+    return _with_constants([_least_squares(A, b, delta_reg)])[0]
+
+
+def _quadratic(P, q):
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
     d = q.shape[0]
@@ -87,14 +98,10 @@ def quadratic_cost(P, q):
         raise ValidationError("quadratic cost data must be finite")
     if np.max(np.abs(P - P.T)) > _SYM_TOL:
         raise ValidationError("quadratic matrix must be symmetric")
-    L, mu = symmetric_extremes(P)
-    if mu < -_PSD_TOL:
-        raise ValidationError(f"quadratic matrix has negative eigenvalue {mu}")
-    return LocalCost(kind=KIND_QUADRATIC, d=d, L=L, mu=max(mu, 0.0), hess=P, lin=q.copy())
+    return dict(kind=KIND_QUADRATIC, d=d, hess=P, lin=q.copy())
 
 
-def least_squares_cost(A, b, delta_reg):
-    """Cost (||Ax - b||^2 + delta ||x||^2) / 2 with delta > 0."""
+def _least_squares(A, b, delta_reg):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
@@ -104,12 +111,19 @@ def least_squares_cost(A, b, delta_reg):
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.isfinite(delta_reg)):
         raise ValidationError("least-squares cost data must be finite")
     d = A.shape[1]
-    hess = A.T @ A + delta_reg * np.eye(d)
-    L, mu = symmetric_extremes(hess)
-    return LocalCost(
-        kind=KIND_REGLS, d=d, L=L, mu=mu,
-        hess=hess, lin=-(A.T @ b), A=A, b=b, delta_reg=float(delta_reg),
-    )
+    return dict(kind=KIND_REGLS, d=d, hess=A.T @ A + delta_reg * np.eye(d), lin=-(A.T @ b),
+                A=A, b=b, delta_reg=float(delta_reg))
+
+
+def _with_constants(parts):
+    """LocalCosts from checked fields, their L and mu from one stacked call."""
+    costs = []
+    L, mu = symmetric_extremes(np.stack([f["hess"] for f in parts]))
+    for fields, L_k, mu_k in zip(parts, L.tolist(), mu.tolist()):
+        if fields["kind"] == KIND_QUADRATIC and mu_k < -_PSD_TOL:
+            raise ValidationError(f"quadratic matrix has negative eigenvalue {mu_k}")
+        costs.append(LocalCost(L=L_k, mu=max(mu_k, 0.0), **fields))
+    return costs
 
 
 @dataclass(frozen=True)
@@ -176,12 +190,8 @@ def make_case1_ensemble(n, d, m, delta_reg, seed):
     if delta_reg <= 0.0:
         raise ValidationError("case1 requires delta_reg > 0")
     rng = np.random.default_rng(seed)
-    costs = []
-    for _ in range(n):
-        A = rng.random((m, d))
-        b = rng.random(m)
-        costs.append(least_squares_cost(A, b, delta_reg))
-    return cost_ensemble(costs, "case1")
+    parts = [_least_squares(rng.random((m, d)), rng.random(m), delta_reg) for _ in range(n)]
+    return cost_ensemble(_with_constants(parts), "case1")
 
 
 def make_case2_ensemble(n, d, m_rank, seed, max_attempts=100):
@@ -196,13 +206,12 @@ def make_case2_ensemble(n, d, m_rank, seed, max_attempts=100):
         raise ValidationError("n must be >= 1")
     for attempt in range(max_attempts):
         rng = np.random.default_rng(seed + attempt)
-        costs = []
+        parts = []
         for _ in range(n):
             R = rng.random((d, m_rank))
-            q = rng.random(d)
-            costs.append(quadratic_cost(R @ R.T, q))
+            parts.append(_quadratic(R @ R.T, rng.random(d)))
         try:
-            return cost_ensemble(costs, "case2")
+            return cost_ensemble(_with_constants(parts), "case2")
         except FailedAggregatePDError:
             continue
     raise FailedAggregatePDError(
@@ -258,8 +267,8 @@ def scale_ensemble(ensemble, factor):
     """
     if factor <= 0.0:
         raise ValidationError("scale factor must be positive")
-    costs = [quadratic_cost(factor * c.hess, factor * c.lin) for c in ensemble.costs]
-    return cost_ensemble(costs, ensemble.case_tag)
+    parts = [_quadratic(factor * c.hess, factor * c.lin) for c in ensemble.costs]
+    return cost_ensemble(_with_constants(parts), ensemble.case_tag)
 
 
 def ensemble_to_dict(ensemble):
@@ -291,25 +300,25 @@ def ensemble_from_dict(payload):
         entries = payload["costs"]
         if payload_count(payload["n"], "n") != len(entries):
             raise ValidationError("stored n disagrees with the number of costs")
-        costs = []
+        parts = []
         for entry in entries:
             if entry["kind"] == KIND_QUADRATIC:
                 P = np.asarray(entry["P"], dtype=float).reshape(d, d)
-                q = np.asarray(entry["q"], dtype=float)
-                cost = quadratic_cost(P, q)
+                parts.append(_quadratic(P, entry["q"]))
             elif entry["kind"] == KIND_REGLS:
                 m = payload_count(entry["m"], "m")
                 A = np.asarray(entry["A"], dtype=float).reshape(m, d)
                 b = np.asarray(entry["b"], dtype=float)
-                cost = least_squares_cost(A, b, float(entry["delta_reg"]))
+                parts.append(_least_squares(A, b, float(entry["delta_reg"])))
             else:
                 raise ValidationError(f"unknown cost kind {entry['kind']!r}")
+        costs = _with_constants(parts)
+        for entry, cost in zip(entries, costs):
             for name, stored, recomputed in (("L", entry["L"], cost.L), ("mu", entry["mu"], cost.mu)):
                 if abs(stored - recomputed) > _STORED_TOL * max(1.0, abs(recomputed)):
                     raise ValidationError(
                         f"stored {name}={stored} disagrees with recomputed {recomputed}"
                     )
-            costs.append(cost)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed ensemble payload: {exc}") from None
     return cost_ensemble(costs, case_tag)

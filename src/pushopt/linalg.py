@@ -8,7 +8,9 @@ All induced norms are computed through one kernel: similarity-transform the
 matrix by D = diag(sqrt(pi)) (Kronecker-extended for block operators) and
 take the ordinary spectral norm of the result, so the pi-weighted operator
 norm, the mixing norm and the operator Lipschitz constants all share a
-single numeric path.
+single numeric path.  That path, block power iteration, runs on (K, m, m)
+stacks, each slice rounded as if alone: ``symmetric_extremes`` takes an
+(m, m) matrix or a (K, m, m) stack, and ``spectral_norm`` a stack of one.
 """
 
 import numpy as np
@@ -80,75 +82,73 @@ def spectral_norm(M):
     deterministic starts (ones plus Gaussian columns from generators
     seeded with the restart index) and returns the square root of the
     largest Ritz value found; two consecutive starts agreeing within
-    ``_EIG_TOL`` end the search early.
-
-    Raises
-    ------
-    NoConvergenceError
-        If any start exhausts ``_EIG_MAX_ITER`` iterations with the top
-        Ritz residual above ``_EIG_TOL`` relative to the estimate.
+    ``_EIG_TOL`` end the search early.  Raises DimensionMismatchError for a
+    NaN or infinite entry, and NoConvergenceError if any start exhausts
+    ``_EIG_MAX_ITER`` iterations with the top Ritz residual above
+    ``_EIG_TOL`` relative to the estimate.
     """
+    M = _finite(M)
+    return float(np.sqrt(_restarted_top_eig((M.T @ M)[None])[0])) if M.size else 0.0
+
+
+def _finite(M):
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise DimensionMismatchError("matrix entries must be finite")
-    if M.size == 0:
-        return 0.0
-    return float(np.sqrt(_restarted_top_eig(M.T @ M)))
+    return M
 
 
 def _restarted_top_eig(B, scale=None):
-    """Best top eigenvalue over up to ``_EIG_RESTARTS`` deterministic starts.
-
-    Two consecutive starts agreeing within ``_EIG_TOL * scale`` (or,
-    without a scale, ``_EIG_TOL`` relative to the best value so far) end
-    the search.
-    """
-    best = 0.0
-    prev = None
+    """``spectral_norm``'s restart loop per slice of a (K, m, m) stack, with an
+    optional per-slice absolute ``scale``."""
+    best, live = np.zeros(len(B)), np.arange(len(B))
     for r in range(_EIG_RESTARTS):
-        lam = _top_eig_psd(B, start_index=r, scale=scale)
-        best = max(best, lam)
-        stop = _EIG_TOL * (scale if scale is not None else max(best, _STOP_FLOOR))
-        if prev is not None and abs(lam - prev) <= stop:
+        if not len(B):
             break
+        lam = _top_eig_psd(B, start_index=r, scale=scale)
+        best[live] = np.maximum(best[live], lam)
+        if r:
+            stop = _EIG_TOL * (scale if scale is not None else np.maximum(best[live], _STOP_FLOOR))
+            going = ~(np.abs(lam - prev) <= stop)
+            # copy the stack only on a restart where some slice finished
+            live, B, lam = (live, B, lam) if going.all() else (live[going], B[going], lam[going])
+            scale = None if scale is None else scale[going]
         prev = lam
     return best
 
 
 def _start_block(size, index, block):
     if index == 0:
-        cols = [np.ones((size, 1))]
-        if block > 1:
-            cols.append(np.random.default_rng(1).standard_normal((size, block - 1)))
-        V = np.hstack(cols)
+        V = np.hstack([np.ones((size, 1)),
+                       np.random.default_rng(1).standard_normal((size, block - 1))])
     else:
         V = np.random.default_rng(1000 * index).standard_normal((size, block))
-    q, _ = np.linalg.qr(V)
-    return q
+    return np.linalg.qr(V)[0]
 
 
 def _top_eig_psd(B, start_index=0, scale=None):
-    """Largest eigenvalue of a symmetric psd matrix by block power iteration.
-
-    ``scale`` sets the absolute stopping scale; by default the running
-    Ritz value itself (relative accuracy).
-    """
-    size = B.shape[0]
+    """Top eigenvalue of each slice of a (K, m, m) psd stack from one start; a
+    slice leaves once its residual passes, relative or at its ``scale``."""
+    size = B.shape[-1]
     # keep the subspace strictly smaller than the space so this stays a
     # genuine iteration rather than a one-shot dense diagonalization
     b = max(1, min(_EIG_BLOCK, size - 1)) if size > 1 else 1
     V = _start_block(size, start_index, b)
+    floor = np.maximum(np.zeros(len(B)) if scale is None else scale, _STOP_FLOOR)
+    out, live = np.zeros(len(B)), np.arange(len(B))
     for _ in range(_EIG_MAX_ITER):
         U = B @ V
-        if not np.any(U):
-            return 0.0  # the subspace sits in the kernel; the norm along it is zero
-        G = V.T @ U
-        ritz, vecs = np.linalg.eigh(0.5 * (G + G.T))
-        lam = float(ritz[-1])
-        top = V @ vecs[:, -1]
-        resid = np.linalg.norm(U @ vecs[:, -1] - lam * top)
-        if resid <= _EIG_TOL * max(lam, scale if scale is not None else 0.0, _STOP_FLOOR):
-            return max(lam, 0.0)
+        G = V.swapaxes(-1, -2) @ U
+        ritz, vecs = np.linalg.eigh(0.5 * (G + G.swapaxes(1, 2)))
+        top = vecs[:, :, -1:]
+        r = U @ top - ritz[:, -1:, None] * (V @ top)
+        # 1-D dot per slice, rounded as np.linalg.norm; U == 0 passes with Ritz value 0
+        done = np.sqrt((r.swapaxes(1, 2) @ r)[:, 0, 0]) <= _EIG_TOL * np.maximum(ritz[:, -1], floor)
+        if done.any():
+            out[live[done]] = np.maximum(ritz[done, -1], 0.0)
+            if done.all():
+                return out
+            live, B, U, floor = live[~done], B[~done], U[~done], floor[~done]
         V, _ = np.linalg.qr(U)
     raise NoConvergenceError(
         f"eigen-residual above tolerance {_EIG_TOL} after {_EIG_MAX_ITER} power iterations"
@@ -156,21 +156,26 @@ def _top_eig_psd(B, start_index=0, scale=None):
 
 
 def symmetric_extremes(H):
-    """(largest, smallest) eigenvalue of a symmetric psd matrix.
+    """(largest, smallest) eigenvalue of a symmetric psd (m, m) matrix as two
+    floats, or of each slice of a (K, m, m) stack as two length-K arrays.
 
-    The largest eigenvalue comes from power iteration on H itself; the
-    smallest from power iteration on ``lam_max I - H`` (a shift that keeps
-    the iteration matrix psd), stopping at ``_EIG_TOL`` relative to
-    lam_max.  Both run ``spectral_norm``'s iteration: up to
-    ``_EIG_RESTARTS`` starts of at most ``_EIG_MAX_ITER`` steps each.
+    Both come from ``spectral_norm``'s iteration: the largest on H, the
+    smallest on the psd shift ``lam_max I - H`` to ``_EIG_TOL`` relative to
+    lam_max (skipped, giving 0, where lam_max == 0).  The smallest is not
+    clipped at zero, so a matrix that is not psd shows as a negative value.
+    Another shape, m == 0 or a non-finite entry raises DimensionMismatchError.
     """
-    H = np.asarray(H, dtype=float)
-    lam_max = _restarted_top_eig(H)
-    if lam_max == 0.0:
-        return 0.0, 0.0
-    S = lam_max * np.eye(H.shape[0]) - H
-    lam_min = lam_max - _restarted_top_eig(S, scale=lam_max)
-    return float(lam_max), float(max(lam_min, 0.0))
+    H = _finite(H)
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or not H.shape[-1]:
+        raise DimensionMismatchError(f"expected an (m, m) matrix or (K, m, m) stack, got {H.shape}")
+    stack = H.reshape((-1,) + H.shape[-2:])
+    lam_max = _restarted_top_eig(stack)
+    lam_min = np.zeros_like(lam_max)
+    pos = lam_max != 0.0
+    top = lam_max[pos]
+    lam_min[pos] = top - _restarted_top_eig(top[:, None, None] * np.eye(H.shape[-1]) - stack[pos],
+                                            scale=top)
+    return (float(lam_max[0]), float(lam_min[0])) if H.ndim == 2 else (lam_max, lam_min)
 
 
 def induced_pi_norm(M, pi):

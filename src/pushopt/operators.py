@@ -91,7 +91,8 @@ class ContractionCertificate:
     ``gamma_lmax`` and ``gamma_lbar`` are the harmonic rates mu*L/(mu+L) built
     from the largest resp. mean smoothness constant; they enter different
     bounds and are deliberately kept apart.  ``legacy_threshold`` is None
-    when rho == 0, where the older threshold imposes no restriction.
+    when rho == 0 (no restriction), which a computed rho is only at n = 1; on
+    the complete digraph rho is rounding noise (~3e-16), the threshold 1e11-1e13.
     """
 
     case_tag: str

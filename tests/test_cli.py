@@ -111,6 +111,20 @@ def test_certificate_json_keys_and_order(tmp_path, case):
         assert cert["eta_ceiling"] == cert["lipschitz_at_ceiling"]
 
 
+# rho is exactly 0 only for one agent (case1 only: one rank-deficient case2 cost
+# has no positive definite aggregate); on the complete digraph it is rounding noise
+@pytest.mark.parametrize("case, flags", [("case1", ["--n", "1"]), ("case1", ["--p", "1.0"]),
+                                         ("case2", ["--p", "1.0"])])
+def test_legacy_threshold_null_only_at_one_agent(tmp_path, case, flags):
+    assert cli_main(["certify", "--case", case, *flags, "--out-dir", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    if flags[0] == "--n":
+        assert cert["rho"] == 0.0 and cert["legacy_threshold"] is None
+    else:
+        assert 0.0 < cert["rho"] < 1e-15
+        assert 1e11 < cert["legacy_threshold"] < float("inf")
+
+
 # the case1 closed-form rate is conservative: at seed 4 even 2 C still holds
 @pytest.mark.parametrize("case, factor", [("case1", 3.0), ("case2", 1.001)])
 def test_certify_overclaiming_rate_exits_two(tmp_path, monkeypatch, capsys, case, factor):
