@@ -8,10 +8,14 @@ Gradient-push round (state x, mixed state w, weights y, ratios z):
 
     w <- W x;  y <- W y;  z <- w / y;  x <- w - alpha * grad F(z)
 
-Push-DIGing round (state x, weights y, ratios z, tracked gradients v):
+Push-DIGing round (state x, weights y, ratios z, tracked gradients v,
+last gradient g = grad F(z)):
 
     x <- W x - alpha v;  y <- W y;  z <- x / y;
-    v <- W v + grad F(z_new) - grad F(z_old)
+    g_new <- grad F(z);  v <- W v + g_new - g;  g <- g_new
+
+Carrying g makes one gradient evaluation per round: grad F(z_old) is the
+previous round's g_new, so the round is bit-identical to recomputing it.
 
 The hybrid schedule runs gradient-push with a large stepsize for a warm
 start, then hands (w, y, z, grad F(z)) to Push-DIGing for exact
@@ -48,10 +52,15 @@ class GradientPushState:
 
 @dataclass(frozen=True)
 class PushDigingState:
+    """Push-DIGing state; ``g`` is grad F(z), carried so a round evaluates
+    the gradient once.  Every constructor must set it from this ``z``:
+    ``pd_run`` rejects an initial state whose ``g`` differs in any bit."""
+
     t: int
     x: np.ndarray
     z: np.ndarray
     v: np.ndarray
+    g: np.ndarray
     y: np.ndarray
 
 
@@ -119,9 +128,25 @@ def gp_step(net, ensemble, alpha, state):
 def init_pd_state(net, ensemble, x0):
     """Default Push-DIGing start: ratios equal the state, v tracks the gradient."""
     x0 = _check_shapes(net, ensemble, x0)
-    return PushDigingState(
-        t=0, x=x0.copy(), z=x0.copy(), v=grad_stack(ensemble, x0), y=np.ones(net.n)
-    )
+    g = grad_stack(ensemble, x0)
+    return PushDigingState(t=0, x=x0.copy(), z=x0.copy(), v=g, g=g, y=np.ones(net.n))
+
+
+def _check_pd_init(net, ensemble, init):
+    """An explicit initial state: (n, d) blocks, (n,) weights, and a carried
+    gradient with the same bits as grad F(z), so the first round is exact."""
+    block = (net.n, ensemble.d)
+    for name, shape in (("x", block), ("z", block), ("v", block), ("g", block), ("y", (net.n,))):
+        if np.shape(getattr(init, name)) != shape:
+            raise DimensionMismatchError(
+                f"initial {name} {np.shape(getattr(init, name))} vs {shape}"
+            )
+    g = grad_stack(ensemble, init.z)
+    if np.asarray(init.g, dtype=float).tobytes() != g.tobytes():
+        raise ValidationError(
+            "initial g must equal grad_stack(ensemble, z) bit for bit; "
+            "build the state with init_pd_state or set g from its z"
+        )
 
 
 def pd_step(net, ensemble, alpha, state):
@@ -130,20 +155,28 @@ def pd_step(net, ensemble, alpha, state):
         x = net.W @ state.x - alpha * state.v
         y = net.W @ state.y
         z = x / y[:, None]
-        v = net.W @ state.v + grad_stack(ensemble, z) - grad_stack(ensemble, state.z)
-    return PushDigingState(t=state.t + 1, x=x, z=z, v=v, y=y)
+        g = grad_stack(ensemble, z)
+        v = net.W @ state.v + g - state.g
+    return PushDigingState(t=state.t + 1, x=x, z=z, v=v, g=g, y=y)
 
 
 def _blocks_exceeded(arrays):
     """Whether a block norm is non-finite or above the divergence threshold.
 
     A plain bool for an (n, d) state; for a stacked (K, n, d) state, one
-    flag per candidate.
+    flag per candidate.  A screen on the entries comes first: if every
+    entry lies within threshold / (2 sqrt(d)), every block norm is at most
+    about half the threshold, so nothing is flagged.  NaN and inf fail the
+    screen, and any failure takes the exact per-block test.
     """
+    limit = DIVERGENCE_THRESHOLD / (2.0 * np.sqrt(arrays[0].shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.logical_and.reduce(
-            [np.sqrt((a * a).sum(axis=-1)) <= DIVERGENCE_THRESHOLD for a in arrays]
-        ).all(axis=-1)
+        if all(a.max() <= limit and -a.min() <= limit for a in arrays):
+            ok = np.ones(arrays[0].shape[:-2], dtype=bool)
+        else:
+            ok = np.logical_and.reduce(
+                [np.sqrt((a * a).sum(axis=-1)) <= DIVERGENCE_THRESHOLD for a in arrays]
+            ).all(axis=-1)
     return ~ok if ok.ndim else not ok
 
 
@@ -211,12 +244,17 @@ def gp_run(net, ensemble, alpha, x0, iters, refs=None):
 def pd_run(net, ensemble, alpha, init, iters, refs=None):
     """Run Push-DIGing for ``iters`` rounds from an explicit initial state.
 
+    The state's shapes and its carried gradient are checked first
+    (``DimensionMismatchError``, ``ValidationError``); that check costs one
+    gradient evaluation.
+
     In mixed-phase traces the Push-DIGing state variable x plays the role
     of the mixed state for the optimality metric; the fixed-point metric is
     left empty since the fixed point belongs to the gradient-push operator.
     """
     if iters < 0:
         raise ValidationError("iteration count must be >= 0")
+    _check_pd_init(net, ensemble, init)
     refs = refs or RunRefs()
     state = init
     trace = RunTrace()
@@ -254,11 +292,13 @@ def hybrid_run(net, ensemble, alpha_gp, alpha_pd, gp_iters, total_iters, x0,
     if head.diverged:
         return head
     gp_state = head.final_state
+    g = grad_stack(ensemble, gp_state.z)
     handoff = PushDigingState(
         t=gp_state.t,
         x=gp_state.w.copy(),
         z=gp_state.z.copy(),
-        v=grad_stack(ensemble, gp_state.z),
+        v=g,
+        g=g,
         y=gp_state.y.copy(),
     )
     tail = pd_run(net, ensemble, alpha_pd, handoff, total_iters - gp_iters, refs)

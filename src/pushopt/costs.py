@@ -198,12 +198,19 @@ def make_case2_ensemble(n, d, m_rank, seed, max_attempts=100):
     """Rank-deficient quadratic ensemble with a positive definite aggregate.
 
     Resamples from the substream ``seed + attempt`` until the aggregate
-    Hessian passes the positive-definiteness check.
+    Hessian passes the positive-definiteness check.  The aggregate has rank
+    at most ``n * m_rank``, so with ``n * m_rank < d`` no draw can pass and
+    none is made.
     """
     if not (1 <= m_rank < d):
         raise ValidationError(f"need 1 <= m_rank < d, got m_rank={m_rank}, d={d}")
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if n * m_rank < d:
+        raise FailedAggregatePDError(
+            f"aggregate Hessian has rank at most n * m_rank = {n * m_rank} < d = {d}, "
+            f"so it cannot be positive definite (n={n}, d={d}, m_rank={m_rank})"
+        )
     for attempt in range(max_attempts):
         rng = np.random.default_rng(seed + attempt)
         parts = []

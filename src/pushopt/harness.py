@@ -166,6 +166,11 @@ def _validate_config(cfg):
         raise ConfigError("case1 needs m and delta_reg > 0")
     if cfg.case == "case2" and (cfg.m_rank is None or cfg.eps is None or cfg.eps <= 0):
         raise ConfigError("case2 needs m_rank and eps > 0")
+    if cfg.case == "case2" and cfg.n * cfg.m_rank < cfg.d:
+        raise ConfigError(
+            f"case2 needs n * m_rank >= d for a positive definite aggregate Hessian, "
+            f"got n={cfg.n}, m_rank={cfg.m_rank}, d={cfg.d}"
+        )
     for name in ("seed", "net_seed", "cost_seed", "run_iters", "gp_iters", "total_iters",
                  "contraction_points", "alpha_points", "tune_budget", "tune_iters", "horizon",
                  "fp_tol"):
@@ -363,8 +368,8 @@ def _pd_candidates(net, ensemble, alphas, x0, iters, x_star):
     """
     init = alg.init_pd_state(net, ensemble, x0)
     k = len(alphas)
-    state = replace(init, x=np.repeat(init.x[None], k, axis=0),
-                    z=np.repeat(init.z[None], k, axis=0), v=np.repeat(init.v[None], k, axis=0))
+    state = replace(init, **{name: np.repeat(getattr(init, name)[None], k, axis=0)
+                             for name in ("x", "z", "v", "g")})
     alpha = np.asarray(alphas)[:, None, None]
     diverged = alg.pd_diverged(state)
     for _ in range(iters):

@@ -125,6 +125,17 @@ def test_legacy_threshold_null_only_at_one_agent(tmp_path, case, flags):
         assert 1e11 < cert["legacy_threshold"] < float("inf")
 
 
+def test_case2_below_the_rank_bound_exits_one_before_any_draw(tmp_path, monkeypatch, capsys):
+    """One case2 agent of rank 4 in dimension 10 cannot have a positive
+    definite aggregate, so the config is refused before any work."""
+    drawn = _count_calls(monkeypatch, co, "make_case2_ensemble")
+    built = _count_calls(monkeypatch, hz, "build_network")
+    assert cli_main(["certify", "--case", "case2", "--n", "1",
+                     "--out-dir", str(tmp_path / "o")]) == 1
+    assert "n * m_rank >= d" in capsys.readouterr().err
+    assert drawn == [] and built == [] and not (tmp_path / "o").exists()
+
+
 # the case1 closed-form rate is conservative: at seed 4 even 2 C still holds
 @pytest.mark.parametrize("case, factor", [("case1", 3.0), ("case2", 1.001)])
 def test_certify_overclaiming_rate_exits_two(tmp_path, monkeypatch, capsys, case, factor):

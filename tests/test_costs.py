@@ -118,6 +118,17 @@ def test_case2_rejects_singular_aggregate():
         co.make_case2_ensemble(1, 40, 1, 3, max_attempts=2)
 
 
+def test_case2_below_the_rank_bound_draws_nothing(monkeypatch):
+    """The aggregate of n rank-m_rank Hessians has rank at most n * m_rank."""
+    drawn = []
+    monkeypatch.setattr(co, "_with_constants", drawn.append)
+    with pytest.raises(FailedAggregatePDError, match=r"n \* m_rank = 4 < d = 10"):
+        co.make_case2_ensemble(1, 10, 4, 7)
+    assert drawn == []
+    monkeypatch.undo()
+    assert co.make_case2_ensemble(2, 10, 5, 7).mu_agg > 0  # n * m_rank == d
+
+
 def test_case2_hand_built_aggregate():
     e1 = co.quadratic_cost(np.outer([1.0, 0.0], [1.0, 0.0]), np.zeros(2))
     e2 = co.quadratic_cost(np.outer([0.0, 1.0], [0.0, 1.0]), np.zeros(2))
