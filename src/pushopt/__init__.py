@@ -13,6 +13,7 @@ from .algorithms import (
     RunTrace,
     gp_run,
     gp_step,
+    gp_sweep,
     hybrid_run,
     init_gp_state,
     init_pd_state,

@@ -17,6 +17,14 @@ last gradient g = grad F(z)):
 Carrying g makes one gradient evaluation per round: grad F(z_old) is the
 previous round's g_new, so the round is bit-identical to recomputing it.
 
+A stepsize sweep (``gp_sweep``) runs gradient-push at K stepsizes as one
+stacked (K, n, d) state through the same round.  The weights y do not
+depend on the stepsize, so the stack shares one (n,) y and each round
+makes one ``W @ y``; ``W @ x`` is one gemm per slice, and the gradient,
+the divergence check and the trace metrics are one call each for the
+whole stack.  Every slice rounds and is measured bit for bit like its own
+run, and ``gp_run`` is the sweep of one.
+
 The hybrid schedule runs gradient-push with a large stepsize for a warm
 start, then hands (w, y, z, grad F(z)) to Push-DIGing for exact
 convergence.
@@ -27,7 +35,8 @@ flagged and truncated, so stepsize sweeps that cross the stability
 boundary still complete.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,15 +178,15 @@ def _blocks_exceeded(arrays):
     about half the threshold, so nothing is flagged.  NaN and inf fail the
     screen, and any failure takes the exact per-block test.
     """
-    limit = DIVERGENCE_THRESHOLD / (2.0 * np.sqrt(arrays[0].shape[-1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if all(a.max() <= limit and -a.min() <= limit for a in arrays):
-            ok = np.ones(arrays[0].shape[:-2], dtype=bool)
-        else:
-            ok = np.logical_and.reduce(
+    limit = DIVERGENCE_THRESHOLD / (2.0 * math.sqrt(arrays[0].shape[-1]))
+    if all(a.max() <= limit and -a.min() <= limit for a in arrays):
+        flagged = np.zeros(arrays[0].shape[:-2], dtype=bool)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            flagged = ~np.logical_and.reduce(
                 [np.sqrt((a * a).sum(axis=-1)) <= DIVERGENCE_THRESHOLD for a in arrays]
             ).all(axis=-1)
-    return ~ok if ok.ndim else not ok
+    return flagged if flagged.ndim else bool(flagged)
 
 
 def gp_diverged(state):
@@ -189,56 +198,89 @@ def pd_diverged(state):
 
 
 def _sum_z_err(z, x_star):
-    """Sum over agents of the distance of each ratio block to x_star."""
-    diff = z - x_star[None, :]
-    return float(np.sqrt((diff * diff).sum(axis=1)).sum())
+    """Sum over agents of the distance of each ratio block to x_star, for
+    an (n, d) state or per state of a (K, n, d) stack."""
+    diff = z - x_star
+    return np.sqrt((diff * diff).sum(axis=-1)).sum(axis=-1)
 
 
-def _recorder(trace, net, refs, phase):
-    """A function appending one metrics record per call to ``trace``.
+def _recorder(traces, net, refs, phase):
+    """A function appending one metrics record to each of ``traces`` per call.
 
-    Records hold (sum_z_err, w_fp_err, w_opt_err) against the available
-    references; the optimum's mixed state n * pi_j * x_star is built once
-    per run.
+    ``record(live, mixed, z, t, flags)`` measures (K, n, d) stacks whose
+    slice i belongs to ``traces[live[i]]``: (sum_z_err, w_fp_err,
+    w_opt_err) against the available references.  Each slice is reduced
+    over its own axes, with the bits of measuring it alone.  The optimum's
+    mixed state n * pi_j * x_star is built once per run.
     """
     target = None if refs.x_star is None else np.outer(net.n * net.pi, refs.x_star)
 
-    def record(mixed, z, t, diverged):
-        sum_z = fp = opt = None
+    def record(live, mixed, z, t, flags):
+        sum_z = fp = opt = [None] * len(live)
         with np.errstate(over="ignore", invalid="ignore"):
             if refs.x_star is not None:
-                sum_z = _sum_z_err(z, refs.x_star)
-                opt = float(pi_norm(mixed - target, net.pi))
+                sum_z = _sum_z_err(z, refs.x_star).tolist()
+                opt = pi_norm(mixed - target, net.pi).tolist()
             if refs.w_fixed is not None:
-                fp = float(pi_norm(mixed - refs.w_fixed, net.pi))
-        trace.records.append(
-            RunRecord(t=t, phase=phase, sum_z_err=sum_z, w_fp_err=fp, w_opt_err=opt,
-                      diverged=bool(diverged))
-        )
+                fp = pi_norm(mixed - refs.w_fixed, net.pi).tolist()
+        for k, s, f, o, flag in zip(live, sum_z, fp, opt, flags):
+            traces[k].records.append(RunRecord(t=t, phase=phase, sum_z_err=s, w_fp_err=f,
+                                               w_opt_err=o, diverged=bool(flag)))
 
     return record
 
 
+def gp_sweep(net, ensemble, alphas, x0, iters, refs=None):
+    """Gradient-push from x0 at each stepsize of ``alphas``: one trace each.
+
+    The stepsizes run as one stacked (K, n, d) state through ``gp_step``:
+    the weights y do not depend on the stepsize, so each round makes one
+    ``W @ y``, one stacked ``W @ x`` (a gemm per slice), one gradient call,
+    one divergence check and one metrics call for every running slice,
+    and each slice rounds exactly like its own run.  Each trace starts
+    with a t=0 record of the initial state (mixed state taken equal to
+    x0).  A slice stops at the round whose record is flagged, once any of
+    its block norms crosses the divergence threshold; the others run on.
+    """
+    if iters < 0:
+        raise ValidationError("iteration count must be >= 0")
+    if len(alphas) == 0:
+        raise ValidationError("need at least one stepsize")
+    init = init_gp_state(net, ensemble, x0)
+    refs = refs or RunRefs()
+    traces = [RunTrace() for _ in alphas]
+    record = _recorder(traces, net, refs, PHASE_GP)
+    alpha = np.asarray(alphas, dtype=float)[:, None, None]
+    live = list(range(len(alphas)))  # the trace index of each slice of the stack
+    state = replace(init, **{name: np.repeat(getattr(init, name)[None], len(alphas), axis=0)
+                             for name in ("x", "w", "z")})
+    flags = gp_diverged(state).tolist()
+    for t in range(iters + 1):
+        record(live, state.w, state.z, t, flags)
+        if t == iters or any(flags):
+            keep = [t < iters and not flag for flag in flags]
+            for k, kept, x, w, z in zip(live, keep, state.x, state.w, state.z):
+                if not kept:
+                    traces[k].final_state = GradientPushState(t=t, x=x, w=w, z=z, y=state.y)
+            if not any(keep):
+                break
+            live = [k for k, kept in zip(live, keep) if kept]
+            alpha = alpha[keep]
+            state = replace(state, x=state.x[keep], w=state.w[keep], z=state.z[keep])
+        state = gp_step(net, ensemble, alpha, state)
+        flags = gp_diverged(state).tolist()
+    return traces
+
+
 def gp_run(net, ensemble, alpha, x0, iters, refs=None):
-    """Run gradient-push for ``iters`` rounds, recording metrics each round.
+    """Run gradient-push for ``iters`` rounds, recording metrics each round:
+    the one-stepsize ``gp_sweep``.
 
     The t=0 record measures the initial state (mixed state taken equal to
     x0).  Stops early, with the offending record flagged, once any block
     norm crosses the divergence threshold.
     """
-    if iters < 0:
-        raise ValidationError("iteration count must be >= 0")
-    state = init_gp_state(net, ensemble, x0)
-    trace = RunTrace()
-    record = _recorder(trace, net, refs or RunRefs(), PHASE_GP)
-    record(state.w, state.z, 0, gp_diverged(state))
-    for _ in range(iters):
-        if trace.records[-1].diverged:
-            break
-        state = gp_step(net, ensemble, alpha, state)
-        record(state.w, state.z, state.t, gp_diverged(state))
-    trace.final_state = state
-    return trace
+    return gp_sweep(net, ensemble, [alpha], x0, iters, refs)[0]
 
 
 def pd_run(net, ensemble, alpha, init, iters, refs=None):
@@ -258,13 +300,13 @@ def pd_run(net, ensemble, alpha, init, iters, refs=None):
     refs = refs or RunRefs()
     state = init
     trace = RunTrace()
-    record = _recorder(trace, net, RunRefs(x_star=refs.x_star), PHASE_PD)
-    record(state.x, state.z, state.t, pd_diverged(state))
+    record = _recorder([trace], net, RunRefs(x_star=refs.x_star), PHASE_PD)
+    record([0], state.x[None], state.z[None], state.t, [pd_diverged(state)])
     for _ in range(iters):
         if trace.records[-1].diverged:
             break
         state = pd_step(net, ensemble, alpha, state)
-        record(state.x, state.z, state.t, pd_diverged(state))
+        record([0], state.x[None], state.z[None], state.t, [pd_diverged(state)])
     trace.final_state = state
     return trace
 

@@ -184,6 +184,13 @@ def _validate_config(cfg):
         raise ConfigError("gp_iters must not exceed total_iters")
     if not cfg.multipliers or any(m <= 0 for m in cfg.multipliers):
         raise ConfigError("stepsize multipliers must be a nonempty list of positive values")
+    swept = [m for m in (*cfg.multipliers, cfg.supercritical_mult) if m is not None]
+    if len({f"{m:g}" for m in swept}) < len(swept):
+        raise ConfigError(
+            f"multipliers {list(cfg.multipliers)} and supercritical_mult "
+            f"{cfg.supercritical_mult} must be distinct in their 6 significant digits: "
+            "each one names its own trace_mult_<value>.csv"
+        )
     for name, value in (("alpha", cfg.alpha), ("alpha_mult", cfg.alpha_mult),
                         ("supercritical_mult", cfg.supercritical_mult)):
         if value is not None and value <= 0:
@@ -376,8 +383,8 @@ def _pd_candidates(net, ensemble, alphas, x0, iters, x_star):
         state = alg.pd_step(net, ensemble, alpha, state)
         diverged |= alg.pd_diverged(state)
     with np.errstate(over="ignore", invalid="ignore"):
-        last = [alg._sum_z_err(z, x_star) for z in state.z]
-    return diverged, alg._sum_z_err(init.z, x_star), last
+        last = alg._sum_z_err(state.z, x_star).tolist()
+    return diverged, float(alg._sum_z_err(init.z, x_star)), last
 
 
 def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):
@@ -611,12 +618,12 @@ def _run_fig46(cfg, net, ensemble, out):
     x_star = co.ensemble_minimizer(ensemble)
     refs = alg.RunRefs(x_star=x_star)
     multipliers = list(cfg.multipliers) + [cfg.supercritical_mult]
+    traces = alg.gp_sweep(net, ensemble, [mult * cert.alpha0 for mult in multipliers],
+                          np.zeros((net.n, ensemble.d)), cfg.run_iters, refs)
     manifest = []
     plateaus = []
     diverged = {}
-    for mult in multipliers:
-        trace = alg.gp_run(net, ensemble, mult * cert.alpha0,
-                           np.zeros((net.n, ensemble.d)), cfg.run_iters, refs)
+    for mult, trace in zip(multipliers, traces):
         name = f"trace_mult_{mult:g}.csv"
         trace_to_csv(trace, out / name)
         manifest.append(name)

@@ -27,19 +27,21 @@ _EIG_BLOCK = 12  # columns of its iterated subspace
 def pi_norm(w, pi):
     """Weighted norm (sum_j ||w_j||^2 / pi_j)^(1/2) of a stacked state.
 
-    Accepts an (n, d) stacked state or a plain length-n vector (d = 1).
-    Equals the Euclidean norm of the state rescaled blockwise by
-    1/sqrt(pi_j).
+    Accepts an (n, d) stacked state or a plain length-n vector (d = 1), and
+    returns a float.  A (..., n, d) stack of states gives an array of their
+    norms, each with the bits of its own (n, d) call.  Equals the Euclidean
+    norm of the state rescaled blockwise by 1/sqrt(pi_j).
     """
     w = np.asarray(w, dtype=float)
     pi = np.asarray(pi, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
-    if w.ndim != 2 or w.shape[0] != pi.shape[0]:
+    if w.ndim < 2 or w.shape[-2] != pi.shape[0]:
         raise DimensionMismatchError(
             f"stacked state with {w.shape} blocks vs {pi.shape[0]} weights"
         )
-    return float(np.sqrt(((w * w).sum(axis=1) / pi).sum()))
+    norms = np.sqrt(((w * w).sum(axis=-1) / pi).sum(axis=-1))
+    return float(norms) if w.ndim == 2 else norms
 
 
 def flatten_block_operator(M):

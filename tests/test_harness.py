@@ -54,6 +54,11 @@ def test_resolve_config_rejects_bad_input():
     for scenario in ("fig4_case1_sweep", "fig6_case2_sweep"):
         with pytest.raises(ConfigError, match="multipliers"):
             hz.resolve_config({"scenario": scenario, "multipliers": []})
+    # every swept multiplier is its own slice and names its own trace file
+    for repeated in ({"supercritical_mult": 1.0}, {"multipliers": [0.5, 0.5, 1.0]},
+                     {"multipliers": [0.2, 0.2000001]}):
+        with pytest.raises(ConfigError, match="must be distinct"):
+            hz.resolve_config({"scenario": "fig4_case1_sweep", **repeated})
     # total_iters bounds gp_iters only where it sets the round count, in fig1
     assert hz.resolve_config({"scenario": "custom", "gp_iters": 700}).gp_iters == 700
 

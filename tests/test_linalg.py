@@ -33,9 +33,25 @@ def test_pi_norm_matches_rescaled_euclidean():
         assert abs(direct - rescaled) <= 1e-13 * max(direct, 1.0)
 
 
+def test_pi_norm_of_a_stack_has_the_bits_of_each_state():
+    rng = np.random.default_rng(4)
+    for shape in ((4, 400, 3), (5, 20, 10), (2, 3, 7, 1), (1, 57, 17)):
+        pi = rng.random(shape[-2]) + 0.1
+        pi /= pi.sum()
+        w = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape[:-2] + (1, 1))
+        norms = la.pi_norm(w, pi)
+        assert norms.shape == shape[:-2]
+        flat = w.reshape((-1,) + shape[-2:])
+        assert norms.ravel().tolist() == [la.pi_norm(state, pi) for state in flat]
+
+
 def test_pi_norm_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         la.pi_norm(np.zeros((3, 2)), np.array([0.5, 0.5]))
+    with pytest.raises(DimensionMismatchError):
+        la.pi_norm(np.zeros((4, 3, 2)), np.array([0.5, 0.5]))
+    with pytest.raises(DimensionMismatchError):
+        la.pi_norm(np.float64(1.0), np.array([1.0]))
 
 
 def test_apply_block_operator_identity_and_oracle():

@@ -177,6 +177,17 @@ def test_mixing_invariants(net20):
     nw.validate_network(net20)
 
 
+def test_mixing_matrix_buffer_is_64_byte_aligned(net20):
+    links = net20.graph.adj | np.eye(net20.n, dtype=bool)
+    unaligned = np.where(links, 1.0 / links.sum(axis=0), 0.0)
+    loaded = nw.network_from_dict(nw.network_to_dict(net20))
+    big = nw.build_mixing_matrix(nw.generate_digraph(57, 0.3, 5))
+    for net in (net20, loaded, big):
+        assert net.W.ctypes.data % 64 == 0
+        assert net.W.dtype == float and net.W.flags.c_contiguous
+    assert net20.W.tobytes() == unaligned.tobytes() == loaded.W.tobytes()
+
+
 def test_perron_matches_dense_eigensolver(net20):
     oracle = perron_oracle(net20.W)
     assert np.max(np.abs(net20.pi - oracle)) <= 1e-10

@@ -1,0 +1,240 @@
+"""The stacked gradient-push sweep against one run per stepsize.
+
+``legacy_gp_run`` is the per-stepsize round loop ``gp_run`` had before it
+became the one-stepsize call of ``gp_sweep``, ``legacy_recorder`` the
+metrics of one (n, d) state per call that every run recorded before the
+recorder measured a whole stack, and ``legacy_grad_stack`` the
+leading-axis einsum ``grad_stack`` used before it evaluated a stack as
+flat rows.  All three are the library code as it was; the stacked paths
+must match them record for record and bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pushopt import algorithms as alg
+from pushopt import costs as co
+from pushopt import harness as hz
+from pushopt import operators as op
+from pushopt.errors import ValidationError
+
+
+def legacy_grad_stack(ensemble, u):
+    return np.einsum("jab,...jb->...ja", ensemble.hess_stack, u) + ensemble.lin_stack
+
+
+def legacy_pi_norm(w, pi):
+    return float(np.sqrt(((w * w).sum(axis=1) / pi).sum()))
+
+
+def legacy_recorder(trace, net, refs, phase):
+    target = None if refs.x_star is None else np.outer(net.n * net.pi, refs.x_star)
+
+    def record(mixed, z, t, diverged):
+        sum_z = fp = opt = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if refs.x_star is not None:
+                diff = z - refs.x_star[None, :]
+                sum_z = float(np.sqrt((diff * diff).sum(axis=1)).sum())
+                opt = legacy_pi_norm(mixed - target, net.pi)
+            if refs.w_fixed is not None:
+                fp = legacy_pi_norm(mixed - refs.w_fixed, net.pi)
+        trace.records.append(alg.RunRecord(t=t, phase=phase, sum_z_err=sum_z, w_fp_err=fp,
+                                           w_opt_err=opt, diverged=bool(diverged)))
+
+    return record
+
+
+def legacy_gp_run(net, ensemble, alpha, x0, iters, refs=None):
+    state = alg.init_gp_state(net, ensemble, x0)
+    trace = alg.RunTrace()
+    record = legacy_recorder(trace, net, refs or alg.RunRefs(), alg.PHASE_GP)
+    record(state.w, state.z, 0, alg.gp_diverged(state))
+    for _ in range(iters):
+        if trace.records[-1].diverged:
+            break
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = net.W @ state.x
+            y = net.W @ state.y
+            z = w / y[:, None]
+            x = w - alpha * legacy_grad_stack(ensemble, z)
+        state = alg.GradientPushState(t=state.t + 1, x=x, w=w, z=z, y=y)
+        record(state.w, state.z, state.t, alg.gp_diverged(state))
+    trace.final_state = state
+    return trace
+
+
+def legacy_pd_run(net, ensemble, alpha, init, iters, refs):
+    state = init
+    trace = alg.RunTrace()
+    record = legacy_recorder(trace, net, alg.RunRefs(x_star=refs.x_star), alg.PHASE_PD)
+    record(state.x, state.z, state.t, alg.pd_diverged(state))
+    for _ in range(iters):
+        if trace.records[-1].diverged:
+            break
+        state = alg.pd_step(net, ensemble, alpha, state)
+        record(state.x, state.z, state.t, alg.pd_diverged(state))
+    trace.final_state = state
+    return trace
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def record_bits(r):
+    metrics = (r.sum_z_err, r.w_fp_err, r.w_opt_err)
+    return (r.t, r.phase, r.diverged,
+            *(None if v is None else np.float64(v).tobytes() for v in metrics))
+
+
+def assert_same_trace(mine, ref):
+    assert [record_bits(r) for r in mine.records] == [record_bits(r) for r in ref.records]
+    assert type(mine.final_state) is type(ref.final_state)
+    assert mine.final_state.t == ref.final_state.t
+    for name in ("x", "z", "y") + (("w",) if hasattr(ref.final_state, "w") else ("v", "g")):
+        assert same_bits(getattr(mine.final_state, name), getattr(ref.final_state, name)), name
+
+
+def _scenario(scenario, **overrides):
+    cfg = hz.resolve_config({"scenario": scenario, **overrides})
+    net, ens = hz.build_network(cfg), hz.build_ensemble(cfg)
+    alpha0 = op.stepsize_ceiling(net, ens, hz.case_eps(cfg, ens))
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens))
+    return cfg, net, ens, alpha0, refs
+
+
+def _check_sweep(net, ens, alphas, iters, refs):
+    x0 = np.zeros((net.n, ens.d))
+    traces = alg.gp_sweep(net, ens, alphas, x0, iters, refs)
+    assert len(traces) == len(alphas)
+    for alpha, trace in zip(alphas, traces):
+        assert_same_trace(trace, legacy_gp_run(net, ens, alpha, x0, iters, refs))
+    return traces
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("fig4_case1_sweep", {}),
+    ("fig4_case1_sweep", {"n": 400, "p": 0.7}),
+    ("fig6_case2_sweep", {}),
+], ids=["fig4_n20", "fig4_n400", "fig6"])
+def test_fig46_sweep_matches_one_run_per_multiplier(scenario, overrides):
+    cfg, net, ens, alpha0, refs = _scenario(scenario, **overrides)
+    mults = list(cfg.multipliers) + [cfg.supercritical_mult]
+    _check_sweep(net, ens, [m * alpha0 for m in mults], cfg.run_iters, refs)
+
+
+def test_slices_leave_the_stack_at_their_flagged_round():
+    cfg, net, ens, alpha0, refs = _scenario("fig4_case1_sweep")
+    mults = [0.2, 3.0, 1.0, 8.0, 1.3]
+    traces = _check_sweep(net, ens, [m * alpha0 for m in mults], cfg.run_iters, refs)
+    ends = [(t.final_state.t, t.diverged) for t in traces]
+    assert ends == [(1000, False), (50, True), (1000, False), (16, True), (1000, False)]
+    for trace in traces:
+        assert [r.diverged for r in trace.records[:-1]] == [False] * (len(trace.records) - 1)
+
+
+def test_one_stepsize_sweep_is_gp_run(net20, ens_case1):
+    x0 = np.random.default_rng(3).standard_normal((net20.n, ens_case1.d))
+    alpha0 = op.stepsize_ceiling(net20, ens_case1)
+    w_fixed = op.solve_fixed_point(op.OperatorContext(net20, ens_case1, alpha0)).w
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens_case1), w_fixed=w_fixed)
+    for alpha, iters in ((alpha0, 300), (6.0 * alpha0, 300), (alpha0, 0)):
+        (swept,) = alg.gp_sweep(net20, ens_case1, [alpha], x0, iters, refs)
+        run = alg.gp_run(net20, ens_case1, alpha, x0, iters, refs)
+        legacy = legacy_gp_run(net20, ens_case1, alpha, x0, iters, refs)
+        assert_same_trace(swept, legacy)
+        assert_same_trace(run, legacy)
+    with pytest.raises(ValidationError, match="at least one stepsize"):
+        alg.gp_sweep(net20, ens_case1, [], x0, 5)
+    with pytest.raises(ValidationError, match=">= 0"):
+        alg.gp_sweep(net20, ens_case1, [alpha0], x0, -1)
+
+
+@pytest.mark.parametrize("alpha_mult", [1.0, 20.0])
+def test_hybrid_handoff_matches_the_per_run_warm_start(net20, ens_case1, alpha_mult):
+    alpha0 = op.stepsize_ceiling(net20, ens_case1)
+    x0 = np.zeros((net20.n, ens_case1.d))
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens_case1))
+    hybrid = alg.hybrid_run(net20, ens_case1, alpha_mult * alpha0, 0.01, 60, 200, x0, refs)
+    head = legacy_gp_run(net20, ens_case1, alpha_mult * alpha0, x0, 60, refs)
+    if head.diverged:
+        ref = head
+    else:
+        gp = head.final_state
+        g = legacy_grad_stack(ens_case1, gp.z)
+        handoff = alg.PushDigingState(t=gp.t, x=gp.w.copy(), z=gp.z.copy(), v=g, g=g,
+                                      y=gp.y.copy())
+        tail = legacy_pd_run(net20, ens_case1, 0.01, handoff, 140, refs)
+        ref = alg.RunTrace(records=head.records + tail.records[1:], final_state=tail.final_state)
+    assert hybrid.diverged == (alpha_mult > 1.0)
+    assert_same_trace(hybrid, ref)
+
+
+@pytest.mark.parametrize("alpha", [0.002, 0.2])
+def test_pd_run_records_match_the_per_state_recorder(net20, ens_case1, alpha):
+    init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens_case1))
+    trace = alg.pd_run(net20, ens_case1, alpha, init, 300, refs)
+    assert trace.diverged == (alpha > 0.1)
+    assert_same_trace(trace, legacy_pd_run(net20, ens_case1, alpha, init, 300, refs))
+
+
+def _stacks():
+    rng = np.random.default_rng(11)
+    fig1 = co.make_case1_ensemble(20, 10, 10, 0.1, 8)
+    n400 = co.make_case1_ensemble(400, 3, 4, 2.0, 8)
+    case2 = co.make_case2_ensemble(20, 10, 4, 8)
+    wide = rng.standard_normal((3, 400, 5))
+    return [
+        ("tuner_200x20x10", fig1, rng.standard_normal((200, 20, 10))),
+        ("fig4_4x400x3", n400, rng.standard_normal((4, 400, 3))),
+        ("case2_7x20x10", case2, rng.standard_normal((7, 20, 10))),
+        ("stepped_view", fig1, rng.standard_normal((9, 20, 10))[::2]),
+        ("column_view", n400, wide[:, :, 1:4]),
+        ("four_d_2x3", case2, rng.standard_normal((2, 3, 20, 10))),
+        ("single_2d", n400, rng.standard_normal((400, 3))),
+    ]
+
+
+STACKS = _stacks()
+
+
+@pytest.mark.parametrize("name, ens, u", STACKS, ids=[s[0] for s in STACKS])
+def test_grad_stack_rows_match_the_leading_axis_einsum(name, ens, u):
+    assert same_bits(co.grad_stack(ens, u), legacy_grad_stack(ens, u))
+    if u.ndim > 2:
+        flat = u.reshape(-1, ens.n, ens.d)
+        mine = co.grad_stack(ens, u).reshape(flat.shape)
+        assert all(same_bits(mine[k], co.grad_stack(ens, flat[k])) for k in range(len(flat)))
+
+
+def test_grad_stack_chunks_do_not_change_bits(monkeypatch):
+    name, ens, u = STACKS[0]
+    whole = co.grad_stack(ens, u)
+    for floats, copies in ((1, 1), (ens.hess_stack.size * 3, 3),
+                           (ens.hess_stack.size * 7 + 5, 7), (ens.hess_stack.size * 200, 200)):
+        monkeypatch.setattr(co, "_GRAD_TILE_FLOATS", floats)
+        fresh = replace(ens)  # the tile is built once per ensemble
+        assert len(fresh.hess_tile) == copies * ens.n
+        assert same_bits(co.grad_stack(fresh, u), whole)
+
+
+def test_fig4_sweep_makes_one_gradient_call_per_round(monkeypatch, tmp_path):
+    cfg = hz.resolve_config({"scenario": "fig4_case1_sweep"})
+    net, ens = hz.build_network(cfg), hz.build_ensemble(cfg)
+    calls = []
+    real = alg.grad_stack
+
+    def counting(ensemble, u):
+        calls.append(np.shape(u))
+        return real(ensemble, u)
+
+    monkeypatch.setattr(alg, "grad_stack", counting)
+    hz._run_fig46(cfg, net, ens, tmp_path)
+    k = len(cfg.multipliers) + 1
+    assert len(calls) == cfg.run_iters == 1000
+    assert calls == [(k, net.n, ens.d)] * cfg.run_iters
