@@ -72,6 +72,7 @@ from .operators import (
     estimate_consensus_constants,
     gradient_push_operator,
     legacy_stepsize_threshold,
+    lipschitz_sweep,
     mix_stack,
     operator_lipschitz,
     operator_matrix,

@@ -20,10 +20,13 @@ Scenario families:
   a larger regression instance.
 * ``custom``: certificate (and optional fixed point) only, no assertions.
 
-The environment variable PUSHOPT_THREADS caps worker threads for sweep
-points (0 or 1 means sequential, a non-integer is a ConfigError, and no
+The environment variable PUSHOPT_THREADS caps worker threads for the
+fixed-point solves of the fig3/fig5 sweep (0 or 1 means sequential, and no
 more threads than CPUs are started); results are ordered by grid index so
-the schedule cannot affect any artifact.
+the schedule cannot affect any artifact.  A non-integer value is a
+ConfigError in every scenario, raised before any work.  The Lipschitz
+sweeps of fig2 and of the fixed-point sweep run as one stacked call and use
+no threads.
 """
 
 import json
@@ -472,13 +475,16 @@ def fixed_point_sweep(cfg, net, ensemble, cert, out):
     x_star = co.ensemble_minimizer(ensemble)
     points = cfg.alpha_points
     alphas = [cert.alpha0 * (i + 1) / points for i in range(points)]
+    lips = op.lipschitz_sweep(net, ensemble, alphas)  # one stacked call for every solve
 
-    def sweep_point(a):
-        sol = op.solve_fixed_point(op.OperatorContext(net, ensemble, a), tol=cfg.fp_tol)
+    def sweep_point(point):
+        a, lip = point
+        sol = op.solve_fixed_point(op.OperatorContext(net, ensemble, a), tol=cfg.fp_tol,
+                                   lipschitz=lip)
         err = pi_norm(sol.w - np.outer(net.n * net.pi, x_star), net.pi)
         return err, op.optimality_gap_bound(net, ensemble, cert, a)
 
-    pairs = parallel_map(sweep_point, alphas)
+    pairs = parallel_map(sweep_point, list(zip(alphas, lips)))
     errors = [p[0] for p in pairs]
     bounds = [p[1] for p in pairs]
     write_csv(out / "fp_sweep.csv", ("alpha", "fp_to_opt_err", "thm26_bound"),
@@ -531,6 +537,7 @@ def _finish(report, out):
 
 def run_scenario(cfg):
     """Run one scenario; returns the report or raises ScenarioAssertionError."""
+    _max_workers()  # a malformed PUSHOPT_THREADS fails here, before any work
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     net = build_network(cfg)
@@ -575,9 +582,7 @@ def _run_fig2(cfg, net, ensemble, out):
     alpha0, rate = op.contraction_constant(net, ensemble, case_eps(cfg, ensemble))
     points = cfg.contraction_points
     alphas = [2.0 * alpha0 * (i + 1) / points for i in range(points)]
-    lips = parallel_map(
-        lambda a: op.operator_lipschitz(op.OperatorContext(net, ensemble, a)), alphas
-    )
+    lips = op.lipschitz_sweep(net, ensemble, alphas)
     rows = [(a, lip, 1.0 - rate * a) for a, lip in zip(alphas, lips)]
     write_csv(out / "contraction_sweep.csv",
               ("alpha", "lipschitz", "contraction_envelope"), rows)

@@ -4,13 +4,15 @@ Stacked states live in R^{n*d} and are represented as ndarrays of shape
 (n, d) whose row j is the block of agent j.  Block operators are ndarrays
 of shape (n, n, d, d); block (i, j) acts on block j of a stacked state.
 
-All induced norms are computed through one kernel: similarity-transform the
-matrix by D = diag(sqrt(pi)) (Kronecker-extended for block operators) and
-take the ordinary spectral norm of the result, so the pi-weighted operator
-norm, the mixing norm and the operator Lipschitz constants all share a
-single numeric path.  That path, block power iteration, runs on (K, m, m)
-stacks, each slice rounded as if alone: ``symmetric_extremes`` takes an
-(m, m) matrix or a (K, m, m) stack, and ``spectral_norm`` a stack of one.
+All spectral norms and extreme eigenvalues come from one kernel, block power
+iteration on a psd operator that is only ever applied, never read: the
+kernel hands an ``apply(V, live)`` function its iterated subspace and the
+indices of the slices still live, and gets back their products.  A dense
+caller passes ``B[live] @ V``: ``spectral_norm`` (and through it the
+pi-weighted norm of a matrix, D^-1 M D with D = diag(sqrt(pi))) on the Gram
+product M^T M, and ``symmetric_extremes`` on an (m, m) matrix or a (K, m, m)
+stack.  The operator Lipschitz sweep in ``operators`` passes a matrix-free
+product instead.  Each slice of a stack is rounded as if alone.
 """
 
 import numpy as np
@@ -90,7 +92,7 @@ def spectral_norm(M):
     ``_EIG_TOL`` relative to the estimate.
     """
     M = _finite(M)
-    return float(np.sqrt(_restarted_top_eig((M.T @ M)[None])[0])) if M.size else 0.0
+    return float(np.sqrt(_stack_top_eig((M.T @ M)[None])[0])) if M.size else 0.0
 
 
 def _finite(M):
@@ -100,21 +102,41 @@ def _finite(M):
     return M
 
 
-def _restarted_top_eig(B, scale=None):
-    """``spectral_norm``'s restart loop per slice of a (K, m, m) stack, with an
+def _live_rows(stack):
+    """``rows(live)`` gives ``stack[live]``, indexing again only for a new
+    ``live`` array (the kernel passes the same one while its live set holds)
+    and never while every slice is live."""
+    held = [None, stack]
+
+    def rows(live):
+        if live is not held[0]:
+            held[:] = live, stack if len(live) == len(stack) else stack[live]
+        return held[1]
+    return rows
+
+
+def _stack_top_eig(B, scale=None):
+    """``_restarted_top_eig`` of each slice of a dense (K, m, m) stack."""
+    rows = _live_rows(B)
+    return _restarted_top_eig(lambda V, live: rows(live) @ V, len(B), B.shape[-1], scale)
+
+
+def _restarted_top_eig(apply, count, size, scale=None):
+    """``spectral_norm``'s restart loop for ``count`` psd operators of order
+    ``size``, each given by ``apply`` (see ``_top_eig_psd``), with an
     optional per-slice absolute ``scale``."""
-    best, live = np.zeros(len(B)), np.arange(len(B))
+    best, live = np.zeros(count), np.arange(count)
     for r in range(_EIG_RESTARTS):
-        if not len(B):
+        if not len(live):
             break
-        lam = _top_eig_psd(B, start_index=r, scale=scale)
+        lam = _top_eig_psd(apply, live, size, start_index=r, scale=scale)
         best[live] = np.maximum(best[live], lam)
         if r:
             stop = _EIG_TOL * (scale if scale is not None else np.maximum(best[live], _STOP_FLOOR))
             going = ~(np.abs(lam - prev) <= stop)
-            # copy the stack only on a restart where some slice finished
-            live, B, lam = (live, B, lam) if going.all() else (live[going], B[going], lam[going])
-            scale = None if scale is None else scale[going]
+            if not going.all():
+                live, lam = live[going], lam[going]
+                scale = None if scale is None else scale[going]
         prev = lam
     return best
 
@@ -128,18 +150,23 @@ def _start_block(size, index, block):
     return np.linalg.qr(V)[0]
 
 
-def _top_eig_psd(B, start_index=0, scale=None):
-    """Top eigenvalue of each slice of a (K, m, m) psd stack from one start; a
-    slice leaves once its residual passes, relative or at its ``scale``."""
-    size = B.shape[-1]
+def _top_eig_psd(apply, live, size, start_index=0, scale=None):
+    """Top eigenvalue of each slice in ``live`` from one start, in that order.
+
+    ``apply(V, live)`` returns the slices' products with V, a (size, b)
+    block shared by all slices on the first step and a (len(live), size, b)
+    stack after it; ``live`` is replaced by a new array whenever a slice
+    leaves, which it does once its residual passes, relative or at its
+    ``scale``.
+    """
     # keep the subspace strictly smaller than the space so this stays a
     # genuine iteration rather than a one-shot dense diagonalization
     b = max(1, min(_EIG_BLOCK, size - 1)) if size > 1 else 1
     V = _start_block(size, start_index, b)
-    floor = np.maximum(np.zeros(len(B)) if scale is None else scale, _STOP_FLOOR)
-    out, live = np.zeros(len(B)), np.arange(len(B))
+    floor = np.maximum(np.zeros(len(live)) if scale is None else scale, _STOP_FLOOR)
+    out, pos = np.zeros(len(live)), np.arange(len(live))
     for _ in range(_EIG_MAX_ITER):
-        U = B @ V
+        U = apply(V, live)
         G = V.swapaxes(-1, -2) @ U
         ritz, vecs = np.linalg.eigh(0.5 * (G + G.swapaxes(1, 2)))
         top = vecs[:, :, -1:]
@@ -147,10 +174,10 @@ def _top_eig_psd(B, start_index=0, scale=None):
         # 1-D dot per slice, rounded as np.linalg.norm; U == 0 passes with Ritz value 0
         done = np.sqrt((r.swapaxes(1, 2) @ r)[:, 0, 0]) <= _EIG_TOL * np.maximum(ritz[:, -1], floor)
         if done.any():
-            out[live[done]] = np.maximum(ritz[done, -1], 0.0)
+            out[pos[done]] = np.maximum(ritz[done, -1], 0.0)
             if done.all():
                 return out
-            live, B, U, floor = live[~done], B[~done], U[~done], floor[~done]
+            pos, live, U, floor = pos[~done], live[~done], U[~done], floor[~done]
         V, _ = np.linalg.qr(U)
     raise NoConvergenceError(
         f"eigen-residual above tolerance {_EIG_TOL} after {_EIG_MAX_ITER} power iterations"
@@ -171,12 +198,12 @@ def symmetric_extremes(H):
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or not H.shape[-1]:
         raise DimensionMismatchError(f"expected an (m, m) matrix or (K, m, m) stack, got {H.shape}")
     stack = H.reshape((-1,) + H.shape[-2:])
-    lam_max = _restarted_top_eig(stack)
+    lam_max = _stack_top_eig(stack)
     lam_min = np.zeros_like(lam_max)
     pos = lam_max != 0.0
     top = lam_max[pos]
-    lam_min[pos] = top - _restarted_top_eig(top[:, None, None] * np.eye(H.shape[-1]) - stack[pos],
-                                            scale=top)
+    lam_min[pos] = top - _stack_top_eig(top[:, None, None] * np.eye(H.shape[-1]) - stack[pos],
+                                        scale=top)
     return (float(lam_max[0]), float(lam_min[0])) if H.ndim == 2 else (lam_max, lam_min)
 
 
@@ -195,8 +222,11 @@ def induced_pi_norm(M, pi):
             raise DimensionMismatchError(f"matrix {M.shape} vs {pi.shape[0]} weights")
         T = M * (s[None, :] / s[:, None])
     elif M.ndim == 4:
-        if M.shape[0] != pi.shape[0]:
-            raise DimensionMismatchError(f"operator {M.shape} vs {pi.shape[0]} weights")
+        n, m, d, e = M.shape
+        if n != m or d != e or n != pi.shape[0]:
+            raise DimensionMismatchError(
+                f"operator {M.shape} vs {pi.shape[0]} weights: expected (n, n, d, d)"
+            )
         T = flatten_block_operator(M * (s[None, :, None, None] / s[:, None, None, None]))
     else:
         raise DimensionMismatchError(f"expected a matrix or block operator, got ndim={M.ndim}")

@@ -15,6 +15,8 @@ computes:
 * the certified stepsize ceiling and contraction rate for both benchmark
   cost cases,
 * the measured operator Lipschitz constant for quadratic-Hessian costs,
+  from products with the operator and its transpose, never its nd x nd
+  matrix, for a whole stack of stepsizes at once,
 * the fixed point by a dense solve, certified by Picard steps with an
   a-posteriori stopping bound,
 * the empirical push-sum constants (coefficient of the 1/y gap and the
@@ -41,12 +43,20 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .linalg import flatten_block_operator, induced_pi_norm, pi_norm, solve_refined
+from .linalg import (
+    _EIG_BLOCK,
+    _live_rows,
+    _restarted_top_eig,
+    flatten_block_operator,
+    pi_norm,
+    solve_refined,
+)
 
 _PICARD_MAX_ITER = 1_000_000  # Picard steps per pass of the fixed-point polish
 _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
 CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
+_LIP_BLOCK_FLOATS = 1 << 14  # floats of the (k, nd, b) subspace of one lipschitz_sweep chunk
 
 
 @dataclass(frozen=True)
@@ -200,16 +210,81 @@ def operator_matrix(ctx):
     taken at w_j / (n pi_j).  Only defined for quadratic-Hessian costs.
     """
     net, ens = ctx.net, ctx.ensemble
-    if any(c.kind not in ("quadratic", "regularized_ls") for c in ens.costs):
-        raise NonQuadraticError("operator matrix needs costs with constant Hessians")
+    _require_constant_hessians(ens)
     scale = ctx.alpha / (net.n * net.pi)
     S = np.eye(ens.d)[None, :, :] - scale[:, None, None] * ens.hess_stack
     return net.W[:, :, None, None] * S[None, :, :, :]
 
 
+def _require_constant_hessians(ensemble):
+    if any(c.kind not in ("quadratic", "regularized_ls") for c in ensemble.costs):
+        raise NonQuadraticError(
+            "the limit operator is linear only for costs with constant Hessians"
+        )
+
+
 def operator_lipschitz(ctx):
-    """Measured Lipschitz constant of the limit operator in the weighted norm."""
-    return induced_pi_norm(operator_matrix(ctx), ctx.net.pi)
+    """Measured Lipschitz constant of the limit operator in the weighted norm:
+    ``lipschitz_sweep`` at the one stepsize ``ctx.alpha``."""
+    return float(lipschitz_sweep(ctx.net, ctx.ensemble, [ctx.alpha])[0])
+
+
+def lipschitz_sweep(net, ensemble, alphas):
+    """Measured Lipschitz constant of the limit operator at each stepsize.
+
+    In the pi-weighted norm the operator's linear part is
+    T = D^-1 (W kron I_d) blockdiag(S_j) D with S_j = I_d - alpha/(n pi_j) H_j
+    and D = diag(s) kron I_d, s = sqrt(pi); its Lipschitz constant is the
+    spectral norm of T.  The block power iteration of ``spectral_norm`` runs
+    on T^T T, applied blockwise as T x = (W @ (S_j (s_j x_j))) / s_k and
+    T^T y = s_j S_j^T (W^T @ (y_k / s_k)), so no nd x nd matrix is formed and
+    a column costs O(n^2 d + n d^2).  The stepsizes run as one stack, in
+    chunks of at most ``_LIP_BLOCK_FLOATS`` subspace floats; each value has
+    the bits of its own one-stepsize call.  Returns a float array, empty for
+    an empty ``alphas``.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the network and the ensemble differ in n, or ``alphas`` is not 1-D.
+    NonQuadraticError
+        If a cost has no constant Hessian.
+    InvalidRateError
+        If a stepsize is not positive and finite.
+    """
+    if net.n != ensemble.n:
+        raise DimensionMismatchError(f"network has {net.n} agents, ensemble {ensemble.n}")
+    _require_constant_hessians(ensemble)
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise DimensionMismatchError(f"expected a 1-D sequence of stepsizes, got {alphas.shape}")
+    bad = ~(np.isfinite(alphas) & (alphas > 0.0))
+    if bad.any():
+        raise InvalidRateError(f"stepsizes must be positive and finite, got {alphas[bad][0]}")
+    n, d, s = net.n, ensemble.d, np.sqrt(net.pi)
+    chunk = max(1, _LIP_BLOCK_FLOATS // (n * d * _EIG_BLOCK))
+    out = np.empty(len(alphas))
+    for lo in range(0, len(alphas), chunk):
+        scale = alphas[lo:lo + chunk, None] / (n * net.pi)
+        S = np.eye(d) - scale[:, :, None, None] * ensemble.hess_stack
+        out[lo:lo + chunk] = _restarted_top_eig(_gram_apply(net.W, s, S), len(S), n * d)
+    return np.sqrt(out)
+
+
+def _gram_apply(W, s, S):
+    """``apply`` of T^T T for the live slices of S, a (K, n, d, d) stack of the
+    blocks S_j, in the order of T = D^-1 (W kron I_d) blockdiag(S_j) D."""
+    rows = _live_rows(S)
+    n, d = S.shape[1:3]
+    s_block, s_row = s[:, None, None], s[:, None]
+
+    def apply(V, live):
+        S = rows(live)
+        X = S @ (s_block * V.reshape(V.shape[:-2] + (n, d, -1)))
+        Y = (W @ X.reshape(len(S), n, -1)) / s_row
+        Z = (W.T @ (Y / s_row)).reshape(X.shape)
+        return (s_block * (S.swapaxes(-1, -2) @ Z)).reshape(len(S), n * d, -1)
+    return apply
 
 
 def contraction_constant(net, ensemble, eps=None):
@@ -269,14 +344,14 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
     if not tol >= 0.0:
         raise ValidationError(f"fixed-point tolerance must be nonnegative, got {tol}")
     net, ens = ctx.net, ctx.ensemble
-    M = operator_matrix(ctx)
-    lip = induced_pi_norm(M, net.pi) if lipschitz is None else lipschitz
+    lip = operator_lipschitz(ctx) if lipschitz is None else lipschitz
     if lip >= 1.0:
         raise NotContractiveError(f"no contraction at alpha={ctx.alpha}: Lipschitz {lip}")
     factor = lip / (1.0 - lip) if lip > 0.0 else 0.0
     zero = np.zeros((net.n, ens.d))
     offset = gradient_push_operator(ctx, zero).ravel()
-    start = solve_refined(np.eye(zero.size) - flatten_block_operator(M), offset)
+    M = flatten_block_operator(operator_matrix(ctx))
+    start = solve_refined(np.eye(zero.size) - M, offset)
     found = _picard(ctx, start.reshape(zero.shape), factor, tol) or _picard(ctx, zero, factor, tol)
     if found is None:
         raise NoConvergenceError(

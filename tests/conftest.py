@@ -3,6 +3,8 @@ import pytest
 
 from pushopt import costs as co
 from pushopt import network as nw
+from pushopt import operators as op
+from pushopt.linalg import induced_pi_norm
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +62,9 @@ def svd_norm_oracle(M):
 def induced_pi_norm_oracle(M, pi):
     s = np.sqrt(pi)
     return svd_norm_oracle(M * (s[None, :] / s[:, None]))
+
+
+def dense_lipschitz_oracle(ctx):
+    """The operator Lipschitz constant by the dense path: the pi-weighted norm
+    of the (n, n, d, d) operator, which forms three (nd)^2 arrays."""
+    return induced_pi_norm(op.operator_matrix(ctx), ctx.net.pi)

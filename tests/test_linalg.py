@@ -124,6 +124,16 @@ def test_kron_lift_preserves_induced_norm():
         assert lifted == pytest.approx(plain, rel=1e-10)
 
 
+@pytest.mark.parametrize("shape", [
+    (3, 2, 2, 2), (3, 4, 2, 2),  # (n, m, d, d) with m != n
+    (3, 3, 2, 3),  # non-square blocks
+    (2, 2, 2, 2), (3, 3, 2),  # n against 3 weights; ndim 3
+])
+def test_induced_pi_norm_rejects_a_malformed_operator(shape):
+    with pytest.raises(DimensionMismatchError):
+        la.induced_pi_norm(np.ones(shape), np.full(3, 1.0 / 3.0))
+
+
 def test_symmetric_extremes_trivial_and_oracle():
     assert la.symmetric_extremes(np.diag([3.0, 1.0])) == pytest.approx((3.0, 1.0), rel=1e-9)
     rng = np.random.default_rng(8)
