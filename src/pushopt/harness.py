@@ -19,19 +19,9 @@ Scenario families:
 * ``fig1_hybrid``: gradient-push vs Push-DIGing vs the hybrid schedule on
   a larger regression instance.
 * ``custom``: certificate (and optional fixed point) only, no assertions.
-
-The environment variable PUSHOPT_THREADS caps worker threads for the
-fixed-point solves of the fig3/fig5 sweep (0 or 1 means sequential, and no
-more threads than CPUs are started); results are ordered by grid index so
-the schedule cannot affect any artifact.  A non-integer value is a
-ConfigError in every scenario, raised before any work.  The Lipschitz
-sweeps of fig2 and of the fixed-point sweep run as one stacked call and use
-no threads.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -57,11 +47,6 @@ SCENARIOS = (
 # offset separating the cost stream from the network stream when only one
 # master seed is given
 COST_SEED_OFFSET = 1000003
-
-# stepsizes the original experiments report for the fig1-class instance;
-# kept as documented reference values, resolution is instance-relative
-FIG1_REFERENCE_ALPHA_GP = 0.0297
-FIG1_REFERENCE_ALPHA_PD = 0.001175
 
 # thresholds of the inline scenario assertions, shared with the acceptance gate
 _PLATEAU_WINDOW = 50  # trailing trace entries averaged into a plateau
@@ -231,23 +216,6 @@ def build_ensemble(cfg):
     if cfg.case == "case1":
         return co.make_case1_ensemble(cfg.n, cfg.d, cfg.m, cfg.delta_reg, seed)
     return co.make_case2_ensemble(cfg.n, cfg.d, cfg.m_rank, seed)
-
-
-def _max_workers():
-    value = os.environ.get("PUSHOPT_THREADS", "0")
-    try:
-        return min(int(value), os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"PUSHOPT_THREADS must be an integer, got {value!r}") from None
-
-
-def parallel_map(fn, items):
-    """Map preserving order; threaded only when PUSHOPT_THREADS > 1."""
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _fmt(value):
@@ -476,17 +444,12 @@ def fixed_point_sweep(cfg, net, ensemble, cert, out):
     points = cfg.alpha_points
     alphas = [cert.alpha0 * (i + 1) / points for i in range(points)]
     lips = op.lipschitz_sweep(net, ensemble, alphas)  # one stacked call for every solve
-
-    def sweep_point(point):
-        a, lip = point
+    errors, bounds = [], []
+    for a, lip in zip(alphas, lips):
         sol = op.solve_fixed_point(op.OperatorContext(net, ensemble, a), tol=cfg.fp_tol,
                                    lipschitz=lip)
-        err = pi_norm(sol.w - np.outer(net.n * net.pi, x_star), net.pi)
-        return err, op.optimality_gap_bound(net, ensemble, cert, a)
-
-    pairs = parallel_map(sweep_point, list(zip(alphas, lips)))
-    errors = [p[0] for p in pairs]
-    bounds = [p[1] for p in pairs]
+        errors.append(pi_norm(sol.w - np.outer(net.n * net.pi, x_star), net.pi))
+        bounds.append(op.optimality_gap_bound(net, ensemble, cert, a))
     write_csv(out / "fp_sweep.csv", ("alpha", "fp_to_opt_err", "thm26_bound"),
               list(zip(alphas, errors, bounds)))
     return alphas, errors, bounds
@@ -537,7 +500,6 @@ def _finish(report, out):
 
 def run_scenario(cfg):
     """Run one scenario; returns the report or raises ScenarioAssertionError."""
-    _max_workers()  # a malformed PUSHOPT_THREADS fails here, before any work
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     net = build_network(cfg)

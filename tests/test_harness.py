@@ -1,5 +1,4 @@
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -72,24 +71,6 @@ def test_resolve_config_rejects_bad_input():
 def test_resolve_config_rejects_mistyped_numbers(key, value):
     with pytest.raises(ConfigError, match=rf"^{key} must"):
         hz.resolve_config({"scenario": "fig5_case2", key: value})
-
-
-def test_thread_count_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(hz.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("PUSHOPT_THREADS", "64")
-    assert hz._max_workers() == 2
-    pools = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(hz, "ThreadPoolExecutor", Pool)
-    assert hz.parallel_map(abs, [-1, 2, -3]) == [1, 2, 3]
-    assert pools == [2]
-    monkeypatch.setattr(hz.os, "cpu_count", lambda: None)
-    assert hz._max_workers() == 1
 
 
 def test_config_overrides_apply():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import apply_block_operator, induced_pi_norm_oracle, kron_block, svd_norm_oracle
 from pushopt import linalg as la
-from pushopt.errors import DimensionMismatchError, NoConvergenceError
+from pushopt.errors import DimensionMismatchError, NoConvergenceError, NumericError
 
 
 def test_pi_norm_trivial_values():
@@ -164,3 +164,12 @@ def test_block_power_iteration_raises_at_its_cap(monkeypatch):
     M = np.random.default_rng(8).standard_normal((30, 30))
     with pytest.raises(NoConvergenceError, match="after 1 power iterations"):
         la.spectral_norm(M)
+
+
+def test_block_power_iteration_at_the_edge_of_float_range():
+    M = np.random.default_rng(8).standard_normal((30, 30))
+    # the Gram product's residual squared overflows here; its norm does not
+    assert la.spectral_norm(1e100 * M) == pytest.approx(1e100 * la.spectral_norm(M), rel=1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite Ritz block"):
+            la.spectral_norm(1e160 * M)
