@@ -17,13 +17,13 @@ last gradient g = grad F(z)):
 Carrying g makes one gradient evaluation per round: grad F(z_old) is the
 previous round's g_new, so the round is bit-identical to recomputing it.
 
-A stepsize sweep (``gp_sweep``) runs gradient-push at K stepsizes as one
-stacked (K, n, d) state through the same round.  The weights y do not
-depend on the stepsize, so the stack shares one (n,) y and each round
-makes one ``W @ y``; ``W @ x`` is one gemm per slice, and the gradient,
-the divergence check and the trace metrics are one call each for the
-whole stack.  Every slice rounds and is measured bit for bit like its own
-run, and ``gp_run`` is the sweep of one.
+Every run goes through one stacked round loop, ``_sweep``, which runs K
+stepsizes as one (K, n, d) state.  The weights y do not depend on the
+stepsize, so the stack shares one (n,) y and each round makes one
+``W @ y``; ``W @ x`` is one gemm per slice, and the gradient, the
+divergence check and the trace metrics are one call each for the whole
+stack.  Every slice rounds and is measured bit for bit like its own run.
+``gp_sweep``, ``pd_run`` (K=1) and the Push-DIGing tuner are its callers.
 
 The hybrid schedule runs gradient-push with a large stepsize for a warm
 start, then hands (w, y, z, grad F(z)) to Push-DIGing for exact
@@ -204,71 +204,81 @@ def _sum_z_err(z, x_star):
     return np.sqrt((diff * diff).sum(axis=-1)).sum(axis=-1)
 
 
-def _recorder(traces, net, refs, phase):
+def _recorder(traces, net, refs, phase, mixed):
     """A function appending one metrics record to each of ``traces`` per call.
 
-    ``record(live, mixed, z, t, flags)`` measures (K, n, d) stacks whose
-    slice i belongs to ``traces[live[i]]``: (sum_z_err, w_fp_err,
-    w_opt_err) against the available references.  Each slice is reduced
-    over its own axes, with the bits of measuring it alone.  The optimum's
-    mixed state n * pi_j * x_star is built once per run.
+    ``record(live, state, flags)`` measures a stacked state whose slice i
+    belongs to ``traces[live[i]]``: (sum_z_err, w_fp_err, w_opt_err) of its
+    ratios z and its mixed state, the field ``mixed``, against the available
+    references.  Each slice has the bits of measuring it alone.  The
+    optimum's mixed state n * pi_j * x_star is built once per run.
     """
     target = None if refs.x_star is None else np.outer(net.n * net.pi, refs.x_star)
 
-    def record(live, mixed, z, t, flags):
+    def record(live, state, flags):
         sum_z = fp = opt = [None] * len(live)
+        w = getattr(state, mixed)
         with np.errstate(over="ignore", invalid="ignore"):
             if refs.x_star is not None:
-                sum_z = _sum_z_err(z, refs.x_star).tolist()
-                opt = pi_norm(mixed - target, net.pi).tolist()
+                sum_z = _sum_z_err(state.z, refs.x_star).tolist()
+                opt = pi_norm(w - target, net.pi).tolist()
             if refs.w_fixed is not None:
-                fp = pi_norm(mixed - refs.w_fixed, net.pi).tolist()
+                fp = pi_norm(w - refs.w_fixed, net.pi).tolist()
         for k, s, f, o, flag in zip(live, sum_z, fp, opt, flags):
-            traces[k].records.append(RunRecord(t=t, phase=phase, sum_z_err=s, w_fp_err=f,
+            traces[k].records.append(RunRecord(t=state.t, phase=phase, sum_z_err=s, w_fp_err=f,
                                                w_opt_err=o, diverged=bool(flag)))
 
     return record
 
 
-def gp_sweep(net, ensemble, alphas, x0, iters, refs=None):
-    """Gradient-push from x0 at each stepsize of ``alphas``: one trace each.
+def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None):
+    """Run ``init`` for ``iters`` rounds at each stepsize of ``alphas``.
 
-    The stepsizes run as one stacked (K, n, d) state through ``gp_step``:
-    the weights y do not depend on the stepsize, so each round makes one
-    ``W @ y``, one stacked ``W @ x`` (a gemm per slice), one gradient call,
-    one divergence check and one metrics call for every running slice,
-    and each slice rounds exactly like its own run.  Each trace starts
-    with a t=0 record of the initial state (mixed state taken equal to
-    x0).  A slice stops at the round whose record is flagged, once any of
-    its block norms crosses the divergence threshold; the others run on.
+    The fields ``names`` of ``init`` are stacked, one slice per stepsize.
+    Each round makes one ``step``, one ``flagged`` and, if given, one
+    ``record(live, state, flags)`` call, the initial state included.  A
+    slice leaves the stack at its first flagged round.  Returns each
+    slice's (final state, flagged), the state unstacked.
     """
     if iters < 0:
         raise ValidationError("iteration count must be >= 0")
     if len(alphas) == 0:
         raise ValidationError("need at least one stepsize")
-    init = init_gp_state(net, ensemble, x0)
-    refs = refs or RunRefs()
-    traces = [RunTrace() for _ in alphas]
-    record = _recorder(traces, net, refs, PHASE_GP)
+    out = [None] * len(alphas)
+    live = np.arange(len(alphas))  # the stepsize index of each slice of the stack
     alpha = np.asarray(alphas, dtype=float)[:, None, None]
-    live = list(range(len(alphas)))  # the trace index of each slice of the stack
     state = replace(init, **{name: np.repeat(getattr(init, name)[None], len(alphas), axis=0)
-                             for name in ("x", "w", "z")})
-    flags = gp_diverged(state).tolist()
-    for t in range(iters + 1):
-        record(live, state.w, state.z, t, flags)
-        if t == iters or any(flags):
-            keep = [t < iters and not flag for flag in flags]
-            for k, kept, x, w, z in zip(live, keep, state.x, state.w, state.z):
-                if not kept:
-                    traces[k].final_state = GradientPushState(t=t, x=x, w=w, z=z, y=state.y)
-            if not any(keep):
+                             for name in names})
+    flags = flagged(state)
+    for r in range(iters + 1):
+        if record is not None:
+            record(live, state, flags)
+        if r == iters or flags.any():
+            keep = ~flags & (r < iters)
+            stack = {name: getattr(state, name) for name in names}
+            take = np.copy if keep.any() else (lambda a: a)  # a retiree must not hold the stack
+            for i in np.flatnonzero(~keep):
+                out[live[i]] = replace(state, **{n: take(a[i]) for n, a in stack.items()}), flags[i]
+            if not keep.any():
                 break
-            live = [k for k, kept in zip(live, keep) if kept]
-            alpha = alpha[keep]
-            state = replace(state, x=state.x[keep], w=state.w[keep], z=state.z[keep])
-        state = gp_step(net, ensemble, alpha, state)
-        flags = gp_diverged(state).tolist()
+            live, alpha = live[keep], alpha[keep]
+            state = replace(state, **{n: a[keep] for n, a in stack.items()})
+        state = step(net, ensemble, alpha, state)
+        flags = flagged(state)
+    return out
+
+
+def gp_sweep(net, ensemble, alphas, x0, iters, refs=None):
+    """Gradient-push from x0 at each stepsize of ``alphas``: one trace each,
+    starting with a t=0 record of the initial state (mixed state taken equal
+    to x0).  A slice stops at its first flagged record; the others run on.
+    """
+    traces = [RunTrace() for _ in alphas]
+    record = _recorder(traces, net, refs or RunRefs(), PHASE_GP, "w")
+    ends = _sweep(net, ensemble, gp_step, gp_diverged, ("x", "w", "z"), alphas,
+                  init_gp_state(net, ensemble, x0), iters, record)
+    for trace, (state, _) in zip(traces, ends):
+        trace.final_state = state
     return traces
 
 
@@ -284,7 +294,8 @@ def gp_run(net, ensemble, alpha, x0, iters, refs=None):
 
 
 def pd_run(net, ensemble, alpha, init, iters, refs=None):
-    """Run Push-DIGing for ``iters`` rounds from an explicit initial state.
+    """Run Push-DIGing for ``iters`` rounds from an explicit initial state:
+    the one-stepsize ``_sweep`` from ``init``, whose t it keeps.
 
     The state's shapes and its carried gradient are checked first
     (``DimensionMismatchError``, ``ValidationError``); that check costs one
@@ -294,20 +305,11 @@ def pd_run(net, ensemble, alpha, init, iters, refs=None):
     of the mixed state for the optimality metric; the fixed-point metric is
     left empty since the fixed point belongs to the gradient-push operator.
     """
-    if iters < 0:
-        raise ValidationError("iteration count must be >= 0")
     _check_pd_init(net, ensemble, init)
-    refs = refs or RunRefs()
-    state = init
     trace = RunTrace()
-    record = _recorder([trace], net, RunRefs(x_star=refs.x_star), PHASE_PD)
-    record([0], state.x[None], state.z[None], state.t, [pd_diverged(state)])
-    for _ in range(iters):
-        if trace.records[-1].diverged:
-            break
-        state = pd_step(net, ensemble, alpha, state)
-        record([0], state.x[None], state.z[None], state.t, [pd_diverged(state)])
-    trace.final_state = state
+    record = _recorder([trace], net, RunRefs(x_star=refs.x_star if refs else None), PHASE_PD, "x")
+    ((trace.final_state, _),) = _sweep(net, ensemble, pd_step, pd_diverged, ("x", "z", "v", "g"),
+                                       [alpha], init, iters, record)
     return trace
 
 

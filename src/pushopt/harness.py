@@ -22,7 +22,7 @@ Scenario families:
 """
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -338,24 +338,19 @@ _TUNE_BLOCK_FLOATS = 1 << 20
 def _pd_candidates(net, ensemble, alphas, x0, iters, x_star):
     """(diverged, first, last) of Push-DIGing from x0 at each stepsize.
 
-    All stepsizes run as one stacked (K, n, d) state through ``pd_step``,
-    and each slice rounds exactly like its own run.  ``diverged`` flags a
-    candidate any of whose rounds crossed the divergence threshold;
-    ``first`` and ``last`` are the starting and final ``sum_z_err`` (a
-    flagged candidate's ``last`` is meaningless).
+    All stepsizes run as one stacked (K, n, d) state through ``pd_step``
+    (see ``algorithms._sweep``), and each slice rounds exactly like its
+    own run.  ``diverged`` flags a candidate whose block norms crossed the
+    divergence threshold; it stops being stepped at that round.  ``first``
+    and ``last`` are the starting and final ``sum_z_err`` (a flagged
+    candidate's ``last`` is meaningless).
     """
     init = alg.init_pd_state(net, ensemble, x0)
-    k = len(alphas)
-    state = replace(init, **{name: np.repeat(getattr(init, name)[None], k, axis=0)
-                             for name in ("x", "z", "v", "g")})
-    alpha = np.asarray(alphas)[:, None, None]
-    diverged = alg.pd_diverged(state)
-    for _ in range(iters):
-        state = alg.pd_step(net, ensemble, alpha, state)
-        diverged |= alg.pd_diverged(state)
+    ends = alg._sweep(net, ensemble, alg.pd_step, alg.pd_diverged, ("x", "z", "v", "g"),
+                      alphas, init, iters)
     with np.errstate(over="ignore", invalid="ignore"):
-        last = alg._sum_z_err(state.z, x_star).tolist()
-    return diverged, float(alg._sum_z_err(init.z, x_star)), last
+        last = [float(alg._sum_z_err(state.z, x_star)) for state, _ in ends]
+    return [flag for _, flag in ends], float(alg._sum_z_err(init.z, x_star)), last
 
 
 def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):

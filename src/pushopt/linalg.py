@@ -76,6 +76,7 @@ def solve_refined(A, b):
     return x + qr_solve(residual.astype(float))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram product fails in the kernel
 def spectral_norm(M):
     """Largest singular value by block power iteration on M^T M.
 

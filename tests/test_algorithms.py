@@ -220,9 +220,16 @@ def test_hybrid_stops_at_a_diverged_warm_start(net20, ens_case1, mult):
 
 
 def test_hybrid_validation(net20, ens_case1):
+    x0 = np.zeros((net20.n, ens_case1.d))
     with pytest.raises(ValidationError):
-        alg.hybrid_run(net20, ens_case1, 0.1, 0.001, 10, 5,
-                       np.zeros((net20.n, ens_case1.d)))
+        alg.hybrid_run(net20, ens_case1, 0.1, 0.001, 10, 5, x0)
+    # the shared round loop's own checks, reached through every run
+    init = alg.init_pd_state(net20, ens_case1, x0)
+    with pytest.raises(ValidationError, match="at least one stepsize"):
+        alg._sweep(net20, ens_case1, alg.pd_step, alg.pd_diverged, ("x", "z", "v", "g"), [],
+                   init, 5)
+    with pytest.raises(ValidationError, match=">= 0"):
+        alg.pd_run(net20, ens_case1, 0.001, init, -1)
 
 
 def test_runs_stay_under_certified_envelope(net20, ens_case1):

@@ -11,6 +11,7 @@ from pushopt.errors import (
     ConfigError,
     InvalidRateError,
     ScenarioAssertionError,
+    ValidationError,
 )
 
 
@@ -187,6 +188,9 @@ def test_tune_pd_all_diverged():
     with pytest.raises(AllDivergedError):
         hz.tune_pd_stepsize(net, ens, grid_start=10.0, grid_step=1.0,
                             budget=4, iters=300)
+    # a negative round count is a typed error, not zero rounds without progress
+    with pytest.raises(ValidationError, match=">= 0"):
+        hz.tune_pd_stepsize(net, ens, grid_start=0.5, grid_step=0.5, budget=4, iters=-1)
 
 
 def test_scenario_assertion_failure_still_writes_artifacts(tmp_path, monkeypatch):

@@ -170,6 +170,5 @@ def test_block_power_iteration_at_the_edge_of_float_range():
     M = np.random.default_rng(8).standard_normal((30, 30))
     # the Gram product's residual squared overflows here; its norm does not
     assert la.spectral_norm(1e100 * M) == pytest.approx(1e100 * la.spectral_norm(M), rel=1e-9)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="non-finite Ritz block"):
-            la.spectral_norm(1e160 * M)
+    with pytest.raises(NumericError, match="non-finite Ritz block"):
+        la.spectral_norm(1e160 * M)

@@ -59,19 +59,34 @@ def _fig1_problem(**overrides):
     ({}, None, None, 20),
     ({"net_seed": 7}, 0.01, 0.005, 20),
 ], ids=["fig1_default_grid_head", "crossing_divergence"])
-def test_stacked_candidates_match_sequential_runs(overrides, start, step, count):
+def test_stacked_candidates_match_sequential_runs(monkeypatch, overrides, start, step, count):
+    """Each candidate keeps the outcome of its own run, and a flagged one
+    leaves the stack: it is not stepped past its flagged round."""
     cfg, net, ens = _fig1_problem(**overrides)
     start = cfg.tune_grid_start if start is None else start
     step = cfg.tune_grid_step if step is None else step
     alphas = [start + step * k for k in range(count)]
     x_star = co.ensemble_minimizer(ens)
+    stepped = []
+    pd_step = alg.pd_step
+
+    def counted(net, ensemble, alpha, state):
+        stepped.append(len(state.x))
+        return pd_step(net, ensemble, alpha, state)
+
+    monkeypatch.setattr(alg, "pd_step", counted)
     diverged, first, lasts = hz._pd_candidates(net, ens, alphas, np.zeros((net.n, ens.d)),
                                                cfg.tune_iters, x_star)
+    monkeypatch.setattr(alg, "pd_step", pd_step)
     stacked = [(bool(f), first, None if f else last) for f, last in zip(diverged, lasts)]
     oracle = [sequential_outcome(net, ens, a, cfg.tune_iters, x_star) for a in alphas]
     assert stacked == oracle
+    assert len(stepped) == cfg.tune_iters == 500
     if overrides:
         assert 0 < sum(f for f, _, _ in oracle) < count
+        assert sum(stepped) < count * cfg.tune_iters
+    else:
+        assert stepped == [count] * cfg.tune_iters
 
 
 def test_stacked_tuner_matches_sequential_walk_across_divergence():
