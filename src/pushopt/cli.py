@@ -84,7 +84,7 @@ def build_parser():
     _add_problem(p)
     p.add_argument("--alpha", type=float)
     p.add_argument("--alpha-mult", type=float, dest="alpha_mult")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, dest="fp_tol")
 
     p = sub.add_parser("sweep-contraction", help="Lipschitz constant over (0, 2 alpha0]")
     _add_common(p)
@@ -203,8 +203,7 @@ def _cmd_fixed_point(args):
     cfg = _gather_config(args, "custom")
     net, ensemble = _resolve_problem(cfg)
     alpha = hz.resolve_alpha(cfg, net, ensemble)
-    tol = args.tol if args.tol is not None else cfg.fp_tol
-    fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, alpha), tol=tol)
+    fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, alpha), tol=cfg.fp_tol)
     _dump_json(_out(cfg) / "fixed_point.json", op.fixed_point_to_dict(fp))
     return 0
 

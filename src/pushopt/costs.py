@@ -50,6 +50,7 @@ _PSD_TOL = 1e-10
 _MINIMIZER_TOL = 1e-9  # aggregate gradient residual at x*, relative to 1 + ||x*||
 _STORED_TOL = 1e-8  # relative agreement of a stored L or mu with the recomputed value
 _GRAD_TILE_FLOATS = 1 << 13  # bound on CostEnsemble.hess_tile (64 KB); larger tiles raise peak RSS
+_MAX_ATTEMPTS = 100  # case2 draws before FailedAggregatePDError
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def make_case1_ensemble(n, d, m, delta_reg, seed):
     return cost_ensemble(_with_constants(parts), "case1")
 
 
-def make_case2_ensemble(n, d, m_rank, seed, max_attempts=100):
+def make_case2_ensemble(n, d, m_rank, seed):
     """Rank-deficient quadratic ensemble with a positive definite aggregate.
 
     Resamples from the substream ``seed + attempt`` until the aggregate
@@ -221,7 +222,7 @@ def make_case2_ensemble(n, d, m_rank, seed, max_attempts=100):
             f"aggregate Hessian has rank at most n * m_rank = {n * m_rank} < d = {d}, "
             f"so it cannot be positive definite (n={n}, d={d}, m_rank={m_rank})"
         )
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         parts = []
         for _ in range(n):
@@ -232,7 +233,7 @@ def make_case2_ensemble(n, d, m_rank, seed, max_attempts=100):
         except FailedAggregatePDError:
             continue
     raise FailedAggregatePDError(
-        f"no positive definite aggregate in {max_attempts} attempts "
+        f"no positive definite aggregate in {_MAX_ATTEMPTS} attempts "
         f"(n={n}, d={d}, m_rank={m_rank})"
     )
 

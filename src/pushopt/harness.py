@@ -81,7 +81,6 @@ class ExperimentConfig:
     gp_iters: int = 100
     total_iters: int = 500
     fp_tol: float = 1e-12
-    horizon: int = 500
     contraction_points: int = 200
     alpha_points: int = 40
     tune_grid_start: float = 1e-3
@@ -160,8 +159,7 @@ def _validate_config(cfg):
             f"got n={cfg.n}, m_rank={cfg.m_rank}, d={cfg.d}"
         )
     for name in ("seed", "net_seed", "cost_seed", "run_iters", "gp_iters", "total_iters",
-                 "contraction_points", "alpha_points", "tune_budget", "tune_iters", "horizon",
-                 "fp_tol"):
+                 "contraction_points", "alpha_points", "tune_budget", "tune_iters", "fp_tol"):
         if (getattr(cfg, name) or 0) < 0:
             raise ConfigError(f"{name} must be nonnegative")
     if cfg.alpha_points < 2:
@@ -260,9 +258,8 @@ def case_eps(cfg, ensemble):
 
 
 def certify_config(cfg, net, ensemble, alpha=None):
-    """The certificate of a config's instance, with its eps and horizon."""
-    return op.certify(net, ensemble, eps=case_eps(cfg, ensemble), alpha=alpha,
-                      horizon=cfg.horizon)
+    """The certificate of a config's instance, with its eps."""
+    return op.certify(net, ensemble, eps=case_eps(cfg, ensemble), alpha=alpha)
 
 
 def fit_loglog_slope(x, y):

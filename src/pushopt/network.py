@@ -37,6 +37,7 @@ _PERRON_MAX_ITER = 100_000  # its iterations before NoConvergenceError
 _INVARIANT_TOL = 1e-12  # column sums of W and eigen-residual of pi, on every network
 _STORED_TOL = 1e-9  # agreement of a stored pi and rho with the recomputed values
 _W_ALIGN = 64  # byte boundary of the mixing matrix buffer
+_MAX_ATTEMPTS = 100  # digraph draws before FailedConnectivityError
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def is_strongly_connected(g):
     return True
 
 
-def generate_digraph(n, p, seed, max_attempts=100):
+def generate_digraph(n, p, seed):
     """Sample a strongly connected digraph with i.i.d. arcs.
 
     Each ordered pair (i, j), i != j, is included independently with
@@ -122,14 +123,14 @@ def generate_digraph(n, p, seed, max_attempts=100):
     Raises
     ------
     FailedConnectivityError
-        If ``max_attempts`` consecutive samples are not strongly
+        If ``_MAX_ATTEMPTS`` consecutive samples are not strongly
         connected (p too small for this n).
     """
     if n < 1:
         raise ValidationError(f"agent count must be >= 1, got {n}")
     if not (0.0 < p <= 1.0):
         raise ValidationError(f"arc probability must lie in (0, 1], got {p}")
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
@@ -137,7 +138,7 @@ def generate_digraph(n, p, seed, max_attempts=100):
         if is_strongly_connected(g):
             return g
     raise FailedConnectivityError(
-        f"no strongly connected digraph in {max_attempts} attempts "
+        f"no strongly connected digraph in {_MAX_ATTEMPTS} attempts "
         f"(n={n}, p={p}); increase p"
     )
 

@@ -57,6 +57,8 @@ _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
 CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
 _LIP_BLOCK_FLOATS = 1 << 14  # floats of the (k, nd, b) subspace of one lipschitz_sweep chunk
+_NOISE_FLOOR = 1e-14  # smallest push-sum gap ever counted as signal
+_TAIL_ROUNDS = 10  # push-sum rounds past the derived horizon, whose peaks are the noise plateau
 
 
 @dataclass(frozen=True)
@@ -395,52 +397,49 @@ def _picard(ctx, w, factor, tol):
     )
 
 
-def estimate_consensus_constants(net, horizon=500, noise_floor=1e-14):
-    """Empirical push-sum constants over a finite horizon.
+def estimate_consensus_constants(net):
+    """Empirical push-sum constants from the run y(t+1) = W y(t), y(0) = 1.
 
-    Runs y(t+1) = W y(t) from the all-ones vector and returns
+    * ``coeff``: the largest ratio |1/y_j(t) - 1/(n pi_j)| / rho^t over the
+      rounds whose peak gap is signal rather than rounding noise (noise
+      divided by rho^t would blow the estimate up),
+    * ``inv_y_max``: the largest inverse weight seen.
 
-    * ``coeff``: the largest observed ratio |1/y_j(t) - 1/(n pi_j)| / rho^t
-      over t <= horizon, skipping deviations below ``noise_floor`` (those
-      are rounding noise; dividing them by rho^t would blow the estimate
-      up once the iteration has converged to machine precision),
-    * ``inv_y_max``: the largest inverse weight seen over the horizon.
-
-    The horizon must be long enough that deviations over its last ten
-    steps all sit below the noise floor, so nothing meaningful is cut off.
-    On slowly mixing networks with small mass entries the deviations can
-    plateau slightly above the default floor (the limit weights are only
-    known to eigenvector accuracy); raise ``noise_floor`` accordingly.
+    With g = ||1 - n pi||_pi, y(t) - n pi = (W - pi 1^T)^t (1 - n pi), so
+    |y_j(t) - n pi_j| <= sqrt(pi_j) rho^t g and, once that is below
+    n pi_j / 2, |1/y_j(t) - 1/(n pi_j)| <= 2 sqrt(pi_j) rho^t g / (n pi_j)^2.
+    The run stops ``_TAIL_ROUNDS`` rounds after twice that bound, maximised
+    over j, falls below one ulp of the smallest target 1/(n pi_j), or at once
+    when rho or g is zero.  The peak gaps of those last rounds are the
+    rounding plateau: a round counts as signal when its peak is at least
+    twice the plateau and at least ``_NOISE_FLOOR``, so every counted
+    deviation is at least half signal.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
     n, pi, rho = net.n, net.pi, net.rho
     inv_target = 1.0 / (n * pi)
+    gap = pi_norm(np.ones(n) - n * pi, pi)
+    horizon = 0
+    if rho > 0.0 and gap > 0.0:
+        scale = 4.0 * gap * float(np.max(np.sqrt(pi) / (n * pi) ** 2))
+        ulp = np.finfo(float).eps * float(np.min(inv_target))
+        horizon = max(0, math.ceil(math.log(ulp / scale) / math.log(rho)))
     y = np.ones(n)
-    coeff = 0.0
     inv_y_max = 0.0
     rho_pow = 1.0
-    tail = []
-    for t in range(horizon + 1):
+    peaks, rho_pows = [], []
+    for t in range(horizon + _TAIL_ROUNDS + 1):
         if t > 0:
             y = net.W @ y
             if np.any(y <= 0.0):
                 raise NonpositiveYError("push-sum weights lost positivity")
-        dev = np.abs(1.0 / y - inv_target)
-        inv_y_max = max(inv_y_max, float(np.max(1.0 / y)))
-        peak = float(dev.max())
-        if t > horizon - 10:
-            tail.append(peak)
-        live = dev[dev >= noise_floor]
-        if live.size and rho_pow > 0.0:
-            coeff = max(coeff, float(live.max() / rho_pow))
+        inv_y = 1.0 / y
+        inv_y_max = max(inv_y_max, float(np.max(inv_y)))
+        peaks.append(float(np.abs(inv_y - inv_target).max()))
+        rho_pows.append(rho_pow)
         rho_pow *= rho
-    if tail and max(tail) >= noise_floor:
-        raise NoConvergenceError(
-            f"push-sum gap still {max(tail):.3e} near t={horizon}; increase the "
-            "horizon, or raise noise_floor if the gap has plateaued at this "
-            "network's eigenvector-accuracy floor"
-        )
+    floor = max(_NOISE_FLOOR, 2.0 * max(peaks[-_TAIL_ROUNDS:]))
+    coeff = max((peak / r for peak, r in zip(peaks, rho_pows) if peak >= floor and r > 0.0),
+                default=0.0)
     return coeff, inv_y_max
 
 
@@ -547,14 +546,15 @@ def legacy_stepsize_threshold(net, ensemble, inv_y_max):
     return float(q * (1.0 - net.rho) / (L * net.rho * (inv_y_max * q + inv_y_max * ones_gap + root)))
 
 
-def certify(net, ensemble, eps=None, alpha=None, horizon=500):
+def certify(net, ensemble, eps=None, alpha=None):
     """Assemble the full contraction certificate at the working stepsize.
 
     ``alpha`` defaults to the stepsize ceiling and may not exceed it: the
     contraction rate, and every bound built on it, only holds up to the
     ceiling.  All stored bounds (perturbation product, optimality gap,
     consensus gap) are evaluated at that working stepsize; the per-alpha
-    bound functions remain available for sweeps.
+    bound functions remain available for sweeps.  The push-sum constants
+    come from ``estimate_consensus_constants``, which takes no setting.
     """
     alpha0, C, eta = _contraction(net, ensemble, eps)
     if alpha is None:
@@ -569,7 +569,7 @@ def certify(net, ensemble, eps=None, alpha=None, horizon=500):
     lip_alpha = eta if alpha == alpha0 else operator_lipschitz(
         OperatorContext(net, ensemble, alpha)
     )
-    coeff, inv_y_max = estimate_consensus_constants(net, horizon=horizon)
+    coeff, inv_y_max = estimate_consensus_constants(net)
     b = coeff * ensemble.L_max
     V = perturbation_product(alpha, b, C, net.rho)
     radius = pi_norm(mix_stack(net, ensemble.lin_stack), net.pi) / C

@@ -221,9 +221,10 @@ def test_fixed_point_command(tmp_path):
 
 
 def test_fixed_point_negative_tolerance_exits_one(tmp_path, capsys):
-    assert cli_main(["fixed-point", "--alpha-mult", "0.5", "--seed", "7", "--tol=-1",
-                     "--out-dir", str(tmp_path)]) == 1
-    assert "tolerance" in capsys.readouterr().err
+    for tol in ("-1", "inf"):
+        assert cli_main(["fixed-point", "--alpha-mult", "0.5", "--seed", "7", f"--tol={tol}",
+                         "--out-dir", str(tmp_path)]) == 1
+        assert "fp_tol" in capsys.readouterr().err
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"fp_tol": -1e-12}))
     assert cli_main(["fixed-point", "--alpha-mult", "0.5", "--seed", "7",

@@ -115,7 +115,7 @@ def test_case2_rejects_singular_aggregate():
     with pytest.raises(FailedAggregatePDError):
         co.cost_ensemble([zero], "case2")
     with pytest.raises(FailedAggregatePDError):
-        co.make_case2_ensemble(1, 40, 1, 3, max_attempts=2)
+        co.make_case2_ensemble(1, 40, 1, 3)
 
 
 def test_case2_below_the_rank_bound_draws_nothing(monkeypatch):

@@ -91,7 +91,7 @@ def test_generation_matches_documented_stream():
 
 def test_generation_rejects_disconnected_regimes():
     with pytest.raises(FailedConnectivityError):
-        nw.generate_digraph(30, 0.001, seed=1, max_attempts=20)
+        nw.generate_digraph(30, 0.001, seed=1)
 
 
 def test_parameter_validation():

@@ -343,6 +343,59 @@ def test_consensus_constants_bound_holds(net20):
         assert np.max(1.0 / y) <= inv_y_max + 1e-15
 
 
+def fixed_horizon_consensus_constants(net, horizon=500, noise_floor=1e-14):
+    """Reference: the push-sum constants over a fixed horizon and noise floor,
+    refusing a horizon whose last ten gaps are not all below the floor."""
+    n, pi, rho = net.n, net.pi, net.rho
+    inv_target = 1.0 / (n * pi)
+    y = np.ones(n)
+    coeff = 0.0
+    inv_y_max = 0.0
+    rho_pow = 1.0
+    tail = []
+    for t in range(horizon + 1):
+        if t > 0:
+            y = net.W @ y
+        dev = np.abs(1.0 / y - inv_target)
+        inv_y_max = max(inv_y_max, float(np.max(1.0 / y)))
+        if t > horizon - 10:
+            tail.append(float(dev.max()))
+        live = dev[dev >= noise_floor]
+        if live.size and rho_pow > 0.0:
+            coeff = max(coeff, float(live.max() / rho_pow))
+        rho_pow *= rho
+    if max(tail) >= noise_floor:
+        raise NoConvergenceError(f"push-sum gap still {max(tail):.3e} near t={horizon}")
+    return coeff, inv_y_max
+
+
+@pytest.mark.parametrize("n, seeds", [(20, range(40)), (400, range(3))], ids=["n20", "n400"])
+def test_consensus_constants_match_the_fixed_horizon_reference(n, seeds):
+    for seed in seeds:
+        net = nw.build_mixing_matrix(nw.generate_digraph(n, 0.7, seed))
+        assert op.estimate_consensus_constants(net) == fixed_horizon_consensus_constants(net)
+
+
+# sparse draws on which the gap plateaus above 1e-14, so a fixed noise floor
+# of 1e-14 never sees the tail settle
+@pytest.mark.parametrize("n, p, seed", [(30, 0.15, 3), (20, 0.3, 8), (50, 0.07, 0)])
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_sparse_networks_certify_within_their_inverse_weight_bound(n, p, seed, case):
+    cfg = hz.resolve_config({"scenario": "custom", "n": n, "p": p, "seed": seed, "case": case})
+    net = hz.build_network(cfg)
+    with pytest.raises(NoConvergenceError):
+        fixed_horizon_consensus_constants(net)
+    cert = hz.certify_config(cfg, net, hz.build_ensemble(cfg))
+    y = np.ones(n)
+    target = 1.0 / (n * net.pi)
+    for t in range(501):
+        if t:
+            y = net.W @ y
+        gap = np.max(np.abs(1.0 / y - target))
+        assert gap <= cert.consensus_coeff * net.rho**t + 1e-12
+        assert np.max(1.0 / y) <= cert.inv_y_max + 1e-15
+
+
 def test_perturbation_product_values():
     assert op.perturbation_product(0.1, 0.0, 1.0, 0.5) == 1.0
     single = op.perturbation_product(0.1, 2.0, 1.0, 0.0)
