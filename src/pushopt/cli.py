@@ -4,7 +4,7 @@ Subcommands
 -----------
 gen-net            write a validated network JSON for (n, p, seed)
 gen-costs          write a cost-ensemble JSON for the chosen case
-certify            write the contraction certificate JSON
+certify            write the certificate JSON at the working stepsize
 fixed-point        solve and write the fixed point at a stepsize
 sweep-contraction  Lipschitz-vs-stepsize CSV over (0, 2 alpha0]
 sweep-alpha        fixed-point-to-optimum CSV over (0, alpha0]
@@ -89,12 +89,12 @@ def build_parser():
     p = sub.add_parser("sweep-contraction", help="Lipschitz constant over (0, 2 alpha0]")
     _add_common(p)
     _add_problem(p)
-    p.add_argument("--points", type=int, dest="contraction_points")
+    p.add_argument("--points", type=int, dest="sweep_points")
 
     p = sub.add_parser("sweep-alpha", help="fixed-point gap over (0, alpha0]")
     _add_common(p)
     _add_problem(p)
-    p.add_argument("--points", type=int, dest="alpha_points")
+    p.add_argument("--points", type=int, dest="sweep_points")
 
     p = sub.add_parser("run", help="run one algorithm and write its trace")
     _add_common(p)
@@ -102,7 +102,6 @@ def build_parser():
     p.add_argument("algorithm", choices=("gp", "pd", "hybrid"))
     p.add_argument("--alpha", type=float)
     p.add_argument("--alpha-mult", type=float, dest="alpha_mult")
-    p.add_argument("--alpha-gp", type=float, dest="alpha_gp")
     p.add_argument("--alpha-pd", type=float, dest="alpha_pd")
     p.add_argument("--iters", type=int, dest="run_iters")
     p.add_argument("--gp-iters", type=int, dest="gp_iters")
@@ -157,8 +156,6 @@ def _gather_config(args, scenario):
         value = getattr(args, key, None)
         if value is not None:
             payload[key] = value
-    if getattr(args, "out_dir", None):
-        payload["out_dir"] = args.out_dir
     return hz.resolve_config(payload)
 
 
@@ -167,23 +164,17 @@ def _dump_json(path, payload):
     print(path)
 
 
-def _out(cfg):
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_gen_net(args):
     cfg = _gather_config(args, "custom")
-    net = hz.build_network(cfg)
-    _dump_json(_out(cfg) / "network.json", nw.network_to_dict(net))
+    out = hz._make_out_dir(cfg)
+    _dump_json(out / "network.json", nw.network_to_dict(hz.build_network(cfg)))
     return 0
 
 
 def _cmd_gen_costs(args):
     cfg = _gather_config(args, "custom")
-    ensemble = hz.build_ensemble(cfg)
-    _dump_json(_out(cfg) / "costs.json", co.ensemble_to_dict(ensemble))
+    out = hz._make_out_dir(cfg)
+    _dump_json(out / "costs.json", co.ensemble_to_dict(hz.build_ensemble(cfg)))
     return 0
 
 
@@ -193,18 +184,20 @@ def _resolve_problem(cfg):
 
 def _cmd_certify(args):
     cfg = _gather_config(args, "custom")
+    out = hz._make_out_dir(cfg)
     net, ensemble = _resolve_problem(cfg)
-    cert = hz.certify_config(cfg, net, ensemble)
-    _dump_json(_out(cfg) / "certificate.json", op.certificate_to_dict(cert))
+    cert = hz.certify_config(cfg, net, ensemble, alpha=hz.resolve_alpha(cfg, net, ensemble))
+    _dump_json(out / "certificate.json", op.certificate_to_dict(cert))
     return 0
 
 
 def _cmd_fixed_point(args):
     cfg = _gather_config(args, "custom")
+    out = hz._make_out_dir(cfg)
     net, ensemble = _resolve_problem(cfg)
     alpha = hz.resolve_alpha(cfg, net, ensemble)
     fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, alpha), tol=cfg.fp_tol)
-    _dump_json(_out(cfg) / "fixed_point.json", op.fixed_point_to_dict(fp))
+    _dump_json(out / "fixed_point.json", op.fixed_point_to_dict(fp))
     return 0
 
 
@@ -217,9 +210,9 @@ def _cmd_sweep_contraction(args):
 
 def _cmd_sweep_alpha(args):
     cfg = _gather_config(args, "custom")
+    out = hz._make_out_dir(cfg)
     net, ensemble = _resolve_problem(cfg)
     cert = hz.certify_config(cfg, net, ensemble)
-    out = _out(cfg)
     hz.fixed_point_sweep(cfg, net, ensemble, cert, out)
     print(out / "fp_sweep.csv")
     return 0
@@ -230,29 +223,22 @@ def _cmd_run(args):
     iters = cfg.run_iters
     if args.algorithm == "hybrid" and cfg.gp_iters > iters:
         raise ConfigError(f"gp_iters ({cfg.gp_iters}) must not exceed the {iters} rounds run")
+    out = hz._make_out_dir(cfg)
     net, ensemble = _resolve_problem(cfg)
-    x_star = co.ensemble_minimizer(ensemble)
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ensemble))
     x0 = np.zeros((net.n, ensemble.d))
-    out = _out(cfg)
-    if args.algorithm == "gp":
-        alpha = hz.resolve_alpha(cfg, net, ensemble)
-        w_fixed = None
-        if not args.no_fixed_point:
-            w_fixed = op.solve_fixed_point(
-                op.OperatorContext(net, ensemble, alpha), tol=cfg.fp_tol
-            ).w
-        trace = alg.gp_run(net, ensemble, alpha, x0, iters,
-                           alg.RunRefs(x_star=x_star, w_fixed=w_fixed))
+    if args.algorithm == "hybrid":
+        alpha_gp, alpha_pd = hz.resolve_hybrid_stepsizes(cfg, net, ensemble)
+        trace = alg.hybrid_run(net, ensemble, alpha_gp, alpha_pd, cfg.gp_iters, iters, x0, refs)
     elif args.algorithm == "pd":
-        alpha = hz.resolve_alpha(cfg, net, ensemble)
-        trace = alg.pd_run(net, ensemble, alpha,
-                           alg.init_pd_state(net, ensemble, x0), iters,
-                           alg.RunRefs(x_star=x_star))
+        trace = alg.pd_run(net, ensemble, hz.resolve_alpha(cfg, net, ensemble),
+                           alg.init_pd_state(net, ensemble, x0), iters, refs)
     else:
-        alpha0 = op.stepsize_ceiling(net, ensemble, hz.case_eps(cfg, ensemble))
-        alpha_gp, alpha_pd = hz.resolve_hybrid_stepsizes(cfg, net, ensemble, alpha0)
-        trace = alg.hybrid_run(net, ensemble, alpha_gp, alpha_pd, cfg.gp_iters,
-                               iters, x0, alg.RunRefs(x_star=x_star))
+        alpha = hz.resolve_alpha(cfg, net, ensemble)
+        if not args.no_fixed_point:
+            fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, alpha), tol=cfg.fp_tol)
+            refs = alg.RunRefs(x_star=refs.x_star, w_fixed=fp.w)
+        trace = alg.gp_run(net, ensemble, alpha, x0, iters, refs)
     path = out / f"run_{args.algorithm}.csv"
     hz.trace_to_csv(trace, path)
     print(path)

@@ -18,7 +18,8 @@ Scenario families:
   multipliers including one super-critical value.
 * ``fig1_hybrid``: gradient-push vs Push-DIGing vs the hybrid schedule on
   a larger regression instance.
-* ``custom``: certificate (and optional fixed point) only, no assertions.
+* ``custom``: defaults only, for the commands that run no scenario;
+  ``run_scenario`` rejects it.
 """
 
 import json
@@ -44,8 +45,7 @@ SCENARIOS = (
     "custom",
 )
 
-# offset separating the cost stream from the network stream when only one
-# master seed is given
+# offset separating the cost stream from the network stream of one seed
 COST_SEED_OFFSET = 1000003
 
 # thresholds of the inline scenario assertions, shared with the acceptance gate
@@ -70,19 +70,15 @@ class ExperimentConfig:
     m_rank: int = None
     delta_reg: float = None
     eps: float = None
-    cost_seed: int = None
     alpha: float = None
     alpha_mult: float = None
     multipliers: tuple = (0.2, 0.5, 1.0)
     supercritical_mult: float = None
-    alpha_gp: object = "alpha0"
     alpha_pd: object = "tuned"
     run_iters: int = 1000
     gp_iters: int = 100
-    total_iters: int = 500
     fp_tol: float = 1e-12
-    contraction_points: int = 200
-    alpha_points: int = 40
+    sweep_points: int = 40
     tune_grid_start: float = 1e-3
     tune_grid_step: float = 5e-6
     tune_budget: int = 200
@@ -96,7 +92,8 @@ _CASE_DEFAULTS = {
 }
 
 _SCENARIO_DEFAULTS = {
-    "fig1_hybrid": {"case": "case1", "d": 10, "m": 10, "delta_reg": 0.1},
+    "fig1_hybrid": {"case": "case1", "d": 10, "m": 10, "delta_reg": 0.1, "run_iters": 500},
+    "fig2_contraction": {"sweep_points": 200},
     "fig4_case1_sweep": {"supercritical_mult": 1.3},
     "fig6_case2_sweep": {"case": "case2", "supercritical_mult": 1.45},
     "fig5_case2": {"case": "case2"},
@@ -158,16 +155,15 @@ def _validate_config(cfg):
             f"case2 needs n * m_rank >= d for a positive definite aggregate Hessian, "
             f"got n={cfg.n}, m_rank={cfg.m_rank}, d={cfg.d}"
         )
-    for name in ("seed", "net_seed", "cost_seed", "run_iters", "gp_iters", "total_iters",
-                 "contraction_points", "alpha_points", "tune_budget", "tune_iters", "fp_tol"):
+    for name in ("seed", "net_seed", "run_iters", "gp_iters", "tune_budget", "tune_iters",
+                 "fp_tol"):
         if (getattr(cfg, name) or 0) < 0:
             raise ConfigError(f"{name} must be nonnegative")
-    if cfg.alpha_points < 2:
-        raise ConfigError("alpha_points must be >= 2: the fixed-point sweep fits a slope")
-    if cfg.contraction_points < 2:
-        raise ConfigError("contraction_points must be >= 2: only points up to alpha0 are checked")
-    if cfg.scenario == "fig1_hybrid" and cfg.gp_iters > cfg.total_iters:
-        raise ConfigError("gp_iters must not exceed total_iters")
+    if cfg.sweep_points < 2:
+        raise ConfigError("sweep_points must be >= 2: the fixed-point sweep fits a slope and "
+                          "the Lipschitz sweep checks only its points up to alpha0")
+    if cfg.scenario == "fig1_hybrid" and cfg.gp_iters > cfg.run_iters:
+        raise ConfigError("gp_iters must not exceed run_iters")
     if not cfg.multipliers or any(m <= 0 for m in cfg.multipliers):
         raise ConfigError("stepsize multipliers must be a nonempty list of positive values")
     swept = [m for m in (*cfg.multipliers, cfg.supercritical_mult) if m is not None]
@@ -181,10 +177,8 @@ def _validate_config(cfg):
                         ("supercritical_mult", cfg.supercritical_mult)):
         if value is not None and value <= 0:
             raise ConfigError(f"{name} must be positive")
-    for name, keyword in (("alpha_gp", "alpha0"), ("alpha_pd", "tuned")):
-        value = getattr(cfg, name)
-        if value != keyword and not (_finite_number(value) and value > 0):
-            raise ConfigError(f"{name} must be {keyword!r} or a positive number, got {value!r}")
+    if cfg.alpha_pd != "tuned" and not (_finite_number(cfg.alpha_pd) and cfg.alpha_pd > 0):
+        raise ConfigError(f"alpha_pd must be 'tuned' or a positive number, got {cfg.alpha_pd!r}")
 
 
 def _integer(value):
@@ -210,7 +204,7 @@ def build_network(cfg):
 
 
 def build_ensemble(cfg):
-    seed = cfg.cost_seed if cfg.cost_seed is not None else cfg.seed + COST_SEED_OFFSET
+    seed = cfg.seed + COST_SEED_OFFSET
     if cfg.case == "case1":
         return co.make_case1_ensemble(cfg.n, cfg.d, cfg.m, cfg.delta_reg, seed)
     return co.make_case2_ensemble(cfg.n, cfg.d, cfg.m_rank, seed)
@@ -412,10 +406,10 @@ def resolve_alpha(cfg, net, ensemble):
     return ceiling
 
 
-def resolve_hybrid_stepsizes(cfg, net, ensemble, alpha0):
-    """(alpha_gp, alpha_pd): ``"alpha0"`` takes the caller's ceiling and
+def resolve_hybrid_stepsizes(cfg, net, ensemble):
+    """(alpha_gp, alpha_pd): the warm start runs at ``resolve_alpha`` and
     ``"tuned"`` runs the Push-DIGing tuner."""
-    alpha_gp = alpha0 if cfg.alpha_gp == "alpha0" else float(cfg.alpha_gp)
+    alpha_gp = resolve_alpha(cfg, net, ensemble)
     if cfg.alpha_pd == "tuned":
         alpha_pd = tune_pd_stepsize(net, ensemble, cfg.tune_grid_start,
                                     cfg.tune_grid_step, cfg.tune_budget,
@@ -428,12 +422,12 @@ def resolve_hybrid_stepsizes(cfg, net, ensemble, alpha0):
 def fixed_point_sweep(cfg, net, ensemble, cert, out):
     """Fixed-point-to-optimum error and gap bound over (0, alpha0].
 
-    Solves the fixed point at ``alpha_points`` evenly spaced stepsizes,
+    Solves the fixed point at ``sweep_points`` evenly spaced stepsizes,
     writes ``fp_sweep.csv`` into ``out`` and returns (alphas, errors,
     bounds).
     """
     x_star = co.ensemble_minimizer(ensemble)
-    points = cfg.alpha_points
+    points = cfg.sweep_points
     alphas = [cert.alpha0 * (i + 1) / points for i in range(points)]
     lips = op.lipschitz_sweep(net, ensemble, alphas)  # one stacked call for every solve
     errors, bounds = [], []
@@ -490,10 +484,23 @@ def _finish(report, out):
     return report
 
 
+def _make_out_dir(cfg):
+    """Create the output directory before any work; a path that cannot be
+    one (an existing file, or a file on the way) is a ConfigError."""
+    try:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir!r}: "
+                          f"{exc.strerror}") from None
+    return Path(cfg.out_dir)
+
+
 def run_scenario(cfg):
     """Run one scenario; returns the report or raises ScenarioAssertionError."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if cfg.scenario == "custom":
+        raise ConfigError("the custom scenario only selects defaults; "
+                          "use the certify or fixed-point command")
+    out = _make_out_dir(cfg)
     net = build_network(cfg)
     ensemble = build_ensemble(cfg)
     runner = {
@@ -503,7 +510,6 @@ def run_scenario(cfg):
         "fig5_case2": _run_fig35,
         "fig4_case1_sweep": _run_fig46,
         "fig6_case2_sweep": _run_fig46,
-        "custom": _run_custom,
     }[cfg.scenario]
     constants, assertions, manifest = runner(cfg, net, ensemble, out)
     report = ExperimentReport(scenario=cfg.scenario, config=config_to_dict(cfg),
@@ -534,7 +540,7 @@ def _base_constants(net, ensemble, cert):
 
 def _run_fig2(cfg, net, ensemble, out):
     alpha0, rate = op.contraction_constant(net, ensemble, case_eps(cfg, ensemble))
-    points = cfg.contraction_points
+    points = cfg.sweep_points
     alphas = [2.0 * alpha0 * (i + 1) / points for i in range(points)]
     lips = op.lipschitz_sweep(net, ensemble, alphas)
     rows = [(a, lip, 1.0 - rate * a) for a, lip in zip(alphas, lips)]
@@ -607,13 +613,13 @@ def _run_fig1(cfg, net, ensemble, out):
     cert = certify_config(cfg, net, ensemble)
     x_star = co.ensemble_minimizer(ensemble)
     refs = alg.RunRefs(x_star=x_star)
-    alpha_gp, alpha_pd = resolve_hybrid_stepsizes(cfg, net, ensemble, cert.alpha0)
+    alpha_gp, alpha_pd = resolve_hybrid_stepsizes(cfg, net, ensemble)
     x0 = np.zeros((net.n, ensemble.d))
-    gp = alg.gp_run(net, ensemble, alpha_gp, x0, cfg.total_iters, refs)
+    gp = alg.gp_run(net, ensemble, alpha_gp, x0, cfg.run_iters, refs)
     pd = alg.pd_run(net, ensemble, alpha_pd,
-                    alg.init_pd_state(net, ensemble, x0), cfg.total_iters, refs)
+                    alg.init_pd_state(net, ensemble, x0), cfg.run_iters, refs)
     hybrid = alg.hybrid_run(net, ensemble, alpha_gp, alpha_pd, cfg.gp_iters,
-                            cfg.total_iters, x0, refs)
+                            cfg.run_iters, x0, refs)
     manifest = ["trace_gp.csv", "trace_pd.csv", "trace_hybrid.csv"]
     for name, trace in zip(manifest, (gp, pd, hybrid)):
         trace_to_csv(trace, out / name)
@@ -632,16 +638,3 @@ def _run_fig1(cfg, net, ensemble, out):
          f"hybrid {hybrid.last().sum_z_err:.4e} vs pd {pd.last().sum_z_err:.4e}"),
     )]
     return constants, assertions, manifest
-
-
-def _run_custom(cfg, net, ensemble, out):
-    alpha = resolve_alpha(cfg, net, ensemble)
-    cert = certify_config(cfg, net, ensemble, alpha=alpha)
-    write_json(out / "certificate.json", op.certificate_to_dict(cert))
-    manifest = ["certificate.json"]
-    if cfg.alpha is not None or cfg.alpha_mult is not None:
-        fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, alpha),
-                                  tol=cfg.fp_tol)
-        write_json(out / "fixed_point.json", op.fixed_point_to_dict(fp))
-        manifest.append("fixed_point.json")
-    return _base_constants(net, ensemble, cert), [], manifest

@@ -1,14 +1,18 @@
+import argparse
 import json
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pushopt import algorithms as alg
 from pushopt import costs as co
 from pushopt import harness as hz
 from pushopt import network as nw
 from pushopt import operators as op
-from pushopt.cli import cli_main
+from pushopt.cli import build_parser, cli_main
 from pushopt.errors import ValidationError
 
 
@@ -26,6 +30,27 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     assert cli_main(["reproduce", "fig2", "--config", str(bad),
                      "--out-dir", str(tmp_path / "o")]) == 1
     assert cli_main(["gen-net", "--n", "0", "--out-dir", str(tmp_path / "o")]) == 1
+    # keys folded into others are unknown now
+    for key in ("total_iters", "alpha_gp", "cost_seed", "contraction_points", "alpha_points"):
+        bad.write_text(json.dumps({key: 5}))
+        assert cli_main(["reproduce", "fig2", "--config", str(bad),
+                         "--out-dir", str(tmp_path / "o")]) == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, below", [(["certify"], None), (["reproduce", "fig2"], "sub"),
+                                         (["run", "gp"], None)],
+                         ids=["certify-file", "reproduce-fig2-under-file", "run-gp-file"])
+def test_out_dir_that_cannot_be_a_directory_exits_one(tmp_path, monkeypatch, capsys, args, below):
+    built = _count_calls(monkeypatch, hz, "build_network")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    assert cli_main(args + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {str(out)!r}")
+    assert built == [] and blocker.read_text() == ""
 
 
 def test_numeric_failure_exit_two(tmp_path):
@@ -175,7 +200,7 @@ def test_config_scenario_must_match_a_scenario_command(tmp_path, monkeypatch, ca
                                    "--out-dir", str(tmp_path / "o")]) == 1
         assert other in capsys.readouterr().err
     assert built == [] and not (tmp_path / "o").exists()
-    cfgfile.write_text(json.dumps({"scenario": "fig2_contraction", "contraction_points": 3}))
+    cfgfile.write_text(json.dumps({"scenario": "fig2_contraction", "sweep_points": 3}))
     assert cli_main(["sweep-contraction", "--config", str(cfgfile),
                      "--out-dir", str(tmp_path / "o")]) == 0
     assert len((tmp_path / "o" / "contraction_sweep.csv").read_text().splitlines()) == 4
@@ -200,7 +225,7 @@ def test_run_hybrid_checks_gp_iters_against_its_own_rounds(tmp_path, monkeypatch
     cfgfile.write_text(json.dumps({"gp_iters": 600}))
     assert cli_main(["reproduce", "fig1", "--config", str(cfgfile),
                      "--out-dir", str(tmp_path / "o")]) == 1
-    assert "total_iters" in capsys.readouterr().err
+    assert "gp_iters must not exceed run_iters" in capsys.readouterr().err
     assert tuned == [] and built == [] and not (tmp_path / "o").exists()
 
 
@@ -210,6 +235,58 @@ def test_reproduce_fig1_case2_certifies_with_the_configured_eps(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["config"]["eps"] == 0.01
     assert all(a["passed"] for a in report["assertions"])
+
+
+def test_certify_and_fixed_point_take_alpha_mult(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"alpha_mult": 0.5}))
+    for command in ("certify", "fixed-point"):
+        assert cli_main([command, "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["alpha0"] > 0 and cert["contraction_rate"] > 0
+    assert cert["alpha"] == 0.5 * cert["alpha0"] == 0.08297079678321885
+    fp = json.loads((tmp_path / "fixed_point.json").read_text())
+    assert fp["residual"] <= 1e-12
+
+
+def test_certify_command_rejects_a_stepsize_above_the_ceiling(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"alpha_mult": 1.5}))
+    assert cli_main(["certify", "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+    assert "alpha0" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_run_hybrid_warm_starts_at_the_configured_alpha(tmp_path):
+    assert cli_main(["run", "hybrid", "--alpha", "0.05", "--alpha-pd", "0.001", "--iters", "200",
+                     "--gp-iters", "50", "--out-dir", str(tmp_path)]) == 0
+    cfg = hz.resolve_config({"scenario": "custom"})
+    net, ens = hz.build_network(cfg), hz.build_ensemble(cfg)
+    trace = alg.hybrid_run(net, ens, 0.05, 0.001, 50, 200, np.zeros((net.n, ens.d)),
+                           alg.RunRefs(x_star=co.ensemble_minimizer(ens)))
+    hz.trace_to_csv(trace, tmp_path / "expected.csv")
+    assert (tmp_path / "run_hybrid.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_reproduce_fig1_runs_run_iters_rounds(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"run_iters": 50, "gp_iters": 20}))
+    assert cli_main(["reproduce", "fig1", "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+    for name in ("trace_gp.csv", "trace_pd.csv", "trace_hybrid.csv"):
+        assert len((tmp_path / "o" / name).read_text().splitlines()) == 1 + 51
+
+
+def test_every_flag_sets_a_config_key_and_the_docs_list_every_key():
+    fields = set(hz.ExperimentConfig.__dataclass_fields__)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = sorted({(command, action.dest) for command, parser in sub.choices.items()
+                    for action in parser._actions
+                    if action.option_strings and not isinstance(action, argparse._HelpAction)})
+    assert [(c, d) for c, d in dests if d not in fields | {"config", "no_fixed_point"}] == []
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    listed = re.findall(r"^\| `(\w+)` \|", docs, flags=re.M)
+    assert sorted(listed) == sorted(fields)
 
 
 def test_fixed_point_command(tmp_path):
@@ -284,7 +361,7 @@ def test_sweep_alpha_csv(tmp_path):
 
 def test_sweep_alpha_matches_reproduce_fig3(tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"alpha_points": 6}))
+    cfgfile.write_text(json.dumps({"sweep_points": 6}))
     a, b = tmp_path / "sweep", tmp_path / "fig3"
     assert cli_main(["sweep-alpha", "--seed", "4", "--config", str(cfgfile),
                      "--out-dir", str(a)]) == 0
@@ -335,7 +412,7 @@ def test_bad_hybrid_stepsize_exits_one(tmp_path, capsys, key, value):
 
 def test_reproduce_deterministic_bytes(tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"seed": 9, "contraction_points": 30}))
+    cfgfile.write_text(json.dumps({"seed": 9, "sweep_points": 30}))
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["reproduce", "fig2", "--config", str(cfgfile),
                      "--out-dir", str(a)]) == 0

@@ -9,7 +9,6 @@ from pushopt import network as nw
 from pushopt.errors import (
     AllDivergedError,
     ConfigError,
-    InvalidRateError,
     ScenarioAssertionError,
     ValidationError,
 )
@@ -22,7 +21,9 @@ def test_resolve_config_scenario_defaults():
     assert (cfg.case, cfg.d, cfg.m_rank, cfg.eps) == ("case2", 10, 4, 0.01)
     cfg = hz.resolve_config({"scenario": "fig1_hybrid"})
     assert (cfg.d, cfg.m, cfg.delta_reg) == (10, 10, 0.1)
-    assert cfg.alpha_gp == "alpha0" and cfg.alpha_pd == "tuned"
+    assert (cfg.alpha, cfg.alpha_mult, cfg.alpha_pd, cfg.run_iters) == (None, None, "tuned", 500)
+    assert hz.resolve_config({"scenario": "fig2_contraction"}).sweep_points == 200
+    assert hz.resolve_config({"scenario": "fig3_case1"}).sweep_points == 40
     cfg = hz.resolve_config({"scenario": "fig6_case2_sweep"})
     assert cfg.supercritical_mult == 1.45
     cfg = hz.resolve_config({"scenario": "fig4_case1_sweep"})
@@ -37,20 +38,17 @@ def test_resolve_config_rejects_bad_input():
     with pytest.raises(ConfigError):
         hz.resolve_config({"scenario": "fig2_contraction", "p": 1.5})
     with pytest.raises(ConfigError):
-        hz.resolve_config({"scenario": "fig1_hybrid", "gp_iters": 10, "total_iters": 5})
+        hz.resolve_config({"scenario": "fig1_hybrid", "gp_iters": 10, "run_iters": 5})
     with pytest.raises(ConfigError):
         hz.resolve_config([1, 2])
-    for key, value in (("alpha_gp", "tuned"), ("alpha_pd", 0.0), ("alpha_pd", "0.001"),
-                       ("alpha_gp", float("nan"))):
+    for key, value in (("alpha", "tuned"), ("alpha_pd", 0.0), ("alpha_pd", "0.001"),
+                       ("alpha", float("nan"))):
         with pytest.raises(ConfigError, match=key):
             hz.resolve_config({"scenario": "fig1_hybrid", key: value})
-    for scenario in ("fig3_case1", "fig5_case2"):
+    for scenario in ("fig2_contraction", "fig3_case1", "fig5_case2"):
         for points in (-1, 0, 1):
-            with pytest.raises(ConfigError, match="alpha_points"):
-                hz.resolve_config({"scenario": scenario, "alpha_points": points})
-    for points in (-1, 0, 1):
-        with pytest.raises(ConfigError, match="contraction_points"):
-            hz.resolve_config({"scenario": "fig2_contraction", "contraction_points": points})
+            with pytest.raises(ConfigError, match="sweep_points"):
+                hz.resolve_config({"scenario": scenario, "sweep_points": points})
     for scenario in ("fig4_case1_sweep", "fig6_case2_sweep"):
         with pytest.raises(ConfigError, match="multipliers"):
             hz.resolve_config({"scenario": scenario, "multipliers": []})
@@ -59,8 +57,9 @@ def test_resolve_config_rejects_bad_input():
                      {"multipliers": [0.2, 0.2000001]}):
         with pytest.raises(ConfigError, match="must be distinct"):
             hz.resolve_config({"scenario": "fig4_case1_sweep", **repeated})
-    # total_iters bounds gp_iters only where it sets the round count, in fig1
-    assert hz.resolve_config({"scenario": "custom", "gp_iters": 700}).gp_iters == 700
+    # the config bounds gp_iters by run_iters only in fig1; `run hybrid` checks its own rounds
+    cfg = hz.resolve_config({"scenario": "custom", "gp_iters": 700, "run_iters": 50})
+    assert cfg.gp_iters == 700
 
 
 @pytest.mark.parametrize("key, value", [
@@ -76,11 +75,11 @@ def test_resolve_config_rejects_mistyped_numbers(key, value):
 
 def test_config_overrides_apply():
     cfg = hz.resolve_config({"scenario": "fig2_contraction", "case": "case2",
-                             "seed": 3, "contraction_points": 17})
-    assert cfg.case == "case2" and cfg.d == 10 and cfg.contraction_points == 17
+                             "seed": 3, "sweep_points": 17})
+    assert cfg.case == "case2" and cfg.d == 10 and cfg.sweep_points == 17
     assert cfg.seed == 3
-    cfg = hz.resolve_config({"scenario": "fig1_hybrid", "alpha_gp": 0.03, "alpha_pd": 1})
-    assert (cfg.alpha_gp, cfg.alpha_pd) == (0.03, 1)
+    cfg = hz.resolve_config({"scenario": "fig1_hybrid", "alpha": 0.03, "alpha_pd": 1})
+    assert (cfg.alpha, cfg.alpha_pd) == (0.03, 1)
 
 
 def test_builders_deterministic():
@@ -108,7 +107,7 @@ def test_loglog_slope_and_plateau():
 
 
 def test_scenario_fig2_small_deterministic(tmp_path):
-    payload = {"scenario": "fig2_contraction", "seed": 11, "contraction_points": 25}
+    payload = {"scenario": "fig2_contraction", "seed": 11, "sweep_points": 25}
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     ra = hz.run_scenario(hz.resolve_config({**payload, "out_dir": str(out_a)}))
@@ -121,7 +120,7 @@ def test_scenario_fig2_small_deterministic(tmp_path):
 def test_scenario_fig3_small(tmp_path):
     cfg = hz.resolve_config({
         "scenario": "fig3_case1", "seed": 11, "run_iters": 400,
-        "alpha_points": 8, "out_dir": str(tmp_path),
+        "sweep_points": 8, "out_dir": str(tmp_path),
     })
     report = hz.run_scenario(cfg)
     assert report.passed
@@ -150,26 +149,14 @@ def test_scenario_fig4_small(tmp_path):
         assert (tmp_path / name).exists()
 
 
-def test_scenario_custom_emits_certificate(tmp_path):
-    cfg = hz.resolve_config({
-        "scenario": "custom", "seed": 11, "alpha_mult": 0.5,
-        "out_dir": str(tmp_path),
-    })
-    report = hz.run_scenario(cfg)
-    assert report.passed
-    cert = json.loads((tmp_path / "certificate.json").read_text())
-    assert cert["alpha0"] > 0 and cert["contraction_rate"] > 0
-    fp = json.loads((tmp_path / "fixed_point.json").read_text())
-    assert fp["residual"] <= cfg.fp_tol
-
-
-def test_scenario_custom_rejects_a_stepsize_above_the_ceiling(tmp_path):
-    cfg = hz.resolve_config({
-        "scenario": "custom", "seed": 11, "alpha_mult": 1.5, "out_dir": str(tmp_path),
-    })
-    with pytest.raises(InvalidRateError, match="alpha0"):
+def test_run_scenario_rejects_custom_before_any_work(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(hz, "build_network", lambda cfg: built.append(cfg))
+    cfg = hz.resolve_config({"scenario": "custom", "alpha_mult": 0.5,
+                             "out_dir": str(tmp_path / "o")})
+    with pytest.raises(ConfigError, match="only selects defaults"):
         hz.run_scenario(cfg)
-    assert not (tmp_path / "certificate.json").exists()
+    assert built == [] and not (tmp_path / "o").exists()
 
 
 def test_tune_pd_single_agent_walks_to_stability_edge():
@@ -195,7 +182,7 @@ def test_tune_pd_all_diverged():
 
 def test_scenario_assertion_failure_still_writes_artifacts(tmp_path, monkeypatch):
     cfg = hz.resolve_config({
-        "scenario": "fig2_contraction", "seed": 11, "contraction_points": 10,
+        "scenario": "fig2_contraction", "seed": 11, "sweep_points": 10,
         "out_dir": str(tmp_path),
     })
     # force the inline predicate to fail; the artifacts must still land

@@ -54,7 +54,7 @@ def test_agrees_with_dense_on_the_gate_instances(case, seed):
 def test_agrees_with_dense_on_the_fig2_sweep():
     net, ens, alpha0 = scenario_instance("fig2_contraction")
     alphas = [2.0 * alpha0 * (i + 1) / 200 for i in range(200)]
-    assert hz.resolve_config({"scenario": "fig2_contraction"}).contraction_points == 200
+    assert hz.resolve_config({"scenario": "fig2_contraction"}).sweep_points == 200
     assert_agrees_with_dense(net, ens, alphas)
 
 

@@ -104,13 +104,13 @@ def test_hybrid_run_handoff_matches_two_gradient_round():
     alpha0, _ = op.contraction_constant(net, ens)
     x0 = np.zeros((net.n, ens.d))
     alpha_pd = 0.0019950000000000002
-    trace = alg.hybrid_run(net, ens, alpha0, alpha_pd, cfg.gp_iters, cfg.total_iters, x0)
+    trace = alg.hybrid_run(net, ens, alpha0, alpha_pd, cfg.gp_iters, cfg.run_iters, x0)
     gp = alg.gp_run(net, ens, alpha0, x0, cfg.gp_iters).final_state
     ref = LegacyState(gp.t, gp.w, gp.z, co.grad_stack(ens, gp.z), gp.y)
-    for _ in range(cfg.total_iters - cfg.gp_iters):
+    for _ in range(cfg.run_iters - cfg.gp_iters):
         ref = legacy_pd_step(net, ens, alpha_pd, ref)
     final = trace.final_state
-    assert final.t == ref.t == cfg.total_iters
+    assert final.t == ref.t == cfg.run_iters == 500
     assert all(same_bits(getattr(final, name), getattr(ref, name)) for name in ("x", "z", "v", "y"))
 
 
