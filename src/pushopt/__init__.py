@@ -44,7 +44,6 @@ from .harness import (
     tune_pd_stepsize,
 )
 from .linalg import (
-    induced_pi_norm,
     pi_norm,
     spectral_norm,
     symmetric_extremes,

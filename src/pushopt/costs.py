@@ -7,7 +7,7 @@ Two cost kinds are supported:
 
 Both have affine gradients and a constant Hessian (P, resp. A'A + delta I),
 so smoothness and strong-convexity constants are the extreme Hessian
-eigenvalues, computed with the shared power-iteration kernel: one stacked
+eigenvalues, computed by LAPACK's symmetric eigensolver: one stacked
 ``symmetric_extremes`` call for all of an ensemble's costs, one more for
 its aggregate Hessian.
 

@@ -142,23 +142,26 @@ def _validate_config(cfg):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if not isinstance(cfg.out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
-    if cfg.n < 1:
-        raise ConfigError("n must be >= 1")
+    if cfg.n < 1 or (cfg.d or 0) < 1:
+        raise ConfigError(f"n and d must be >= 1, got n={cfg.n}, d={cfg.d}")
     if not (0.0 < cfg.p <= 1.0):
         raise ConfigError("p must lie in (0, 1]")
-    if cfg.case == "case1" and (cfg.m is None or cfg.delta_reg is None or cfg.delta_reg <= 0):
-        raise ConfigError("case1 needs m and delta_reg > 0")
-    if cfg.case == "case2" and (cfg.m_rank is None or cfg.eps is None or cfg.eps <= 0):
-        raise ConfigError("case2 needs m_rank and eps > 0")
+    if cfg.case == "case1" and ((cfg.m or 0) < 1 or (cfg.delta_reg or 0) <= 0):
+        raise ConfigError("case1 needs m >= 1 and delta_reg > 0")
+    if cfg.case == "case2" and (not 1 <= (cfg.m_rank or 0) < cfg.d or (cfg.eps or 0) <= 0):
+        raise ConfigError(f"case2 needs 1 <= m_rank < d and eps > 0, got m_rank={cfg.m_rank}, "
+                          f"d={cfg.d}, eps={cfg.eps}")
     if cfg.case == "case2" and cfg.n * cfg.m_rank < cfg.d:
         raise ConfigError(
             f"case2 needs n * m_rank >= d for a positive definite aggregate Hessian, "
             f"got n={cfg.n}, m_rank={cfg.m_rank}, d={cfg.d}"
         )
-    for name in ("seed", "net_seed", "run_iters", "gp_iters", "tune_budget", "tune_iters",
-                 "fp_tol"):
+    for name in ("seed", "net_seed", "run_iters", "gp_iters", "tune_iters", "fp_tol"):
         if (getattr(cfg, name) or 0) < 0:
             raise ConfigError(f"{name} must be nonnegative")
+    if min(cfg.tune_grid_start or 0, cfg.tune_grid_step or 0) <= 0 or (cfg.tune_budget or 0) < 1:
+        raise ConfigError("tune_grid_start and tune_grid_step must be positive and "
+                          "tune_budget at least 1")
     if cfg.sweep_points < 2:
         raise ConfigError("sweep_points must be >= 2: the fixed-point sweep fits a slope and "
                           "the Lipschitz sweep checks only its points up to alpha0")

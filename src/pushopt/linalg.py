@@ -1,18 +1,17 @@
-"""Weighted norms, block operators, and power-iteration spectral norms.
+"""Weighted norms, block operators, spectral norms and symmetric eigenvalues.
 
 Stacked states live in R^{n*d} and are represented as ndarrays of shape
 (n, d) whose row j is the block of agent j.  Block operators are ndarrays
 of shape (n, n, d, d); block (i, j) acts on block j of a stacked state.
 
-All spectral norms and extreme eigenvalues come from one kernel, block power
-iteration on a psd operator that is only ever applied, never read: the
-kernel hands an ``apply(V, live)`` function its iterated subspace and the
-indices of the slices still live, and gets back their products.  A dense
-caller passes ``B[live] @ V``: ``spectral_norm`` (and through it the
-pi-weighted norm of a matrix, D^-1 M D with D = diag(sqrt(pi))) on the Gram
-product M^T M, and ``symmetric_extremes`` on an (m, m) matrix or a (K, m, m)
-stack.  The operator Lipschitz sweep in ``operators`` passes a matrix-free
-product instead.  Each slice of a stack is rounded as if alone.
+Spectral norms come from one kernel, block power iteration on a psd
+operator that is only ever applied, never read: the kernel hands an
+``apply(V, live)`` function its iterated subspace and the indices of the
+slices still live, and gets back their products.  ``spectral_norm`` passes
+the dense Gram product M^T M; the operator Lipschitz sweep in ``operators``
+passes a matrix-free product.  Each slice of a stack is rounded as if
+alone.  The extreme eigenvalues of small symmetric matrices (the d x d cost
+Hessians) are read off LAPACK's symmetric eigensolver instead.
 """
 
 import numpy as np
@@ -93,7 +92,10 @@ def spectral_norm(M):
     ``_EIG_TOL`` relative to the estimate.
     """
     M = _finite(M)
-    return float(np.sqrt(_stack_top_eig((M.T @ M)[None])[0])) if M.size else 0.0
+    if not M.size:
+        return 0.0
+    gram = (M.T @ M)[None]
+    return float(np.sqrt(_restarted_top_eig(lambda V, live: gram @ V, 1, gram.shape[-1])[0]))
 
 
 def _finite(M):
@@ -103,41 +105,19 @@ def _finite(M):
     return M
 
 
-def _live_rows(stack):
-    """``rows(live)`` gives ``stack[live]``, indexing again only for a new
-    ``live`` array (the kernel passes the same one while its live set holds)
-    and never while every slice is live."""
-    held = [None, stack]
-
-    def rows(live):
-        if live is not held[0]:
-            held[:] = live, stack if len(live) == len(stack) else stack[live]
-        return held[1]
-    return rows
-
-
-def _stack_top_eig(B, scale=None):
-    """``_restarted_top_eig`` of each slice of a dense (K, m, m) stack."""
-    rows = _live_rows(B)
-    return _restarted_top_eig(lambda V, live: rows(live) @ V, len(B), B.shape[-1], scale)
-
-
-def _restarted_top_eig(apply, count, size, scale=None):
+def _restarted_top_eig(apply, count, size):
     """``spectral_norm``'s restart loop for ``count`` psd operators of order
-    ``size``, each given by ``apply`` (see ``_top_eig_psd``), with an
-    optional per-slice absolute ``scale``."""
+    ``size``, each given by ``apply`` (see ``_top_eig_psd``)."""
     best, live = np.zeros(count), np.arange(count)
     for r in range(_EIG_RESTARTS):
         if not len(live):
             break
-        lam = _top_eig_psd(apply, live, size, start_index=r, scale=scale)
+        lam = _top_eig_psd(apply, live, size, start_index=r)
         best[live] = np.maximum(best[live], lam)
         if r:
-            stop = _EIG_TOL * (scale if scale is not None else np.maximum(best[live], _STOP_FLOOR))
-            going = ~(np.abs(lam - prev) <= stop)
+            going = ~(np.abs(lam - prev) <= _EIG_TOL * np.maximum(best[live], _STOP_FLOOR))
             if not going.all():
                 live, lam = live[going], lam[going]
-                scale = None if scale is None else scale[going]
         prev = lam
     return best
 
@@ -159,22 +139,21 @@ def _require_finite(values, name):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _top_eig_psd(apply, live, size, start_index=0, scale=None):
+def _top_eig_psd(apply, live, size, start_index=0):
     """Top eigenvalue of each slice in ``live`` from one start, in that order.
 
     ``apply(V, live)`` returns the slices' products with V, a (size, b)
     block shared by all slices on the first step and a (len(live), size, b)
     stack after it; ``live`` is replaced by a new array whenever a slice
-    leaves, which it does once its residual passes, relative or at its
-    ``scale``.  A non-finite Ritz block or residual, which only an operator
-    whose products overflow float64 gives, raises NumericError at once; a
-    residual whose square alone overflows is measured scaled instead.
+    leaves, which it does once its relative residual passes.  A non-finite
+    Ritz block or residual, which only an operator whose products overflow
+    float64 gives, raises NumericError at once; a residual whose square
+    alone overflows is measured scaled instead.
     """
     # keep the subspace strictly smaller than the space so this stays a
     # genuine iteration rather than a one-shot dense diagonalization
     b = max(1, min(_EIG_BLOCK, size - 1)) if size > 1 else 1
     V = _start_block(size, start_index, b)
-    floor = np.maximum(np.zeros(len(live)) if scale is None else scale, _STOP_FLOOR)
     out, pos = np.zeros(len(live)), np.arange(len(live))
     for _ in range(_EIG_MAX_ITER):
         U = apply(V, live)
@@ -188,12 +167,13 @@ def _top_eig_psd(apply, live, size, start_index=0, scale=None):
         big = np.isinf(res)  # r^T r overflowed: square r scaled by 2^-600 (exact) instead
         if big.any():
             res[big] = np.sqrt(((r[big] * 2.0**-600) ** 2).sum(axis=(1, 2))) * 2.0**600
-        done = _require_finite(res, "eigen-residual") <= _EIG_TOL * np.maximum(ritz[:, -1], floor)
+        done = (_require_finite(res, "eigen-residual")
+                <= _EIG_TOL * np.maximum(ritz[:, -1], _STOP_FLOOR))
         if done.any():
             out[pos[done]] = np.maximum(ritz[done, -1], 0.0)
             if done.all():
                 return out
-            pos, live, U, floor = pos[~done], live[~done], U[~done], floor[~done]
+            pos, live, U = pos[~done], live[~done], U[~done]
         V, _ = np.linalg.qr(U)
     raise NoConvergenceError(
         f"eigen-residual above tolerance {_EIG_TOL} after {_EIG_MAX_ITER} power iterations"
@@ -201,49 +181,22 @@ def _top_eig_psd(apply, live, size, start_index=0, scale=None):
 
 
 def symmetric_extremes(H):
-    """(largest, smallest) eigenvalue of a symmetric psd (m, m) matrix as two
+    """(largest, smallest) eigenvalue of a symmetric (m, m) matrix as two
     floats, or of each slice of a (K, m, m) stack as two length-K arrays.
 
-    Both come from ``spectral_norm``'s iteration: the largest on H, the
-    smallest on the psd shift ``lam_max I - H`` to ``_EIG_TOL`` relative to
-    lam_max (skipped, giving 0, where lam_max == 0).  The smallest is not
-    clipped at zero, so a matrix that is not psd shows as a negative value.
-    Another shape, m == 0 or a non-finite entry raises DimensionMismatchError.
+    Both come from one ``np.linalg.eigvalsh`` call (LAPACK's symmetric
+    tridiagonal QR, which reads the lower triangle); each slice of a stack
+    has the bits of its own (m, m) call.  The smallest is not clipped at
+    zero, so a matrix that is not psd shows as a negative value.  Another
+    shape, m == 0 or a non-finite entry raises DimensionMismatchError, and
+    a LAPACK failure to converge raises NoConvergenceError.
     """
     H = _finite(H)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or not H.shape[-1]:
         raise DimensionMismatchError(f"expected an (m, m) matrix or (K, m, m) stack, got {H.shape}")
-    stack = H.reshape((-1,) + H.shape[-2:])
-    lam_max = _stack_top_eig(stack)
-    lam_min = np.zeros_like(lam_max)
-    pos = lam_max != 0.0
-    top = lam_max[pos]
-    lam_min[pos] = top - _stack_top_eig(top[:, None, None] * np.eye(H.shape[-1]) - stack[pos],
-                                        scale=top)
-    return (float(lam_max[0]), float(lam_min[0])) if H.ndim == 2 else (lam_max, lam_min)
-
-
-def induced_pi_norm(M, pi):
-    """Operator norm in the pi-weighted metric.
-
-    For an n x n matrix this is the spectral norm of D^-1 M D with
-    D = diag(sqrt(pi)); for an (n, n, d, d) block operator, D is extended
-    blockwise (each block (i, j) is scaled by sqrt(pi_j / pi_i)).
-    """
-    M = np.asarray(M, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    s = np.sqrt(pi)
-    if M.ndim == 2:
-        if M.shape[0] != M.shape[1] or M.shape[0] != pi.shape[0]:
-            raise DimensionMismatchError(f"matrix {M.shape} vs {pi.shape[0]} weights")
-        T = M * (s[None, :] / s[:, None])
-    elif M.ndim == 4:
-        n, m, d, e = M.shape
-        if n != m or d != e or n != pi.shape[0]:
-            raise DimensionMismatchError(
-                f"operator {M.shape} vs {pi.shape[0]} weights: expected (n, n, d, d)"
-            )
-        T = flatten_block_operator(M * (s[None, :, None, None] / s[:, None, None, None]))
-    else:
-        raise DimensionMismatchError(f"expected a matrix or block operator, got ndim={M.ndim}")
-    return spectral_norm(T)
+    try:
+        lam = np.linalg.eigvalsh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    lam_max, lam_min = lam[..., -1], lam[..., 0]
+    return (float(lam_max), float(lam_min)) if H.ndim == 2 else (lam_max, lam_min)

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     payload_count,
 )
-from .linalg import induced_pi_norm
+from .linalg import spectral_norm
 
 _PERRON_TOL = 1e-12  # residual max|W pi - pi| the power iteration for pi must reach
 _PERRON_MAX_ITER = 100_000  # its iterations before NoConvergenceError
@@ -181,8 +181,15 @@ def compute_perron(W):
 
 
 def compute_rho(W, pi):
-    """Pi-weighted induced norm of W minus its limit outer(pi, 1); lies in [0, 1)."""
-    rho = induced_pi_norm(W - np.outer(pi, np.ones(len(pi))), pi)
+    """Pi-weighted induced norm of W minus its limit outer(pi, 1); lies in [0, 1).
+
+    That is the spectral norm of D^-1 (W - outer(pi, 1)) D with
+    D = diag(sqrt(pi)), formed as one n x n gap scaled in place.
+    """
+    s = np.sqrt(pi)
+    T = W - pi[:, None]
+    T *= s[None, :] / s[:, None]
+    rho = spectral_norm(T)
     if rho >= 1.0:
         raise NumericError(f"mixing norm measured at {rho} >= 1; invalid network")
     return rho

@@ -45,7 +45,6 @@ from .errors import (
 )
 from .linalg import (
     _EIG_BLOCK,
-    _live_rows,
     _restarted_top_eig,
     flatten_block_operator,
     pi_norm,
@@ -275,17 +274,21 @@ def lipschitz_sweep(net, ensemble, alphas):
 
 def _gram_apply(W, s, S):
     """``apply`` of T^T T for the live slices of S, a (K, n, d, d) stack of the
-    blocks S_j, in the order of T = D^-1 (W kron I_d) blockdiag(S_j) D."""
-    rows = _live_rows(S)
+    blocks S_j, in the order of T = D^-1 (W kron I_d) blockdiag(S_j) D.  It
+    indexes ``S[live]`` again only for a new ``live`` array (the kernel passes
+    the same one while its live set holds) and never while every slice is live."""
     n, d = S.shape[1:3]
     s_block, s_row = s[:, None, None], s[:, None]
+    held = [None, S]
 
     def apply(V, live):
-        S = rows(live)
-        X = S @ (s_block * V.reshape(V.shape[:-2] + (n, d, -1)))
-        Y = (W @ X.reshape(len(S), n, -1)) / s_row
+        if live is not held[0]:
+            held[:] = live, S if len(live) == len(S) else S[live]
+        B = held[1]
+        X = B @ (s_block * V.reshape(V.shape[:-2] + (n, d, -1)))
+        Y = (W @ X.reshape(len(B), n, -1)) / s_row
         Z = (W.T @ (Y / s_row)).reshape(X.shape)
-        return (s_block * (S.swapaxes(-1, -2) @ Z)).reshape(len(S), n * d, -1)
+        return (s_block * (B.swapaxes(-1, -2) @ Z)).reshape(len(B), n * d, -1)
     return apply
 
 

@@ -4,7 +4,8 @@ import pytest
 from pushopt import costs as co
 from pushopt import network as nw
 from pushopt import operators as op
-from pushopt.linalg import induced_pi_norm
+from pushopt.errors import DimensionMismatchError
+from pushopt.linalg import flatten_block_operator, spectral_norm
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +63,32 @@ def svd_norm_oracle(M):
 def induced_pi_norm_oracle(M, pi):
     s = np.sqrt(pi)
     return svd_norm_oracle(M * (s[None, :] / s[:, None]))
+
+
+def induced_pi_norm(M, pi):
+    """Operator norm in the pi-weighted metric, by the library's kernel.
+
+    For an n x n matrix this is the spectral norm of D^-1 M D with
+    D = diag(sqrt(pi)); for an (n, n, d, d) block operator, D is extended
+    blockwise (each block (i, j) is scaled by sqrt(pi_j / pi_i)).
+    """
+    M = np.asarray(M, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    s = np.sqrt(pi)
+    if M.ndim == 2:
+        if M.shape[0] != M.shape[1] or M.shape[0] != pi.shape[0]:
+            raise DimensionMismatchError(f"matrix {M.shape} vs {pi.shape[0]} weights")
+        T = M * (s[None, :] / s[:, None])
+    elif M.ndim == 4:
+        n, m, d, e = M.shape
+        if n != m or d != e or n != pi.shape[0]:
+            raise DimensionMismatchError(
+                f"operator {M.shape} vs {pi.shape[0]} weights: expected (n, n, d, d)"
+            )
+        T = flatten_block_operator(M * (s[None, :, None, None] / s[:, None, None, None]))
+    else:
+        raise DimensionMismatchError(f"expected a matrix or block operator, got ndim={M.ndim}")
+    return spectral_norm(T)
 
 
 def dense_lipschitz_oracle(ctx):

@@ -162,6 +162,24 @@ def test_case2_below_the_rank_bound_exits_one_before_any_draw(tmp_path, monkeypa
     assert drawn == [] and built == [] and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, config", [
+    (["reproduce", "fig1"], {"tune_grid_start": -1}),
+    (["reproduce", "fig1"], {"tune_budget": 0}),
+    (["reproduce", "fig2", "--d", "0"], None),
+    (["reproduce", "fig2", "--m", "0"], None),
+    (["certify", "--case", "case2", "--m-rank", "0"], None),
+], ids=["grid-start", "budget", "d", "m", "m-rank"])
+def test_bad_sizes_and_tuning_grid_exit_one_before_any_work(tmp_path, monkeypatch, capsys,
+                                                            args, config):
+    built = _count_calls(monkeypatch, hz, "build_network")
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        args = args + ["--config", str(tmp_path / "c.json")]
+    assert cli_main(args + ["--out-dir", str(tmp_path / "o")]) == 1
+    assert "n * m_rank" not in capsys.readouterr().err
+    assert built == [] and not (tmp_path / "o").exists()
+
+
 # the case1 closed-form rate is conservative: at seed 4 even 2 C still holds
 @pytest.mark.parametrize("case, factor", [("case1", 3.0), ("case2", 1.001)])
 def test_certify_overclaiming_rate_exits_two(tmp_path, monkeypatch, capsys, case, factor):

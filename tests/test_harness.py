@@ -57,6 +57,17 @@ def test_resolve_config_rejects_bad_input():
                      {"multipliers": [0.2, 0.2000001]}):
         with pytest.raises(ConfigError, match="must be distinct"):
             hz.resolve_config({"scenario": "fig4_case1_sweep", **repeated})
+    # the tuner's grid and the cost dimensions are checked before any work
+    for key, value in (("tune_grid_start", -1), ("tune_grid_start", 0), ("tune_grid_step", 0),
+                       ("tune_budget", 0), ("tune_budget", -1)):
+        with pytest.raises(ConfigError, match=key):
+            hz.resolve_config({"scenario": "fig1_hybrid", key: value})
+    for payload, match in (({"d": 0}, "d must be"), ({"m": 0}, "m >= 1"),
+                           ({"case": "case2", "d": 0}, "d must be"),
+                           ({"case": "case2", "m_rank": 0}, "1 <= m_rank < d"),
+                           ({"case": "case2", "m_rank": 10}, "1 <= m_rank < d")):
+        with pytest.raises(ConfigError, match=match):
+            hz.resolve_config({"scenario": "fig2_contraction", **payload})
     # the config bounds gp_iters by run_iters only in fig1; `run hybrid` checks its own rounds
     cfg = hz.resolve_config({"scenario": "custom", "gp_iters": 700, "run_iters": 50})
     assert cfg.gp_iters == 700

@@ -4,7 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import induced_pi_norm_oracle, perron_oracle
+from conftest import induced_pi_norm, induced_pi_norm_oracle, perron_oracle
+from pushopt import harness as hz
 from pushopt import network as nw
 from pushopt.errors import FailedConnectivityError, NoConvergenceError, ValidationError
 
@@ -212,6 +213,15 @@ def test_rho_matches_dense_svd(net20):
     w_inf = np.outer(net20.pi, np.ones(net20.n))
     oracle = induced_pi_norm_oracle(net20.W - w_inf, net20.pi)
     assert abs(nw.compute_rho(net20.W, net20.pi) - oracle) <= 1e-10
+
+
+def test_rho_has_the_bits_of_the_weighted_norm_of_the_gap(net20):
+    # compute_rho scales its one gap in place; the bits are those of the
+    # pi-weighted norm of W - outer(pi, 1) formed out of place
+    net400 = hz.build_network(hz.resolve_config({"scenario": "fig4_case1_sweep", "n": 400}))
+    for net in (net20, net400):
+        gap = net.W - np.outer(net.pi, np.ones(net.n))
+        assert nw.compute_rho(net.W, net.pi) == induced_pi_norm(gap, net.pi) == net.rho
 
 
 def test_serialization_round_trip(net20, tmp_path):

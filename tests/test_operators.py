@@ -299,12 +299,15 @@ def test_fixed_point_rejects_a_negative_tolerance(net20, ens_case1):
 
 def test_fixed_point_bits_do_not_depend_on_blas_threads():
     script = (
-        "import hashlib; from pushopt import harness as hz, operators as op; "
+        "import hashlib; import numpy as np; from pushopt import harness as hz, operators as op; "
         "cfg = hz.resolve_config({'scenario': 'fig5_case2'}); "
         "net, ens = hz.build_network(cfg), hz.build_ensemble(cfg); "
         "a = op.stepsize_ceiling(net, ens, cfg.eps) / 40; "
         "fp = op.solve_fixed_point(op.OperatorContext(net, ens, a)); "
-        "print(hashlib.sha256(fp.w.tobytes()).hexdigest())"
+        "print(hashlib.sha256(fp.w.tobytes()).hexdigest()); "
+        "ens = hz.build_ensemble(hz.resolve_config({'scenario': 'fig4_case1_sweep', 'n': 400})); "
+        "consts = [c.L for c in ens.costs] + [c.mu for c in ens.costs] + [ens.mu_agg]; "
+        "print(hashlib.sha256(np.array(consts).tobytes()).hexdigest())"
     )
     src = str(Path(op.__file__).parents[1])
     digests = set()

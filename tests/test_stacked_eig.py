@@ -1,12 +1,15 @@
-"""The stacked block power iteration against the one-matrix-at-a-time kernel.
+"""Stacked spectral kernels against one-matrix-at-a-time references.
 
 ``oracle_top_eig``, ``oracle_restarted`` and ``oracle_extremes`` are the
-kernel as it was before matrices were stacked: one Python loop per matrix,
-one restart loop per matrix.  They read the iteration settings from
-``linalg`` at call time, as the kernel does.  The one edit is that
-``oracle_extremes`` no longer clips the smallest eigenvalue at zero; that
-clip now lives in the cost constructors.  Every stacked result must equal
-the oracle's bit for bit.
+block power iteration as it was before matrices were stacked: one Python
+loop per matrix, one restart loop per matrix, the smallest eigenvalue from
+the shifted problem ``lam_max I - H``.  They read the iteration settings
+from ``linalg`` at call time, as the kernel does, and ``oracle_extremes``
+does not clip the smallest eigenvalue at zero.  ``spectral_norm`` must
+equal ``oracle_restarted`` bit for bit.  ``symmetric_extremes`` is LAPACK's
+symmetric eigensolver: each slice of a stack must equal its own (m, m)
+call bit for bit, and the power-iteration oracle to 1e-12 of the largest
+eigenvalue.
 """
 
 import numpy as np
@@ -19,16 +22,14 @@ from pushopt import operators as op
 from pushopt.errors import DimensionMismatchError, NoConvergenceError, ValidationError
 
 
-def oracle_top_eig(B, start_index=0, scale=None, steps=None):
-    """Per-matrix block power iteration; appends its step count to ``steps``."""
+def oracle_top_eig(B, start_index=0, scale=None):
+    """Per-matrix block power iteration."""
     size = B.shape[0]
     b = max(1, min(la._EIG_BLOCK, size - 1)) if size > 1 else 1
     V = la._start_block(size, start_index, b)
-    for it in range(la._EIG_MAX_ITER):
+    for _ in range(la._EIG_MAX_ITER):
         U = B @ V
         if not np.any(U):
-            if steps is not None:
-                steps.append(it)
             return 0.0
         G = V.T @ U
         ritz, vecs = np.linalg.eigh(0.5 * (G + G.T))
@@ -36,18 +37,16 @@ def oracle_top_eig(B, start_index=0, scale=None, steps=None):
         top = V @ vecs[:, -1]
         resid = np.linalg.norm(U @ vecs[:, -1] - lam * top)
         if resid <= la._EIG_TOL * max(lam, scale if scale is not None else 0.0, la._STOP_FLOOR):
-            if steps is not None:
-                steps.append(it)
             return max(lam, 0.0)
         V, _ = np.linalg.qr(U)
     raise NoConvergenceError("oracle did not converge")
 
 
-def oracle_restarted(B, scale=None, steps=None):
+def oracle_restarted(B, scale=None):
     best = 0.0
     prev = None
     for r in range(la._EIG_RESTARTS):
-        lam = oracle_top_eig(B, start_index=r, scale=scale, steps=steps)
+        lam = oracle_top_eig(B, start_index=r, scale=scale)
         best = max(best, lam)
         stop = la._EIG_TOL * (scale if scale is not None else max(best, la._STOP_FLOOR))
         if prev is not None and abs(lam - prev) <= stop:
@@ -56,33 +55,41 @@ def oracle_restarted(B, scale=None, steps=None):
     return best
 
 
-def oracle_extremes(H, steps=None):
+def oracle_extremes(H):
     H = np.asarray(H, dtype=float)
-    lam_max = oracle_restarted(H, steps=steps)
+    lam_max = oracle_restarted(H)
     if lam_max == 0.0:
         return 0.0, 0.0
     S = lam_max * np.eye(H.shape[0]) - H
-    lam_min = lam_max - oracle_restarted(S, scale=lam_max, steps=steps)
+    lam_min = lam_max - oracle_restarted(S, scale=lam_max)
     return float(lam_max), float(lam_min)
 
 
-def assert_stack_matches_oracle(stack):
+def assert_slices_match_own_call(stack):
+    """Each slice of a stacked call has the bits of its own (m, m) call."""
     L, mu = la.symmetric_extremes(stack)
-    expected = np.array([oracle_extremes(H) for H in stack])
     assert L.shape == mu.shape == (len(stack),)
-    assert np.array_equal(L, expected[:, 0])
-    assert np.array_equal(mu, expected[:, 1])
+    own = np.array([la.symmetric_extremes(H) for H in stack])
+    assert L.tobytes() == own[:, 0].tobytes()
+    assert mu.tobytes() == own[:, 1].tobytes()
+    return L, mu
+
+
+def assert_close_to_oracle(stack, L, mu):
+    expected = np.array([oracle_extremes(H) for H in stack])
+    assert np.all(np.abs(L - expected[:, 0]) <= 1e-12 * expected[:, 0])
+    assert np.all(np.abs(mu - expected[:, 1]) <= 1e-12 * expected[:, 0])
 
 
 @pytest.mark.parametrize("scenario", ["fig4_case1_sweep", "fig6_case2_sweep"])
 def test_ensemble_constants_match_per_matrix_kernel(scenario):
     ens = hz.build_ensemble(hz.resolve_config({"scenario": scenario, "n": 400}))
-    assert_stack_matches_oracle(ens.hess_stack)
-    for cost in ens.costs:
-        L, mu = oracle_extremes(cost.hess)
-        assert (cost.L, cost.mu) == (L, max(mu, 0.0))
-    assert la.symmetric_extremes(ens.agg_hess) == oracle_extremes(ens.agg_hess)
-    assert ens.mu_agg == oracle_extremes(ens.agg_hess)[1]
+    L, mu = assert_slices_match_own_call(ens.hess_stack)
+    assert_close_to_oracle(ens.hess_stack, L, mu)
+    assert [(c.L, c.mu) for c in ens.costs] == list(zip(L.tolist(), np.maximum(mu, 0.0).tolist()))
+    agg_L, agg_mu = la.symmetric_extremes(ens.agg_hess)
+    assert ens.mu_agg == agg_mu
+    assert_close_to_oracle(ens.agg_hess[None], np.array([agg_L]), np.array([agg_mu]))
 
 
 def test_mixed_stack_matches_per_matrix_kernel():
@@ -93,17 +100,11 @@ def test_mixed_stack_matches_per_matrix_kernel():
         G = rng.standard_normal((3, 3))
         stack.append(G @ G.T)
     stack = np.array(stack)
-    # the slices leave the iteration at different steps and restarts
-    steps, restarts = set(), set()
-    for H in stack:
-        log = []
-        oracle_extremes(H, steps=log)
-        steps.update(log)
-        restarts.add(len(log))
-    assert len(steps) > 2 and len(restarts) > 1
-    assert_stack_matches_oracle(stack)
-    assert_stack_matches_oracle(np.array([[[0.0]], [[2.5]], [[1e-3]]]))
-    assert la.symmetric_extremes(stack[2]) == oracle_extremes(stack[2])
+    L, mu = assert_slices_match_own_call(stack)
+    assert (L[0], mu[0]) == (0.0, 0.0)
+    assert_close_to_oracle(stack, L, mu)
+    L, mu = assert_slices_match_own_call(np.array([[[0.0]], [[2.5]], [[1e-3]]]))
+    assert L.tolist() == mu.tolist() == [0.0, 2.5, 1e-3]
 
 
 def test_spectral_norm_matches_per_matrix_kernel_on_fig5_operator():
@@ -122,11 +123,12 @@ def test_one_stuck_slice_raises(monkeypatch):
     easy = 2.0 * np.eye(4)
     stuck = np.diag([1.0, 1.0 - 1e-7, 1.0 - 2e-7, 1.0 - 3e-7])
     stuck = la._start_block(4, 0, 4) @ stuck @ la._start_block(4, 0, 4).T
-    oracle_extremes(easy)
+    oracle_restarted(easy)
     with pytest.raises(NoConvergenceError):
-        oracle_extremes(stuck)
+        oracle_restarted(stuck)
+    stack = np.array([easy, stuck, easy])
     with pytest.raises(NoConvergenceError, match="after 5 power iterations"):
-        la.symmetric_extremes(np.array([easy, stuck, easy]))
+        la._restarted_top_eig(lambda V, live: stack[live] @ V, len(stack), 4)
 
 
 def test_symmetric_extremes_rejects_bad_input():
@@ -145,11 +147,19 @@ def test_symmetric_extremes_rejects_bad_input():
         la.symmetric_extremes(stack)
 
 
+def test_symmetric_extremes_reports_a_lapack_failure(monkeypatch):
+    def fail(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        la.symmetric_extremes(np.eye(3))
+
+
 def test_batched_constructors_keep_per_cost_errors(ens_case1, ens_case2):
     payload = co.ensemble_to_dict(ens_case2)
     P = np.diag(np.linspace(2.0, -0.5, ens_case2.d))
     payload["costs"][2]["P"] = P.ravel().tolist()
-    with pytest.raises(ValidationError, match=r"quadratic matrix has negative eigenvalue -0\.4999"):
+    with pytest.raises(ValidationError, match=r"quadratic matrix has negative eigenvalue -0\.5$"):
         co.ensemble_from_dict(payload)
     payload = co.ensemble_to_dict(ens_case1)
     payload["costs"][5]["L"] *= 1.5
@@ -157,7 +167,6 @@ def test_batched_constructors_keep_per_cost_errors(ens_case1, ens_case2):
         co.ensemble_from_dict(payload)
     for ens in (ens_case1, ens_case2):
         scaled = co.scale_ensemble(ens, 2.0)
-        for cost in scaled.costs:
-            L, mu = oracle_extremes(cost.hess)
-            assert (cost.L, cost.mu) == (L, max(mu, 0.0))
-        assert scaled.mu_agg == oracle_extremes(scaled.agg_hess)[1]
+        for cost, base in zip(scaled.costs, ens.costs):
+            assert (cost.L, cost.mu) == (2.0 * base.L, 2.0 * base.mu)
+        assert scaled.mu_agg == 2.0 * ens.mu_agg
