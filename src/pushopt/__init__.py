@@ -74,7 +74,6 @@ from .operators import (
     lipschitz_sweep,
     mix_stack,
     operator_lipschitz,
-    operator_matrix,
     optimality_gap_bound,
     perturbation_product,
     push_sum_perturbation,

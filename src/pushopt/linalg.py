@@ -1,8 +1,7 @@
-"""Weighted norms, block operators, spectral norms and symmetric eigenvalues.
+"""Weighted norms, spectral norms and symmetric eigenvalues.
 
 Stacked states live in R^{n*d} and are represented as ndarrays of shape
-(n, d) whose row j is the block of agent j.  Block operators are ndarrays
-of shape (n, n, d, d); block (i, j) acts on block j of a stacked state.
+(n, d) whose row j is the block of agent j.
 
 Spectral norms come from one kernel, block power iteration on a psd
 operator that is only ever applied, never read: the kernel hands an
@@ -43,36 +42,6 @@ def pi_norm(w, pi):
         )
     norms = np.sqrt(((w * w).sum(axis=-1) / pi).sum(axis=-1))
     return float(norms) if w.ndim == 2 else norms
-
-
-def flatten_block_operator(M):
-    """Reinterpret an (n, n, d, d) block operator as a dense nd x nd matrix."""
-    n, _, d, _ = M.shape
-    return np.ascontiguousarray(M.transpose(0, 2, 1, 3)).reshape(n * d, n * d)
-
-
-def solve_refined(A, b):
-    """Solve the square system A x = b with one extended-precision refinement.
-
-    Householder QR of [A | b] yields R and Q^T b at once and back
-    substitution gives x; one refinement step then adds the solution for
-    the residual b - A x, formed in extended precision (``np.longdouble``;
-    a plain refinement step where that is double).  An LU solve is faster
-    but OpenBLAS's threaded LU rounds differently with the thread count;
-    QR, back substitution and numpy's non-BLAS extended-precision product
-    do not, so x does not depend on the machine's CPU count.
-    """
-    def qr_solve(rhs):
-        R = np.linalg.qr(np.column_stack([A, rhs]), mode="r")
-        x = R[:, -1].copy()
-        for k in range(len(x) - 1, -1, -1):
-            x[k] = (x[k] - R[k, k + 1:-1] @ x[k + 1:]) / R[k, k]
-        return x
-
-    x = qr_solve(b)
-    wide = np.longdouble
-    residual = b.astype(wide) - A.astype(wide) @ x.astype(wide)
-    return x + qr_solve(residual.astype(float))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram product fails in the kernel

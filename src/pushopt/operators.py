@@ -17,8 +17,8 @@ computes:
 * the measured operator Lipschitz constant for quadratic-Hessian costs,
   from products with the operator and its transpose, never its nd x nd
   matrix, for a whole stack of stepsizes at once,
-* the fixed point by a dense solve, certified by Picard steps with an
-  a-posteriori stopping bound,
+* the fixed point by restarted GMRES on products with the operator,
+  polished by Picard steps with an a-posteriori stopping bound,
 * the empirical push-sum constants (coefficient of the 1/y gap and the
   largest inverse weight),
 * the convergence envelope for runs, the fixed-point radius, the
@@ -43,15 +43,11 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .linalg import (
-    _EIG_BLOCK,
-    _restarted_top_eig,
-    flatten_block_operator,
-    pi_norm,
-    solve_refined,
-)
+from .linalg import _EIG_BLOCK, _restarted_top_eig, pi_norm
 
 _PICARD_MAX_ITER = 1_000_000  # Picard steps per pass of the fixed-point polish
+_KRYLOV_RESTART = 60  # Arnoldi vectors per cycle of the restarted GMRES start
+_KRYLOV_TOL = 1e-16  # residual relative to |T(0)| that ends it, at or below the rounding floor
 _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
 CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
@@ -203,20 +199,6 @@ def stepsize_ceiling(net, ensemble, eps=None):
     return float(np.min(2.0 * n * pi / (L + eps)))
 
 
-def operator_matrix(ctx):
-    """Block matrix of the limit operator's linear part.
-
-    Block (k, j) = W[k, j] * (I_d - alpha / (n pi_j) * H_j) with H_j the
-    Hessian of cost j; the 1/(n pi_j) factor reflects that the gradient is
-    taken at w_j / (n pi_j).  Only defined for quadratic-Hessian costs.
-    """
-    net, ens = ctx.net, ctx.ensemble
-    _require_constant_hessians(ens)
-    scale = ctx.alpha / (net.n * net.pi)
-    S = np.eye(ens.d)[None, :, :] - scale[:, None, None] * ens.hess_stack
-    return net.W[:, :, None, None] * S[None, :, :, :]
-
-
 def _require_constant_hessians(ensemble):
     if any(c.kind not in ("quadratic", "regularized_ls") for c in ensemble.costs):
         raise NonQuadraticError(
@@ -321,27 +303,25 @@ def _contraction(net, ensemble, eps):
 
 
 def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
-    """Fixed point by a dense solve, certified by Picard polish steps.
+    """Fixed point by a matrix-free Krylov solve, polished by Picard steps.
 
-    The operator is affine, T(w) = M w + T(0) with M from
-    ``operator_matrix`` (which needs constant Hessians) and
-    T(0) = -alpha W lin_stack, so its fixed point solves (I - M) w = T(0);
-    ``solve_refined`` gives that point to about rounding accuracy.  Picard
-    iteration then runs from it and stops once ``step * L / (1 - L) <=
-    tol``, where L is the operator's measured Lipschitz constant (pass it
-    as ``lipschitz`` if already known), which converts the tolerance into
-    a guaranteed weighted distance to the fixed point.  Near the rounding
-    floor the polish can fall into a cycle of states, where that rule
-    never fires; the same loop is then rerun from zero, which is plain
-    Picard iteration and yields its result bit for bit.
-    ``FixedPoint.iterations`` counts the Picard steps of the pass that
-    produced ``w``: the polish steps, or after a cycle those of the rerun
-    from zero.
+    T is affine for constant Hessians, so ``_krylov_start`` solves
+    w - (T(w) - T(0)) = T(0) by GMRES on products with
+    ``gradient_push_operator``.  Picard steps then run from that start
+    until ``step * L / (1 - L) <= tol``, L the measured Lipschitz constant
+    (``lipschitz`` if given).  That bounds the distance to the fixed point
+    by ``tol`` in exact arithmetic only: rounding in T adds about
+    ``eps * |w| / (1 - L)`` (ROADMAP.md, open item 6).  If the polish
+    cycles, the loop is rerun from zero, which is plain Picard iteration,
+    bit for bit.  ``FixedPoint.iterations`` counts the steps of the pass
+    that produced ``w``.
 
     Raises
     ------
     ValidationError
         If ``tol`` is negative.
+    NonQuadraticError
+        If a cost has no constant Hessian, so that T is not affine.
     NoConvergenceError
         If a pass exhausts ``_PICARD_MAX_ITER`` steps, or the rerun from
         zero cycles too.
@@ -349,15 +329,14 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
     if not tol >= 0.0:
         raise ValidationError(f"fixed-point tolerance must be nonnegative, got {tol}")
     net, ens = ctx.net, ctx.ensemble
+    _require_constant_hessians(ens)
     lip = operator_lipschitz(ctx) if lipschitz is None else lipschitz
     if lip >= 1.0:
         raise NotContractiveError(f"no contraction at alpha={ctx.alpha}: Lipschitz {lip}")
     factor = lip / (1.0 - lip) if lip > 0.0 else 0.0
     zero = np.zeros((net.n, ens.d))
-    offset = gradient_push_operator(ctx, zero).ravel()
-    M = flatten_block_operator(operator_matrix(ctx))
-    start = solve_refined(np.eye(zero.size) - M, offset)
-    found = _picard(ctx, start.reshape(zero.shape), factor, tol) or _picard(ctx, zero, factor, tol)
+    start = _krylov_start(ctx, gradient_push_operator(ctx, zero))
+    found = _picard(ctx, start, factor, tol) or _picard(ctx, zero, factor, tol)
     if found is None:
         raise NoConvergenceError(
             f"fixed-point iteration cycles above tolerance {tol} at alpha={ctx.alpha}"
@@ -374,6 +353,57 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
         consensus_error=float(consensus),
         iterations=iterations,
     )
+
+
+def _krylov_start(ctx, offset):
+    """Restarted GMRES for w - (T(w) - T(0)) = T(0), with ``offset`` = T(0),
+    in the pi-weighted inner product, in which T contracts.  Arnoldi uses
+    classical Gram-Schmidt twice; a cycle ends after ``_KRYLOV_RESTART``
+    vectors, on a breakdown or at the target.  The solve ends at the target
+    or once a cycle fails to lower the true residual T(w) - w (the rounding
+    floor), and returns the best iterate.
+    """
+    m, weight = _KRYLOV_RESTART, 1.0 / ctx.net.pi[:, None]
+
+    def norm(v):
+        return math.sqrt(float((v * v * weight).sum()))
+
+    x, r, best = np.zeros_like(offset), offset, norm(offset)
+    target = _KRYLOV_TOL * best
+    while best > target:
+        V, R = np.empty((m + 1,) + offset.shape), np.zeros((m, m))
+        flat, rotations, g = V.reshape(m + 1, -1), [], [best]
+        V[0] = r / best
+        for j in range(m):
+            u = V[j] - (gradient_push_operator(ctx, V[j]) - offset)
+            c = flat[:j + 1] @ (u * weight).ravel()
+            u = u - (c @ flat[:j + 1]).reshape(u.shape)
+            c2 = flat[:j + 1] @ (u * weight).ravel()
+            u = u - (c2 @ flat[:j + 1]).reshape(u.shape)
+            h, sub = (c + c2).tolist(), norm(u)
+            for i, (cos, sin) in enumerate(rotations):
+                h[i], h[i + 1] = cos * h[i] + sin * h[i + 1], cos * h[i + 1] - sin * h[i]
+            diag = math.hypot(h[j], sub)
+            if diag == 0.0:
+                break
+            cos, sin = h[j] / diag, sub / diag
+            rotations.append((cos, sin))
+            R[:j + 1, j] = h[:j] + [diag]
+            g[j:] = cos * g[j], -sin * g[j]
+            if abs(g[j + 1]) <= target or sub == 0.0:
+                break
+            V[j + 1] = u / sub
+        k = len(rotations)
+        y = np.zeros(k)
+        for i in reversed(range(k)):
+            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
+        x_new = x + (y @ flat[:k]).reshape(x.shape)
+        r_new = gradient_push_operator(ctx, x_new) - x_new
+        res = norm(r_new)
+        if not res < best:
+            break
+        x, r, best = x_new, r_new, res
+    return x
 
 
 def _picard(ctx, w, factor, tol):

@@ -5,7 +5,7 @@ from pushopt import costs as co
 from pushopt import network as nw
 from pushopt import operators as op
 from pushopt.errors import DimensionMismatchError
-from pushopt.linalg import flatten_block_operator, spectral_norm
+from pushopt.linalg import spectral_norm
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +46,22 @@ def apply_block_operator(M, w):
 def kron_block(A, d):
     """Lift an n x n matrix to the block operator with blocks A[i, j] * I_d."""
     return np.asarray(A, dtype=float)[:, :, None, None] * np.eye(d)
+
+
+def flatten_block_operator(M):
+    """Reinterpret an (n, n, d, d) block operator as a dense nd x nd matrix."""
+    n, _, d, _ = M.shape
+    return np.ascontiguousarray(M.transpose(0, 2, 1, 3)).reshape(n * d, n * d)
+
+
+def operator_matrix(ctx):
+    """Block matrix of the limit operator's linear part, the dense oracle for
+    the matrix-free products: block (k, j) = W[k, j] * (I_d - alpha / (n pi_j) * H_j),
+    the 1/(n pi_j) because the gradient is taken at w_j / (n pi_j)."""
+    net, ens = ctx.net, ctx.ensemble
+    scale = ctx.alpha / (net.n * net.pi)
+    S = np.eye(ens.d)[None, :, :] - scale[:, None, None] * ens.hess_stack
+    return net.W[:, :, None, None] * S[None, :, :, :]
 
 
 def perron_oracle(W):
@@ -94,4 +110,4 @@ def induced_pi_norm(M, pi):
 def dense_lipschitz_oracle(ctx):
     """The operator Lipschitz constant by the dense path: the pi-weighted norm
     of the (n, n, d, d) operator, which forms three (nd)^2 arrays."""
-    return induced_pi_norm(op.operator_matrix(ctx), ctx.net.pi)
+    return induced_pi_norm(operator_matrix(ctx), ctx.net.pi)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import apply_block_operator, induced_pi_norm, kron_block, svd_norm_oracle
+from conftest import (
+    apply_block_operator,
+    flatten_block_operator,
+    induced_pi_norm,
+    kron_block,
+    svd_norm_oracle,
+)
 from pushopt import linalg as la
 from pushopt.errors import DimensionMismatchError, NoConvergenceError, NumericError
 
@@ -61,7 +67,7 @@ def test_apply_block_operator_identity_and_oracle():
     ident = kron_block(np.eye(n), d)
     assert np.allclose(apply_block_operator(ident, w), w, atol=1e-15)
     M = rng.standard_normal((n, n, d, d))
-    dense = la.flatten_block_operator(M) @ w.ravel()
+    dense = flatten_block_operator(M) @ w.ravel()
     assert np.max(np.abs(apply_block_operator(M, w).ravel() - dense)) <= 1e-13
 
 
@@ -145,18 +151,6 @@ def test_symmetric_extremes_trivial_and_oracle():
         mine = la.symmetric_extremes(H)
         assert mine[0] == pytest.approx(lam[-1], rel=1e-8)
         assert mine[1] == pytest.approx(lam[0], rel=1e-8)
-
-
-def test_solve_refined_matches_lu_to_rounding():
-    rng = np.random.default_rng(31)
-    for size in (1, 7, 60):
-        A = np.eye(size) + 0.3 * rng.standard_normal((size, size))
-        b = rng.standard_normal(size)
-        x = la.solve_refined(A, b)
-        oracle = np.linalg.solve(A, b)
-        scale = np.linalg.cond(A) * np.max(np.abs(oracle))
-        assert np.max(np.abs(x - oracle)) <= 1e-14 * scale
-        assert np.max(np.abs(A @ x - b)) <= 1e-14 * (1 + np.max(np.abs(b)))
 
 
 def test_block_power_iteration_raises_at_its_cap(monkeypatch):

@@ -4,7 +4,8 @@
 blockwise and never forms the nd x nd matrix.  Its values must agree with
 the dense path (``dense_lipschitz_oracle``) to 1e-13 relative, each stacked
 value must have the bits of its own one-stepsize call however the stack is
-chunked, and no production Lipschitz estimate may build the 4-D operator.
+chunked, and neither a Lipschitz estimate nor a fixed-point solve may form
+an (nd)^2 array.
 """
 
 import tracemalloc
@@ -117,28 +118,43 @@ def test_sweep_rejects_costs_without_a_constant_hessian(complete4):
     with pytest.raises(NonQuadraticError, match="constant Hessians"):
         op.lipschitz_sweep(complete4, ens, [0.1])
     with pytest.raises(NonQuadraticError, match="constant Hessians"):
-        op.operator_matrix(op.OperatorContext(complete4, ens, 0.1))
+        # a given Lipschitz constant skips the sweep, so the solve's own guard raises
+        op.solve_fixed_point(op.OperatorContext(complete4, ens, 0.1), lipschitz=0.5)
 
 
-@pytest.mark.parametrize("figure,dense_calls", [("fig2", 0), ("fig4", 0), ("fig5", 41)])
-def test_only_the_dense_fixed_point_solve_builds_the_block_operator(
-        figure, dense_calls, tmp_path, monkeypatch):
-    sweeps, built = [], []
-    real_sweep, real_matrix = op.lipschitz_sweep, op.operator_matrix
+@pytest.mark.parametrize("figure,solves", [("fig2", 0), ("fig4", 0), ("fig5", 41)])
+def test_lipschitz_sweeps_and_fixed_point_solves_per_figure(figure, solves, tmp_path, monkeypatch):
+    sweeps, solved = [], []
+    real_sweep, real_solve = op.lipschitz_sweep, op.solve_fixed_point
 
     def sweep(net, ensemble, alphas):
         sweeps.append(len(alphas))
         return real_sweep(net, ensemble, alphas)
 
-    def matrix(ctx):
-        built.append(ctx.alpha)
-        return real_matrix(ctx)
+    def solve(ctx, **kwargs):
+        solved.append(ctx.alpha)
+        return real_solve(ctx, **kwargs)
 
     monkeypatch.setattr(op, "lipschitz_sweep", sweep)
-    monkeypatch.setattr(op, "operator_matrix", matrix)
+    monkeypatch.setattr(op, "solve_fixed_point", solve)
     assert cli.cli_main(["reproduce", figure, "--out-dir", str(tmp_path)]) == 0
     # fig2: one 200-point sweep (the case1 rate needs none); fig4: the
     # certificate's one estimate; fig5: the certificate's estimate at the
     # ceiling, then one 40-point sweep for the fixed-point solves
     assert sweeps == {"fig2": [200], "fig4": [1], "fig5": [1, 40]}[figure]
-    assert len(built) == dense_calls
+    assert len(solved) == solves
+
+
+def test_fixed_point_solve_at_n100_allocates_no_dense_operator():
+    net, ens, alpha0 = scenario_instance("fig5_case2", n=100)
+    ctx = op.OperatorContext(net, ens, alpha0)
+    lip = op.operator_lipschitz(ctx)
+    op.solve_fixed_point(ctx, lipschitz=lip)  # warm up lazy imports and caches
+    dense_bytes = (net.n * ens.d) ** 2 * 8  # one (nd)^2 float array: 8 MB
+    tracemalloc.start()
+    try:
+        op.solve_fixed_point(ctx, lipschitz=lip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4

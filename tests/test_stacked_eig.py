@@ -15,6 +15,7 @@ eigenvalue.
 import numpy as np
 import pytest
 
+from conftest import flatten_block_operator, operator_matrix
 from pushopt import costs as co
 from pushopt import harness as hz
 from pushopt import linalg as la
@@ -113,8 +114,8 @@ def test_spectral_norm_matches_per_matrix_kernel_on_fig5_operator():
     alpha0 = op.stepsize_ceiling(net, ens, hz.case_eps(cfg, ens))
     s = np.sqrt(net.pi)
     for alpha in (alpha0 / 40, alpha0 / 2, alpha0):
-        M = op.operator_matrix(op.OperatorContext(net, ens, alpha))
-        T = la.flatten_block_operator(M * (s[None, :, None, None] / s[:, None, None, None]))
+        M = operator_matrix(op.OperatorContext(net, ens, alpha))
+        T = flatten_block_operator(M * (s[None, :, None, None] / s[:, None, None, None]))
         assert la.spectral_norm(T) == float(np.sqrt(oracle_restarted(T.T @ T)))
 
 
