@@ -156,7 +156,7 @@ def _validate_config(cfg):
             f"case2 needs n * m_rank >= d for a positive definite aggregate Hessian, "
             f"got n={cfg.n}, m_rank={cfg.m_rank}, d={cfg.d}"
         )
-    for name in ("seed", "net_seed", "run_iters", "gp_iters", "tune_iters", "fp_tol"):
+    for name in ("seed", "net_seed", "run_iters", "gp_iters", "tune_iters"):
         if (getattr(cfg, name) or 0) < 0:
             raise ConfigError(f"{name} must be nonnegative")
     if min(cfg.tune_grid_start or 0, cfg.tune_grid_step or 0) <= 0 or (cfg.tune_budget or 0) < 1:
@@ -177,7 +177,7 @@ def _validate_config(cfg):
             "each one names its own trace_mult_<value>.csv"
         )
     for name, value in (("alpha", cfg.alpha), ("alpha_mult", cfg.alpha_mult),
-                        ("supercritical_mult", cfg.supercritical_mult)):
+                        ("supercritical_mult", cfg.supercritical_mult), ("fp_tol", cfg.fp_tol)):
         if value is not None and value <= 0:
             raise ConfigError(f"{name} must be positive")
     if cfg.alpha_pd != "tuned" and not (_finite_number(cfg.alpha_pd) and cfg.alpha_pd > 0):

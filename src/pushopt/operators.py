@@ -17,8 +17,8 @@ computes:
 * the measured operator Lipschitz constant for quadratic-Hessian costs,
   from products with the operator and its transpose, never its nd x nd
   matrix, for a whole stack of stepsizes at once,
-* the fixed point by restarted GMRES on products with the operator,
-  polished by Picard steps with an a-posteriori stopping bound,
+* the fixed point by restarted GMRES on products with the operator, refined
+  with long-double residuals to a certified bound on its distance,
 * the empirical push-sum constants (coefficient of the 1/y gap and the
   largest inverse weight),
 * the convergence envelope for runs, the fixed-point radius, the
@@ -45,9 +45,8 @@ from .errors import (
 )
 from .linalg import _EIG_BLOCK, _restarted_top_eig, pi_norm
 
-_PICARD_MAX_ITER = 1_000_000  # Picard steps per pass of the fixed-point polish
-_KRYLOV_RESTART = 60  # Arnoldi vectors per cycle of the restarted GMRES start
-_KRYLOV_TOL = 1e-16  # residual relative to |T(0)| that ends it, at or below the rounding floor
+_KRYLOV_RESTART = 60  # Arnoldi vectors per restart cycle of the fixed-point solve
+_MAX_CYCLES = 100  # restart cycles of the fixed-point solve before NoConvergenceError
 _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
 CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
@@ -69,8 +68,8 @@ class OperatorContext:
             raise DimensionMismatchError(
                 f"network has {self.net.n} agents, ensemble {self.ensemble.n}"
             )
-        if self.alpha <= 0.0:
-            raise InvalidRateError(f"stepsize must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise InvalidRateError(f"stepsize must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,7 @@ class FixedPoint:
     w: np.ndarray
     w_bar: np.ndarray
     residual: float
+    bound: float
     consensus_error: float
     iterations: int
 
@@ -155,13 +155,17 @@ def mix_stack(net, w):
 
 
 def gradient_push_operator(ctx, w):
-    """The limit operator: mix the state after a gradient step at w_j/(n pi_j)."""
-    w = np.asarray(w, dtype=float)
+    """The limit operator: mix the state after a gradient step at w_j/(n pi_j),
+    in the floating type of ``w`` (float64, or ``np.longdouble`` with n pi_j
+    formed in it); the gradient rows are ``grad_stack``'s, bit for bit."""
+    w = np.asarray(w, dtype=np.longdouble if getattr(w, "dtype", None) == np.longdouble else float)
     net, ens = ctx.net, ctx.ensemble
     if w.shape != (net.n, ens.d):
         raise DimensionMismatchError(f"state {w.shape} vs ({net.n}, {ens.d})")
-    u = w / (net.n * net.pi)[:, None]
-    return net.W @ (w - ctx.alpha * grad_stack(ens, u))
+    u = w / (net.n * net.pi.astype(w.dtype))[:, None]
+    g = np.einsum("jab,jb->ja", ens.hess_stack, u)
+    g += ens.lin_stack
+    return net.W @ (w - ctx.alpha * g)
 
 
 def push_sum_perturbation(ctx, y, w):
@@ -303,80 +307,66 @@ def _contraction(net, ensemble, eps):
 
 
 def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
-    """Fixed point by a matrix-free Krylov solve, polished by Picard steps.
+    """Fixed point by restarted GMRES whose restarts are refinement steps.
 
-    T is affine for constant Hessians, so ``_krylov_start`` solves
-    w - (T(w) - T(0)) = T(0) by GMRES on products with
-    ``gradient_push_operator``.  Picard steps then run from that start
-    until ``step * L / (1 - L) <= tol``, L the measured Lipschitz constant
-    (``lipschitz`` if given).  That bounds the distance to the fixed point
-    by ``tol`` in exact arithmetic only: rounding in T adds about
-    ``eps * |w| / (1 - L)`` (ROADMAP.md, open item 6).  If the polish
-    cycles, the loop is rerun from zero, which is plain Picard iteration,
-    bit for bit.  ``FixedPoint.iterations`` counts the steps of the pass
-    that produced ``w``.
+    T is affine for constant Hessians, so the fixed point w* solves
+    (I - A) w = T(0) with A w = T(w) - T(0).  The iterate x is kept in
+    ``np.longdouble``; each restart evaluates r = T(x) - x in long double
+    (``_residual``) and adds the correction of one GMRES cycle in double on
+    (I - A) e = r, r rounded to double (GMRES-based iterative refinement:
+    Carson & Higham, SIAM J. Sci. Comput. 2018).  A cycle runs in the
+    pi-weighted inner product, in which T contracts, and ends after
+    ``_KRYLOV_RESTART`` vectors, on a breakdown or at a residual estimate of
+    (1 - L) tol / 4.  With w = x in double, the loop stops once
+    ``FixedPoint.bound`` = ||w - x|| + (||r|| + rounding) / (1 - L) is at
+    most ``tol``; with ``rounding`` bounding r's rounding error, it bounds
+    ||w - w*||.  L is the measured Lipschitz constant (``lipschitz`` if
+    given), an estimate whose 1e-10 relative eigen-residual can move
+    1/(1 - L) by about 2e-6 relative on sparse draws.
+    ``FixedPoint.iterations`` counts the cycles.
 
     Raises
     ------
     ValidationError
-        If ``tol`` is negative.
+        If ``tol`` is not positive: no bound reaches 0.
     NonQuadraticError
         If a cost has no constant Hessian, so that T is not affine.
     NoConvergenceError
-        If a pass exhausts ``_PICARD_MAX_ITER`` steps, or the rerun from
-        zero cycles too.
+        If a cycle does not lower ||r||, or after ``_MAX_CYCLES`` cycles.
     """
-    if not tol >= 0.0:
-        raise ValidationError(f"fixed-point tolerance must be nonnegative, got {tol}")
+    if not tol > 0.0:
+        raise ValidationError(f"fixed-point tolerance fp_tol must be positive, got {tol}")
     net, ens = ctx.net, ctx.ensemble
     _require_constant_hessians(ens)
     lip = operator_lipschitz(ctx) if lipschitz is None else lipschitz
     if lip >= 1.0:
         raise NotContractiveError(f"no contraction at alpha={ctx.alpha}: Lipschitz {lip}")
-    factor = lip / (1.0 - lip) if lip > 0.0 else 0.0
-    zero = np.zeros((net.n, ens.d))
-    start = _krylov_start(ctx, gradient_push_operator(ctx, zero))
-    found = _picard(ctx, start, factor, tol) or _picard(ctx, zero, factor, tol)
-    if found is None:
-        raise NoConvergenceError(
-            f"fixed-point iteration cycles above tolerance {tol} at alpha={ctx.alpha}"
-        )
-    w, iterations = found
-    residual = pi_norm(gradient_push_operator(ctx, w) - w, net.pi)
-    w_bar = w.mean(axis=0)
-    consensus = pi_norm(w - np.outer(net.n * net.pi, w_bar), net.pi)
-    return FixedPoint(
-        alpha=ctx.alpha,
-        w=w,
-        w_bar=w_bar,
-        residual=float(residual),
-        consensus_error=float(consensus),
-        iterations=iterations,
-    )
-
-
-def _krylov_start(ctx, offset):
-    """Restarted GMRES for w - (T(w) - T(0)) = T(0), with ``offset`` = T(0),
-    in the pi-weighted inner product, in which T contracts.  Arnoldi uses
-    classical Gram-Schmidt twice; a cycle ends after ``_KRYLOV_RESTART``
-    vectors, on a breakdown or at the target.  The solve ends at the target
-    or once a cycle fails to lower the true residual T(w) - w (the rounding
-    floor), and returns the best iterate.
-    """
-    m, weight = _KRYLOV_RESTART, 1.0 / ctx.net.pi[:, None]
+    m, weight, target = _KRYLOV_RESTART, 1.0 / net.pi[:, None], (1.0 - lip) * tol / 4.0
 
     def norm(v):
         return math.sqrt(float((v * v * weight).sum()))
 
-    x, r, best = np.zeros_like(offset), offset, norm(offset)
-    target = _KRYLOV_TOL * best
-    while best > target:
-        V, R = np.empty((m + 1,) + offset.shape), np.zeros((m, m))
-        flat, rotations, g = V.reshape(m + 1, -1), [], [best]
-        V[0] = r / best
+    offset = gradient_push_operator(ctx, np.zeros((net.n, ens.d)))  # T(0)
+    x, last, best = np.zeros(offset.shape, dtype=np.longdouble), math.inf, math.inf
+    for cycles in range(_MAX_CYCLES + 1):
+        r, rounding = _residual(ctx, x)
+        w, res = x.astype(float), norm(r)
+        bound = norm(w - x) + (res + rounding) / (1.0 - lip)
+        if bound <= tol:
+            break
+        best = min(best, bound)
+        if not 0.0 < res < last or cycles == _MAX_CYCLES:
+            stop = ("a restart cycle did not lower the residual" if not 0.0 < res < last
+                    else f"the cycle cap {_MAX_CYCLES} is reached")
+            raise NoConvergenceError(f"fixed point not certified within tolerance {tol} at "
+                                     f"alpha={ctx.alpha}: {stop}; best bound {best:.3e}")
+        last = res
+        V, R = np.empty((m + 1,) + w.shape), np.zeros((m, m))
+        flat, rotations, g = V.reshape(m + 1, -1), [], [res]
+        V[0] = r / res
         for j in range(m):
             u = V[j] - (gradient_push_operator(ctx, V[j]) - offset)
-            c = flat[:j + 1] @ (u * weight).ravel()
+            c = flat[:j + 1] @ (u * weight).ravel()  # classical Gram-Schmidt, twice
             u = u - (c @ flat[:j + 1]).reshape(u.shape)
             c2 = flat[:j + 1] @ (u * weight).ravel()
             u = u - (c2 @ flat[:j + 1]).reshape(u.shape)
@@ -397,37 +387,45 @@ def _krylov_start(ctx, offset):
         y = np.zeros(k)
         for i in reversed(range(k)):
             y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
-        x_new = x + (y @ flat[:k]).reshape(x.shape)
-        r_new = gradient_push_operator(ctx, x_new) - x_new
-        res = norm(r_new)
-        if not res < best:
-            break
-        x, r, best = x_new, r_new, res
-    return x
-
-
-def _picard(ctx, w, factor, tol):
-    """(w, steps) once ``step * factor <= tol``, or None on a cycle.
-
-    A cycle of states is found Brent-style: the state saved at steps 1, 2,
-    4, 8, ... is compared bit for bit with every later one.
-    """
-    pi = ctx.net.pi
-    saved = None
-    for iterations in range(1, _PICARD_MAX_ITER + 1):
-        w_next = gradient_push_operator(ctx, w)
-        step = pi_norm(w_next - w, pi)
-        w = w_next
-        if step * factor <= tol:
-            return w, iterations
-        state = w.tobytes()
-        if state == saved:
-            return None
-        if iterations & (iterations - 1) == 0:
-            saved = state
-    raise NoConvergenceError(
-        f"fixed point not reached in {_PICARD_MAX_ITER} iterations at alpha={ctx.alpha}"
+        x = x + (y @ flat[:k]).reshape(w.shape)
+    residual = pi_norm(gradient_push_operator(ctx, w) - w, net.pi)
+    w_bar = w.mean(axis=0)
+    consensus = pi_norm(w - np.outer(net.n * net.pi, w_bar), net.pi)
+    return FixedPoint(
+        alpha=ctx.alpha,
+        w=w,
+        w_bar=w_bar,
+        residual=float(residual),
+        bound=float(bound),
+        consensus_error=float(consensus),
+        iterations=cycles,
     )
+
+
+def _residual(ctx, x):
+    """r = T(x) - x in long double at a long-double x, and a bound on the
+    pi-weighted norm of its rounding error (Higham ch. 3), evaluated in
+    double.  With u the unit roundoff, gamma_k = k u / (1 - k u) and
+    P = |H_j| |x_j| / (n pi_j) + |b_j|, z = x - alpha grad errs by at most
+    E = gamma_1 |x| + gamma_{d+5} alpha P (gamma_{d+3} P from a gradient row);
+    row i of W z adds (W E)_i and gamma_{nnz_i} (W (|x| + alpha P + E))_i over
+    its nnz_i nonzeros, and the subtraction gamma_1 |r|.
+    """
+    net, ens, alpha = ctx.net, ctx.ensemble, ctx.alpha
+    r = gradient_push_operator(ctx, x) - x
+    u = float(np.finfo(np.longdouble).eps) / 2  # double's where long double is double: weaker
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    ax = np.abs(x).astype(float)
+    grad = np.einsum("jab,jb->ja", np.abs(ens.hess_stack), ax / (net.n * net.pi)[:, None])
+    grad += np.abs(ens.lin_stack)
+    err_z = gamma(1) * ax + gamma(ens.d + 5) * alpha * grad
+    row_gamma = gamma(np.count_nonzero(net.W, axis=1))[:, None]
+    err = (gamma(1) * np.abs(r).astype(float) + row_gamma * (net.W @ (ax + alpha * grad + err_z))
+           + net.W @ err_z)
+    return r, pi_norm(err, net.pi)
 
 
 def estimate_consensus_constants(net):
@@ -658,6 +656,7 @@ def fixed_point_to_dict(fp):
     return {
         "alpha": float(fp.alpha),
         "residual": float(fp.residual),
+        "bound": float(fp.bound),
         "consensus_error": float(fp.consensus_error),
         "iterations": int(fp.iterations),
         "w_bar": [float(v) for v in fp.w_bar],

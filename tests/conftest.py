@@ -64,6 +64,25 @@ def operator_matrix(ctx):
     return net.W[:, :, None, None] * S[None, :, :, :]
 
 
+def fixed_point_reference(ctx):
+    """The limit operator's fixed point in np.longdouble, the oracle for
+    ``solve_fixed_point``: LU corrections on the dense ``operator_matrix``,
+    with residuals T(x) - x evaluated in long double, refined until x stops
+    changing (at most 20 steps)."""
+    net, ens = ctx.net, ctx.ensemble
+    A = np.eye(net.n * ens.d) - flatten_block_operator(operator_matrix(ctx))
+    scale = net.n * net.pi.astype(np.longdouble)
+    x = np.zeros((net.n, ens.d), dtype=np.longdouble)
+    for _ in range(20):
+        grad = np.einsum("jab,jb->ja", ens.hess_stack, x / scale[:, None]) + ens.lin_stack
+        r = net.W @ (x - ctx.alpha * grad) - x
+        x_new = x + np.linalg.solve(A, r.astype(float).ravel()).reshape(x.shape)
+        if np.array_equal(x_new, x):
+            break
+        x = x_new
+    return x
+
+
 def perron_oracle(W):
     """Dense eigendecomposition: eigenvector at the eigenvalue closest to 1."""
     vals, vecs = np.linalg.eig(W)

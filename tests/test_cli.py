@@ -311,12 +311,12 @@ def test_fixed_point_command(tmp_path):
     assert cli_main(["fixed-point", "--seed", "4", "--alpha-mult", "0.5",
                      "--out-dir", str(tmp_path)]) == 0
     fp = json.loads((tmp_path / "fixed_point.json").read_text())
-    assert fp["residual"] <= 1e-12
+    assert fp["residual"] <= 1e-12 and fp["bound"] <= 1e-12
     assert len(fp["w"]) == 20
 
 
 def test_fixed_point_negative_tolerance_exits_one(tmp_path, capsys):
-    for tol in ("-1", "inf"):
+    for tol in ("-1", "0", "inf"):
         assert cli_main(["fixed-point", "--alpha-mult", "0.5", "--seed", "7", f"--tol={tol}",
                          "--out-dir", str(tmp_path)]) == 1
         assert "fp_tol" in capsys.readouterr().err
@@ -326,13 +326,6 @@ def test_fixed_point_negative_tolerance_exits_one(tmp_path, capsys):
                      "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
     assert "fp_tol" in capsys.readouterr().err
     assert not (tmp_path / "fixed_point.json").exists()
-
-
-def test_fixed_point_zero_tolerance_reaches_an_exact_float_fixed_point(tmp_path):
-    assert cli_main(["fixed-point", "--alpha-mult", "0.5", "--seed", "7", "--tol", "0",
-                     "--out-dir", str(tmp_path)]) == 0
-    fp = json.loads((tmp_path / "fixed_point.json").read_text())
-    assert fp["residual"] == 0.0
 
 
 def test_mistyped_config_number_exits_one(tmp_path, capsys):

@@ -42,7 +42,7 @@ def test_resolve_config_rejects_bad_input():
     with pytest.raises(ConfigError):
         hz.resolve_config([1, 2])
     for key, value in (("alpha", "tuned"), ("alpha_pd", 0.0), ("alpha_pd", "0.001"),
-                       ("alpha", float("nan"))):
+                       ("alpha", float("nan")), ("fp_tol", 0)):
         with pytest.raises(ConfigError, match=key):
             hz.resolve_config({"scenario": "fig1_hybrid", key: value})
     for scenario in ("fig2_contraction", "fig3_case1", "fig5_case2"):
