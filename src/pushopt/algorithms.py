@@ -161,11 +161,13 @@ def _check_pd_init(net, ensemble, init):
 def pd_step(net, ensemble, alpha, state):
     """One Push-DIGing round; v mixes the old gradients, then swaps new for old."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = net.W @ state.v  # first, then updated in place: a stacked round keeps a steady heap
         x = net.W @ state.x - alpha * state.v
         y = net.W @ state.y
         z = x / y[:, None]
         g = grad_stack(ensemble, z)
-        v = net.W @ state.v + g - state.g
+        v += g
+        v -= state.g
     return PushDigingState(t=state.t + 1, x=x, z=z, v=v, g=g, y=y)
 
 
@@ -235,10 +237,10 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
     """Run ``init`` for ``iters`` rounds at each stepsize of ``alphas``.
 
     The fields ``names`` of ``init`` are stacked, one slice per stepsize.
-    Each round makes one ``step``, one ``flagged`` and, if given, one
-    ``record(live, state, flags)`` call, the initial state included.  A
-    slice leaves the stack at its first flagged round.  Returns each
-    slice's (final state, flagged), the state unstacked.
+    Each round makes one ``step``, handed the state without z, one
+    ``flagged`` and, if given, one ``record(live, state, flags)`` call, the
+    initial state included.  A slice leaves the stack at its first flagged
+    round.  Returns each slice's (final state, flagged), the state unstacked.
     """
     if iters < 0:
         raise ValidationError("iteration count must be >= 0")
@@ -255,14 +257,15 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
             record(live, state, flags)
         if r == iters or flags.any():
             keep = ~flags & (r < iters)
-            stack = {name: getattr(state, name) for name in names}
             take = np.copy if keep.any() else (lambda a: a)  # a retiree must not hold the stack
             for i in np.flatnonzero(~keep):
-                out[live[i]] = replace(state, **{n: take(a[i]) for n, a in stack.items()}), flags[i]
+                fields = {n: take(getattr(state, n)[i]) for n in names}
+                out[live[i]] = replace(state, **fields), flags[i]
             if not keep.any():
                 break
             live, alpha = live[keep], alpha[keep]
-            state = replace(state, **{n: a[keep] for n, a in stack.items()})
+            state = replace(state, **{n: getattr(state, n)[keep] for n in names})
+        state = replace(state, z=None)  # z is recomputed from x / y: free its stack first
         state = step(net, ensemble, alpha, state)
         flags = flagged(state)
     return out

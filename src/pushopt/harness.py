@@ -225,11 +225,10 @@ def _fmt(value):
 
 def write_csv(path, header, rows):
     """Write a CSV: 17 significant digits for floats, empty for None."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 TRACE_HEADER = ("t", "phase", "sum_z_err", "w_fp_err", "w_opt_err", "diverged")

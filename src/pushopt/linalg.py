@@ -3,14 +3,12 @@
 Stacked states live in R^{n*d} and are represented as ndarrays of shape
 (n, d) whose row j is the block of agent j.
 
-Spectral norms come from one kernel, block power iteration on a psd
-operator that is only ever applied, never read: the kernel hands an
-``apply(V, live)`` function its iterated subspace and the indices of the
-slices still live, and gets back their products.  ``spectral_norm`` passes
-the dense Gram product M^T M; the operator Lipschitz sweep in ``operators``
-passes a matrix-free product.  Each slice of a stack is rounded as if
-alone.  The extreme eigenvalues of small symmetric matrices (the d x d cost
-Hessians) are read off LAPACK's symmetric eigensolver instead.
+Spectral norms of dense matrices (rho's n x n gap among them) come from
+LAPACK's SVD, and the extreme eigenvalues of the d x d cost Hessians from
+its symmetric eigensolver.  Block power iteration serves only the operator
+Lipschitz sweep in ``operators``: the kernel hands its ``apply(V, live)``
+function the iterated subspace and the indices of the slices still live,
+gets back their matrix-free products, and rounds each slice as if alone.
 """
 
 import numpy as np
@@ -44,27 +42,22 @@ def pi_norm(w, pi):
     return float(norms) if w.ndim == 2 else norms
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram product fails in the kernel
 def spectral_norm(M):
-    """Largest singular value by block power iteration on M^T M.
+    """Largest singular value of a dense matrix, from one LAPACK SVD call.
 
-    Iterates a small deterministic subspace (``_EIG_BLOCK`` columns) under
-    M^T M with QR re-orthonormalization, so tight clusters of top singular
-    values, which stall single-vector iteration, converge at the rate of
-    the cluster-to-remainder gap instead.  Runs up to ``_EIG_RESTARTS``
-    deterministic starts (ones plus Gaussian columns from generators
-    seeded with the restart index) and returns the square root of the
-    largest Ritz value found; two consecutive starts agreeing within
-    ``_EIG_TOL`` end the search early.  Raises DimensionMismatchError for a
-    NaN or infinite entry, and NoConvergenceError if any start exhausts
-    ``_EIG_MAX_ITER`` iterations with the top Ritz residual above
-    ``_EIG_TOL`` relative to the estimate.
+    Computes only the singular values (``gesdd``), which works on M itself
+    rather than on M^T M: no condition number is squared, no product can
+    overflow, and the value does not depend on the BLAS thread count.  An
+    empty matrix gives 0.0.  Raises DimensionMismatchError for a NaN or
+    infinite entry, and NoConvergenceError if LAPACK fails to converge.
     """
     M = _finite(M)
     if not M.size:
         return 0.0
-    gram = (M.T @ M)[None]
-    return float(np.sqrt(_restarted_top_eig(lambda V, live: gram @ V, 1, gram.shape[-1])[0]))
+    try:
+        return float(np.linalg.svd(M, compute_uv=False)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"singular value decomposition failed: {exc}") from exc
 
 
 def _finite(M):
@@ -75,8 +68,8 @@ def _finite(M):
 
 
 def _restarted_top_eig(apply, count, size):
-    """``spectral_norm``'s restart loop for ``count`` psd operators of order
-    ``size``, each given by ``apply`` (see ``_top_eig_psd``)."""
+    """The operator Lipschitz sweep's restart loop: top eigenvalue of ``count``
+    psd operators of order ``size``, each given by ``apply`` (see ``_top_eig_psd``)."""
     best, live = np.zeros(count), np.arange(count)
     for r in range(_EIG_RESTARTS):
         if not len(live):
@@ -143,7 +136,9 @@ def _top_eig_psd(apply, live, size, start_index=0):
             if done.all():
                 return out
             pos, live, U = pos[~done], live[~done], U[~done]
+        del V  # neither the old subspace nor U outlives its use
         V, _ = np.linalg.qr(U)
+        del U
     raise NoConvergenceError(
         f"eigen-residual above tolerance {_EIG_TOL} after {_EIG_MAX_ITER} power iterations"
     )

@@ -184,7 +184,7 @@ def compute_rho(W, pi):
     """Pi-weighted induced norm of W minus its limit outer(pi, 1); lies in [0, 1).
 
     That is the spectral norm of D^-1 (W - outer(pi, 1)) D with
-    D = diag(sqrt(pi)), formed as one n x n gap scaled in place.
+    D = diag(sqrt(pi)): one SVD of one n x n gap, scaled in place.
     """
     s = np.sqrt(pi)
     T = W - pi[:, None]

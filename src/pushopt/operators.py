@@ -222,8 +222,8 @@ def lipschitz_sweep(net, ensemble, alphas):
     In the pi-weighted norm the operator's linear part is
     T = D^-1 (W kron I_d) blockdiag(S_j) D with S_j = I_d - alpha/(n pi_j) H_j
     and D = diag(s) kron I_d, s = sqrt(pi); its Lipschitz constant is the
-    spectral norm of T.  The block power iteration of ``spectral_norm`` runs
-    on T^T T, applied blockwise as T x = (W @ (S_j (s_j x_j))) / s_k and
+    spectral norm of T.  The block power iteration of ``linalg`` runs on
+    T^T T, applied blockwise as T x = (W @ (S_j (s_j x_j))) / s_k and
     T^T y = s_j S_j^T (W^T @ (y_k / s_k)), so no nd x nd matrix is formed and
     a column costs O(n^2 d + n d^2).  The stepsizes run as one stack, in
     chunks of at most ``_LIP_BLOCK_FLOATS`` subspace floats; each value has
@@ -271,10 +271,13 @@ def _gram_apply(W, s, S):
         if live is not held[0]:
             held[:] = live, S if len(live) == len(S) else S[live]
         B = held[1]
-        X = B @ (s_block * V.reshape(V.shape[:-2] + (n, d, -1)))
-        Y = (W @ X.reshape(len(B), n, -1)) / s_row
-        Z = (W.T @ (Y / s_row)).reshape(X.shape)
-        return (s_block * (B.swapaxes(-1, -2) @ Z)).reshape(len(B), n * d, -1)
+        Y = W @ (B @ (s_block * V.reshape(V.shape[:-2] + (n, d, -1)))).reshape(len(B), n, -1)
+        Y /= s_row  # in place, and the result reuses Y: three (K, nd, b) stacks live at most
+        Y /= s_row
+        out = Y.reshape(len(B), n, d, -1)
+        np.matmul(B.swapaxes(-1, -2), (W.T @ Y).reshape(out.shape), out=out)
+        out *= s_block
+        return out.reshape(len(B), n * d, -1)
     return apply
 
 

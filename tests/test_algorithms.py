@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,43 @@ def test_hybrid_validation(net20, ens_case1):
                    init, 5)
     with pytest.raises(ValidationError, match=">= 0"):
         alg.pd_run(net20, ens_case1, 0.001, init, -1)
+
+
+def test_sweep_frees_the_old_ratio_stack_before_each_step(net20, ens_case1):
+    # z is recomputed from x / y, so the step never needs the old stack
+    seen = []
+
+    def step(net, ensemble, alpha, state):
+        seen.append(state.z)
+        return alg.pd_step(net, ensemble, alpha, state)
+
+    init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
+    ends = alg._sweep(net20, ens_case1, step, alg.pd_diverged, ("x", "z", "v", "g"),
+                      [0.001, 0.002], init, 4)
+    assert seen == [None] * 4
+    for alpha, (state, flagged) in zip((0.001, 0.002), ends):
+        own = alg.pd_run(net20, ens_case1, alpha, init, 4).final_state
+        assert not flagged and state.z.tobytes() == own.z.tobytes()
+
+
+def test_sweep_releases_the_stack_a_retirement_replaces(net20, ens_case1):
+    # past the first divergence, the live stacks must not be held twice
+    traced = []
+
+    def step(net, ensemble, alpha, state):
+        traced.append((len(alpha), tracemalloc.get_traced_memory()[0]))
+        return alg.pd_step(net, ensemble, alpha, state)
+
+    init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
+    tracemalloc.start()
+    try:
+        alg._sweep(net20, ens_case1, step, alg.pd_diverged, ("x", "z", "v", "g"),
+                   list(np.geomspace(0.01, 1.0, 40)), init, 30)
+    finally:
+        tracemalloc.stop()
+    first = next(r for r in range(1, len(traced)) if traced[r][0] < traced[r - 1][0])
+    one_stack = 40 * net20.n * ens_case1.d * 8
+    assert traced[first][1] - traced[first - 1][1] < one_stack
 
 
 def test_runs_stay_under_certified_envelope(net20, ens_case1):

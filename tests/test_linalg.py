@@ -81,7 +81,8 @@ def test_apply_block_operator_matches_matrix_mixing(net20):
 
 def test_spectral_norm_trivial():
     assert la.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-10)
-    assert la.spectral_norm(np.zeros((4, 4))) == 0.0
+    for shape in ((4, 4), (3, 5), (5, 3), (1, 1), (0, 3), (3, 0)):
+        assert la.spectral_norm(np.zeros(shape)) == 0.0
 
 
 def test_spectral_norm_matches_svd():
@@ -91,10 +92,13 @@ def test_spectral_norm_matches_svd():
         M = rng.standard_normal((n, n))
         oracle = svd_norm_oracle(M)
         assert la.spectral_norm(M) == pytest.approx(oracle, rel=1e-8)
+    for shape in ((1, 5), (5, 1), (3, 7), (7, 3), (400, 20), (20, 400)):
+        M = rng.standard_normal(shape)
+        assert la.spectral_norm(M) == svd_norm_oracle(M)
 
 
 def test_spectral_norm_handles_clustered_top_values():
-    # repeated singular values must not stall the block iteration
+    # repeated top singular values
     M = np.diag([2.0, 2.0, 2.0 - 1e-13, 0.5])
     assert la.spectral_norm(M) == pytest.approx(2.0, rel=1e-10)
 
@@ -153,16 +157,47 @@ def test_symmetric_extremes_trivial_and_oracle():
         assert mine[1] == pytest.approx(lam[0], rel=1e-8)
 
 
+def kernel_norm(M):
+    """Square root of the block power iteration's top eigenvalue of M^T M,
+    the kernel that serves the matrix-free Lipschitz sweep."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the kernel reports overflow
+        gram = (M.T @ M)[None]
+    return float(np.sqrt(la._restarted_top_eig(lambda V, live: gram @ V, 1, M.shape[1])[0]))
+
+
 def test_block_power_iteration_raises_at_its_cap(monkeypatch):
     monkeypatch.setattr(la, "_EIG_MAX_ITER", 1)
     M = np.random.default_rng(8).standard_normal((30, 30))
     with pytest.raises(NoConvergenceError, match="after 1 power iterations"):
-        la.spectral_norm(M)
+        kernel_norm(M)
 
 
 def test_block_power_iteration_at_the_edge_of_float_range():
     M = np.random.default_rng(8).standard_normal((30, 30))
     # the Gram product's residual squared overflows here; its norm does not
-    assert la.spectral_norm(1e100 * M) == pytest.approx(1e100 * la.spectral_norm(M), rel=1e-9)
+    assert kernel_norm(1e100 * M) == pytest.approx(1e100 * kernel_norm(M), rel=1e-9)
     with pytest.raises(NumericError, match="non-finite Ritz block"):
-        la.spectral_norm(1e160 * M)
+        kernel_norm(1e160 * M)
+
+
+def test_spectral_norm_spans_the_float_range():
+    # 1e160 * M has a Gram product that overflows; its singular values do not
+    M = np.random.default_rng(8).standard_normal((30, 30))
+    for scale in (1e-160, 1e100, 1e160):
+        assert la.spectral_norm(scale * M) == pytest.approx(scale * la.spectral_norm(M), rel=1e-14)
+
+
+def test_spectral_norm_rejects_non_finite_entries():
+    for value in (np.nan, np.inf, -np.inf):
+        M = np.eye(3)
+        M[2, 0] = value
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            la.spectral_norm(M)
+
+
+def test_spectral_norm_reports_a_lapack_failure(monkeypatch):
+    def fail(M, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        la.spectral_norm(np.eye(3))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +226,27 @@ def test_rho_has_the_bits_of_the_weighted_norm_of_the_gap(net20):
     for net in (net20, net400):
         gap = net.W - np.outer(net.pi, np.ones(net.n))
         assert nw.compute_rho(net.W, net.pi) == induced_pi_norm(gap, net.pi) == net.rho
+
+
+def test_rho_bits_do_not_depend_on_blas_threads():
+    # at n=400 a threaded gemm rounds differently with 1 and 2 threads;
+    # the SVD that measures rho must not
+    script = (
+        "from pushopt import harness as hz\n"
+        "for seed in range(12):\n"
+        "    cfg = hz.resolve_config({'scenario': 'fig4_case1_sweep', 'n': 400, 'net_seed': seed})\n"
+        "    print(hz.build_network(cfg).rho.hex())\n"
+    )
+    src = str(Path(nw.__file__).parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        runs.append(out.stdout.split())
+    assert len(runs[0]) == 12
+    assert runs[0] == runs[1]
 
 
 def test_serialization_round_trip(net20, tmp_path):

@@ -5,11 +5,12 @@ block power iteration as it was before matrices were stacked: one Python
 loop per matrix, one restart loop per matrix, the smallest eigenvalue from
 the shifted problem ``lam_max I - H``.  They read the iteration settings
 from ``linalg`` at call time, as the kernel does, and ``oracle_extremes``
-does not clip the smallest eigenvalue at zero.  ``spectral_norm`` must
-equal ``oracle_restarted`` bit for bit.  ``symmetric_extremes`` is LAPACK's
-symmetric eigensolver: each slice of a stack must equal its own (m, m)
-call bit for bit, and the power-iteration oracle to 1e-12 of the largest
-eigenvalue.
+does not clip the smallest eigenvalue at zero.  ``spectral_norm`` is
+LAPACK's SVD: it must equal ``np.linalg.svd`` bit for bit, and the square
+root of ``oracle_restarted`` on M^T M to 1e-12 relative.
+``symmetric_extremes`` is LAPACK's symmetric eigensolver: each slice of a
+stack must equal its own (m, m) call bit for bit, and the power-iteration
+oracle to 1e-12 of the largest eigenvalue.
 """
 
 import numpy as np
@@ -116,7 +117,9 @@ def test_spectral_norm_matches_per_matrix_kernel_on_fig5_operator():
     for alpha in (alpha0 / 40, alpha0 / 2, alpha0):
         M = operator_matrix(op.OperatorContext(net, ens, alpha))
         T = flatten_block_operator(M * (s[None, :, None, None] / s[:, None, None, None]))
-        assert la.spectral_norm(T) == float(np.sqrt(oracle_restarted(T.T @ T)))
+        norm = la.spectral_norm(T)
+        assert norm == np.linalg.svd(T, compute_uv=False)[0]
+        assert abs(norm - float(np.sqrt(oracle_restarted(T.T @ T)))) <= 1e-12 * norm
 
 
 def test_one_stuck_slice_raises(monkeypatch):
