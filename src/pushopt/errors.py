@@ -55,7 +55,7 @@ class SingularSystemError(NumericError):
 
 
 class NotContractiveError(NumericError):
-    """A map expected to contract measured a Lipschitz constant >= 1."""
+    """A map expected to contract measured a Lipschitz constant not certifiably below 1."""
 
 
 class NonpositiveYError(NumericError):

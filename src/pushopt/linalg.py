@@ -5,21 +5,19 @@ Stacked states live in R^{n*d} and are represented as ndarrays of shape
 
 Spectral norms of dense matrices (rho's n x n gap among them) come from
 LAPACK's SVD, and the extreme eigenvalues of the d x d cost Hessians from
-its symmetric eigensolver.  Block power iteration serves only the operator
-Lipschitz sweep in ``operators``: the kernel hands its ``apply(V, live)``
-function the iterated subspace and the indices of the slices still live,
-gets back their matrix-free products, and rounds each slice as if alone.
+its symmetric eigensolver.  A stacked Lanczos kernel serves only the
+operator Lipschitz sweep in ``operators``: it hands its ``apply(V, live)``
+function the current Lanczos vector and the indices of the slices still
+live, gets back their matrix-free products, and rounds each slice as if
+alone.  Its top Ritz value is a lower bound on the top eigenvalue.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NoConvergenceError, NumericError
 
-_STOP_FLOOR = 1e-300  # avoids a zero threshold when the true norm is zero
-_EIG_TOL = 1e-10  # relative eigen-residual that stops the block power iteration
-_EIG_MAX_ITER = 20000  # its iterations per start before NoConvergenceError
-_EIG_RESTARTS = 3  # its deterministic starts
-_EIG_BLOCK = 12  # columns of its iterated subspace
+_EIG_TOL = 1e-10  # relative Ritz residual that retires a slice of the Lanczos kernel
+_EIG_MAX_ITER = 500  # its steps before NoConvergenceError
 
 
 def pi_norm(w, pi):
@@ -67,80 +65,60 @@ def _finite(M):
     return M
 
 
-def _restarted_top_eig(apply, count, size):
-    """The operator Lipschitz sweep's restart loop: top eigenvalue of ``count``
-    psd operators of order ``size``, each given by ``apply`` (see ``_top_eig_psd``)."""
-    best, live = np.zeros(count), np.arange(count)
-    for r in range(_EIG_RESTARTS):
-        if not len(live):
-            break
-        lam = _top_eig_psd(apply, live, size, start_index=r)
-        best[live] = np.maximum(best[live], lam)
-        if r:
-            going = ~(np.abs(lam - prev) <= _EIG_TOL * np.maximum(best[live], _STOP_FLOOR))
-            if not going.all():
-                live, lam = live[going], lam[going]
-        prev = lam
-    return best
-
-
-def _start_block(size, index, block):
-    if index == 0:
-        V = np.hstack([np.ones((size, 1)),
-                       np.random.default_rng(1).standard_normal((size, block - 1))])
-    else:
-        V = np.random.default_rng(1000 * index).standard_normal((size, block))
-    return np.linalg.qr(V)[0]
-
-
-def _require_finite(values, name):
-    if not np.isfinite(values).all():
-        raise NumericError(f"block power iteration overflowed: non-finite {name} "
-                           "(operator entries too large for float64)")
-    return values
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _top_eig_psd(apply, live, size, start_index=0):
-    """Top eigenvalue of each slice in ``live`` from one start, in that order.
+def _lanczos_top_eig(apply, count, size):
+    """Top eigenvalue of ``count`` psd operators of order ``size``, each given
+    by ``apply``, from the plain three-term Lanczos recurrence.
 
-    ``apply(V, live)`` returns the slices' products with V, a (size, b)
-    block shared by all slices on the first step and a (len(live), size, b)
-    stack after it; ``live`` is replaced by a new array whenever a slice
-    leaves, which it does once its relative residual passes.  A non-finite
-    Ritz block or residual, which only an operator whose products overflow
-    float64 gives, raises NumericError at once; a residual whose square
-    alone overflows is measured scaled instead.
+    ``apply(V, live)`` returns the products of the slices in ``live`` with
+    V, a (size, 1) start vector shared by all slices on the first step and a
+    (len(live), size, 1) stack after it; ``live`` is replaced by a new array
+    whenever a slice retires.  Each slice keeps its own tridiagonal (alpha,
+    beta) and no basis: without reorthogonalization the top Ritz value still
+    converges to working accuracy (Paige, Linear Algebra Appl. 1980).  A
+    slice retires once beta_k |s_k| <= ``_EIG_TOL`` theta, with theta its top
+    Ritz value and s_k the last entry of that Ritz vector; beta_k = 0 passes.
+    A non-finite coefficient, which only an operator whose products overflow
+    float64 gives, raises NumericError at once; a beta whose square alone
+    overflows is measured scaled instead.
     """
-    # keep the subspace strictly smaller than the space so this stays a
-    # genuine iteration rather than a one-shot dense diagonalization
-    b = max(1, min(_EIG_BLOCK, size - 1)) if size > 1 else 1
-    V = _start_block(size, start_index, b)
-    out, pos = np.zeros(len(live)), np.arange(len(live))
-    for _ in range(_EIG_MAX_ITER):
-        U = apply(V, live)
-        G = V.swapaxes(-1, -2) @ U
-        _require_finite(G, "Ritz block")
-        ritz, vecs = np.linalg.eigh(0.5 * (G + G.swapaxes(1, 2)))
-        top = vecs[:, :, -1:]
-        r = U @ top - ritz[:, -1:, None] * (V @ top)
-        # 1-D dot per slice, rounded as np.linalg.norm; U == 0 passes with Ritz value 0
-        res = np.sqrt((r.swapaxes(1, 2) @ r)[:, 0, 0])
-        big = np.isinf(res)  # r^T r overflowed: square r scaled by 2^-600 (exact) instead
+    q = np.random.default_rng(1).standard_normal((size, 1))
+    q /= np.linalg.norm(q)
+    out, live = np.zeros(count), np.arange(count)
+    alphas, betas = np.empty((count, 0)), np.empty((count, 0))
+    for k in range(1, _EIG_MAX_ITER + 1):
+        u = apply(q, live)
+        alpha = (q.swapaxes(-1, -2) @ u)[:, 0, 0]
+        u -= alpha[:, None, None] * q
+        if k > 1:
+            u -= betas[:, -1, None, None] * q_prev
+        # 1-D dot per slice, rounded as np.linalg.norm
+        beta = np.sqrt((u.swapaxes(1, 2) @ u)[:, 0, 0])
+        big = np.isinf(beta)  # u^T u overflowed: square u scaled by 2^-600 (exact) instead
         if big.any():
-            res[big] = np.sqrt(((r[big] * 2.0**-600) ** 2).sum(axis=(1, 2))) * 2.0**600
-        done = (_require_finite(res, "eigen-residual")
-                <= _EIG_TOL * np.maximum(ritz[:, -1], _STOP_FLOOR))
+            beta[big] = np.sqrt(((u[big] * 2.0**-600) ** 2).sum(axis=(1, 2))) * 2.0**600
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise NumericError("Lanczos recurrence overflowed: non-finite coefficient "
+                               "(operator entries too large for float64)")
+        alphas = np.concatenate([alphas, alpha[:, None]], axis=1)
+        T = np.zeros((len(live), k, k))
+        flat = T.reshape(len(live), k * k)
+        flat[:, ::k + 1], flat[:, k::k + 1] = alphas, betas  # eigh reads the lower triangle
+        ritz, vecs = np.linalg.eigh(T)
+        theta = np.maximum(ritz[:, -1], 0.0)  # psd: only rounding reads below 0
+        done = beta * np.abs(vecs[:, -1, -1]) <= _EIG_TOL * theta
         if done.any():
-            out[pos[done]] = np.maximum(ritz[done, -1], 0.0)
+            out[live[done]] = theta[done]
             if done.all():
                 return out
-            pos, live, U = pos[~done], live[~done], U[~done]
-        del V  # neither the old subspace nor U outlives its use
-        V, _ = np.linalg.qr(U)
-        del U
+            keep = ~done
+            live, u, beta, alphas, betas = (a[keep] for a in (live, u, beta, alphas, betas))
+            q = q[keep] if q.ndim == 3 else q
+        betas = np.concatenate([betas, beta[:, None]], axis=1)
+        u /= beta[:, None, None]
+        q_prev, q = q, u
     raise NoConvergenceError(
-        f"eigen-residual above tolerance {_EIG_TOL} after {_EIG_MAX_ITER} power iterations"
+        f"Lanczos residual above tolerance {_EIG_TOL} after {_EIG_MAX_ITER} steps"
     )
 
 

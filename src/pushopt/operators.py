@@ -43,14 +43,14 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .linalg import _EIG_BLOCK, _restarted_top_eig, pi_norm
+from .linalg import _EIG_TOL, _lanczos_top_eig, pi_norm
 
 _KRYLOV_RESTART = 60  # Arnoldi vectors per restart cycle of the fixed-point solve
 _MAX_CYCLES = 100  # restart cycles of the fixed-point solve before NoConvergenceError
 _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
 CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
-_LIP_BLOCK_FLOATS = 1 << 14  # floats of the (k, nd, b) subspace of one lipschitz_sweep chunk
+_LIP_BLOCK_FLOATS = 1 << 10  # floats per (k, nd) Lanczos vector stack of a lipschitz_sweep chunk
 _NOISE_FLOOR = 1e-14  # smallest push-sum gap ever counted as signal
 _TAIL_ROUNDS = 10  # push-sum rounds past the derived horizon, whose peaks are the noise plateau
 
@@ -222,13 +222,15 @@ def lipschitz_sweep(net, ensemble, alphas):
     In the pi-weighted norm the operator's linear part is
     T = D^-1 (W kron I_d) blockdiag(S_j) D with S_j = I_d - alpha/(n pi_j) H_j
     and D = diag(s) kron I_d, s = sqrt(pi); its Lipschitz constant is the
-    spectral norm of T.  The block power iteration of ``linalg`` runs on
-    T^T T, applied blockwise as T x = (W @ (S_j (s_j x_j))) / s_k and
+    spectral norm of T.  The Lanczos kernel of ``linalg`` runs on T^T T,
+    applied blockwise as T x = (W @ (S_j (s_j x_j))) / s_k and
     T^T y = s_j S_j^T (W^T @ (y_k / s_k)), so no nd x nd matrix is formed and
-    a column costs O(n^2 d + n d^2).  The stepsizes run as one stack, in
-    chunks of at most ``_LIP_BLOCK_FLOATS`` subspace floats; each value has
-    the bits of its own one-stepsize call.  Returns a float array, empty for
-    an empty ``alphas``.
+    a product costs O(n^2 d + n d^2).  Its top Ritz value is a lower bound on
+    ||T||^2, so each value is an estimate from below, accepted at a relative
+    Ritz residual of 1e-10.  The stepsizes run as one stack, in chunks of at
+    most ``_LIP_BLOCK_FLOATS`` floats per Lanczos vector stack; each value
+    has the bits of its own one-stepsize call.  Returns a float array, empty
+    for an empty ``alphas``.
 
     Raises
     ------
@@ -249,12 +251,12 @@ def lipschitz_sweep(net, ensemble, alphas):
     if bad.any():
         raise InvalidRateError(f"stepsizes must be positive and finite, got {alphas[bad][0]}")
     n, d, s = net.n, ensemble.d, np.sqrt(net.pi)
-    chunk = max(1, _LIP_BLOCK_FLOATS // (n * d * _EIG_BLOCK))
+    chunk = max(1, _LIP_BLOCK_FLOATS // (n * d))
     out = np.empty(len(alphas))
     for lo in range(0, len(alphas), chunk):
         scale = alphas[lo:lo + chunk, None] / (n * net.pi)
         S = np.eye(d) - scale[:, :, None, None] * ensemble.hess_stack
-        out[lo:lo + chunk] = _restarted_top_eig(_gram_apply(net.W, s, S), len(S), n * d)
+        out[lo:lo + chunk] = _lanczos_top_eig(_gram_apply(net.W, s, S), len(S), n * d)
     return np.sqrt(out)
 
 
@@ -301,12 +303,18 @@ def _contraction(net, ensemble, eps):
         C = float(np.min(mu * L / (net.n * (mu + L) * net.pi)))
         return alpha0, C, None
     eta = operator_lipschitz(OperatorContext(net, ensemble, alpha0))
-    if eta >= 1.0:
+    if not _contracts(eta):
         raise NotContractiveError(
-            f"operator at the ceiling measured Lipschitz {eta} >= 1; "
-            "aggregate cost is likely not strongly convex"
+            f"operator at the ceiling measured Lipschitz {eta}, not below 1 by more "
+            "than its tolerance; aggregate cost is likely not strongly convex"
         )
     return alpha0, (1.0 - eta) / alpha0, eta
+
+
+def _contracts(lip):
+    """Whether ``lip`` certifies a contraction: its square, a Ritz value accepted
+    at relative residual ``_EIG_TOL``, lies below 1 by more than that."""
+    return lip * lip < 1.0 - _EIG_TOL
 
 
 def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
@@ -323,9 +331,11 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
     (1 - L) tol / 4.  With w = x in double, the loop stops once
     ``FixedPoint.bound`` = ||w - x|| + (||r|| + rounding) / (1 - L) is at
     most ``tol``; with ``rounding`` bounding r's rounding error, it bounds
-    ||w - w*||.  L is the measured Lipschitz constant (``lipschitz`` if
-    given), an estimate whose 1e-10 relative eigen-residual can move
-    1/(1 - L) by about 2e-6 relative on sparse draws.
+    ||w - w*||.  L is ``lipschitz`` if given, else the measured Lipschitz
+    constant, whose square is a Lanczos Ritz value: a lower bound on
+    ||T||^2 whose 1e-10 relative residual can move 1/(1 - L) by about 2e-6
+    relative on sparse draws.  An L whose square lies within that 1e-10 of
+    1 certifies no contraction.
     ``FixedPoint.iterations`` counts the cycles.
 
     Raises
@@ -334,6 +344,8 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
         If ``tol`` is not positive: no bound reaches 0.
     NonQuadraticError
         If a cost has no constant Hessian, so that T is not affine.
+    NotContractiveError
+        If L certifies no contraction.
     NoConvergenceError
         If a cycle does not lower ||r||, or after ``_MAX_CYCLES`` cycles.
     """
@@ -342,7 +354,7 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
     net, ens = ctx.net, ctx.ensemble
     _require_constant_hessians(ens)
     lip = operator_lipschitz(ctx) if lipschitz is None else lipschitz
-    if lip >= 1.0:
+    if not _contracts(lip):
         raise NotContractiveError(f"no contraction at alpha={ctx.alpha}: Lipschitz {lip}")
     m, weight, target = _KRYLOV_RESTART, 1.0 / net.pi[:, None], (1.0 - lip) * tol / 4.0
 

@@ -158,25 +158,25 @@ def test_symmetric_extremes_trivial_and_oracle():
 
 
 def kernel_norm(M):
-    """Square root of the block power iteration's top eigenvalue of M^T M,
-    the kernel that serves the matrix-free Lipschitz sweep."""
+    """Square root of the Lanczos kernel's top eigenvalue of M^T M, the
+    kernel that serves the matrix-free Lipschitz sweep."""
     with np.errstate(over="ignore", invalid="ignore"):  # the kernel reports overflow
         gram = (M.T @ M)[None]
-    return float(np.sqrt(la._restarted_top_eig(lambda V, live: gram @ V, 1, M.shape[1])[0]))
+    return float(np.sqrt(la._lanczos_top_eig(lambda V, live: gram @ V, 1, M.shape[1])[0]))
 
 
-def test_block_power_iteration_raises_at_its_cap(monkeypatch):
+def test_lanczos_kernel_raises_at_its_cap(monkeypatch):
     monkeypatch.setattr(la, "_EIG_MAX_ITER", 1)
     M = np.random.default_rng(8).standard_normal((30, 30))
-    with pytest.raises(NoConvergenceError, match="after 1 power iterations"):
+    with pytest.raises(NoConvergenceError, match="after 1 steps"):
         kernel_norm(M)
 
 
-def test_block_power_iteration_at_the_edge_of_float_range():
+def test_lanczos_kernel_at_the_edge_of_float_range():
     M = np.random.default_rng(8).standard_normal((30, 30))
     # the Gram product's residual squared overflows here; its norm does not
     assert kernel_norm(1e100 * M) == pytest.approx(1e100 * kernel_norm(M), rel=1e-9)
-    with pytest.raises(NumericError, match="non-finite Ritz block"):
+    with pytest.raises(NumericError, match="overflowed: non-finite coefficient"):
         kernel_norm(1e160 * M)
 
 

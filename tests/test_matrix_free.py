@@ -64,13 +64,19 @@ def test_agrees_with_dense_at_n400(fig4_n400):
     assert_agrees_with_dense(net, ens, [alpha0])
 
 
+def test_agrees_with_dense_on_a_sparse_draw():
+    # p = 1.5 ln n / n: the Lanczos kernel needs its most steps here, about 74
+    net, ens, alpha0 = scenario_instance("fig5_case2", n=100, p=0.0691, seed=0)
+    assert_agrees_with_dense(net, ens, [alpha0 / 40, alpha0 / 2, alpha0])
+
+
 @pytest.mark.parametrize("scenario", ["fig2_contraction", "fig5_case2"])
 def test_stacked_values_have_the_bits_of_one_stepsize_calls(scenario, monkeypatch):
     net, ens, alpha0 = scenario_instance(scenario)
     alphas = [2.0 * alpha0 * (i + 1) / 40 for i in range(40)]
     single = [float(op.lipschitz_sweep(net, ens, [a])[0]) for a in alphas]
-    per_slice = net.n * ens.d * op._EIG_BLOCK
-    # the default budget holds 22 (fig2) resp. 6 (fig5) slices, fewer than 40
+    per_slice = net.n * ens.d
+    # the default budget holds 17 (fig2) resp. 5 (fig5) slices, fewer than 40
     assert op._LIP_BLOCK_FLOATS // per_slice < len(alphas)
     for chunk in (None, 1, 4, 7, 40):
         if chunk is not None:

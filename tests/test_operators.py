@@ -174,6 +174,25 @@ def test_not_contractive_signalled():
         op.contraction_constant(net, ens, eps=0.01)
 
 
+def test_not_contractive_within_the_ritz_tolerance_of_one():
+    # the same flat pair at eps = 1: the measured Lipschitz constant reads
+    # 1 - 1.1e-16, below 1 but within the kernel's tolerance of it
+    flat = co.quadratic_cost(np.diag([1.0, 0.0]), np.zeros(2))
+    net = nw.build_mixing_matrix(nw.make_digraph(2, [(1, 2), (2, 1)]))
+    ens = co.CostEnsemble(
+        case_tag="case2", costs=(flat, flat), n=2, d=2, L_max=1.0, L_bar=1.0,
+        mu_agg=0.0, agg_hess=np.diag([1.0, 0.0]),
+        hess_stack=np.stack([flat.hess, flat.hess]),
+        lin_stack=np.zeros((2, 2)),
+    )
+    ctx = op.OperatorContext(net, ens, op.stepsize_ceiling(net, ens, eps=1.0))
+    assert 1.0 - op.operator_lipschitz(ctx) < 1e-15
+    with pytest.raises(NotContractiveError):
+        op.contraction_constant(net, ens, eps=1.0)
+    with pytest.raises(NotContractiveError):
+        op.solve_fixed_point(ctx)
+
+
 def test_operator_lipschitz_one_at_zero_stepsize(net20, ens_case1):
     lip = op.operator_lipschitz(op.OperatorContext(net20, ens_case1, 1e-15))
     assert lip == pytest.approx(1.0, abs=1e-9)

@@ -3,14 +3,16 @@
 ``oracle_top_eig``, ``oracle_restarted`` and ``oracle_extremes`` are the
 block power iteration as it was before matrices were stacked: one Python
 loop per matrix, one restart loop per matrix, the smallest eigenvalue from
-the shifted problem ``lam_max I - H``.  They read the iteration settings
-from ``linalg`` at call time, as the kernel does, and ``oracle_extremes``
+the shifted problem ``lam_max I - H``.  They are reference implementations
+and keep their own copies of its settings and start block; ``oracle_extremes``
 does not clip the smallest eigenvalue at zero.  ``spectral_norm`` is
 LAPACK's SVD: it must equal ``np.linalg.svd`` bit for bit, and the square
 root of ``oracle_restarted`` on M^T M to 1e-12 relative.
 ``symmetric_extremes`` is LAPACK's symmetric eigensolver: each slice of a
 stack must equal its own (m, m) call bit for bit, and the power-iteration
-oracle to 1e-12 of the largest eigenvalue.
+oracle to 1e-12 of the largest eigenvalue.  The Lanczos kernel behind the
+Lipschitz sweep must raise at its step cap when one slice of a stack cannot
+converge.
 """
 
 import numpy as np
@@ -23,13 +25,25 @@ from pushopt import linalg as la
 from pushopt import operators as op
 from pushopt.errors import DimensionMismatchError, NoConvergenceError, ValidationError
 
+TOL, FLOOR = 1e-10, 1e-300  # relative eigen-residual that stops an iteration; zero-scale floor
+MAX_ITER, RESTARTS, BLOCK = 20000, 3, 12  # iterations per start, starts, subspace columns
+
+
+def start_block(size, index, block):
+    if index == 0:
+        V = np.hstack([np.ones((size, 1)),
+                       np.random.default_rng(1).standard_normal((size, block - 1))])
+    else:
+        V = np.random.default_rng(1000 * index).standard_normal((size, block))
+    return np.linalg.qr(V)[0]
+
 
 def oracle_top_eig(B, start_index=0, scale=None):
     """Per-matrix block power iteration."""
     size = B.shape[0]
-    b = max(1, min(la._EIG_BLOCK, size - 1)) if size > 1 else 1
-    V = la._start_block(size, start_index, b)
-    for _ in range(la._EIG_MAX_ITER):
+    b = max(1, min(BLOCK, size - 1)) if size > 1 else 1
+    V = start_block(size, start_index, b)
+    for _ in range(MAX_ITER):
         U = B @ V
         if not np.any(U):
             return 0.0
@@ -38,7 +52,7 @@ def oracle_top_eig(B, start_index=0, scale=None):
         lam = float(ritz[-1])
         top = V @ vecs[:, -1]
         resid = np.linalg.norm(U @ vecs[:, -1] - lam * top)
-        if resid <= la._EIG_TOL * max(lam, scale if scale is not None else 0.0, la._STOP_FLOOR):
+        if resid <= TOL * max(lam, scale if scale is not None else 0.0, FLOOR):
             return max(lam, 0.0)
         V, _ = np.linalg.qr(U)
     raise NoConvergenceError("oracle did not converge")
@@ -47,10 +61,10 @@ def oracle_top_eig(B, start_index=0, scale=None):
 def oracle_restarted(B, scale=None):
     best = 0.0
     prev = None
-    for r in range(la._EIG_RESTARTS):
+    for r in range(RESTARTS):
         lam = oracle_top_eig(B, start_index=r, scale=scale)
         best = max(best, lam)
-        stop = la._EIG_TOL * (scale if scale is not None else max(best, la._STOP_FLOOR))
+        stop = TOL * (scale if scale is not None else max(best, FLOOR))
         if prev is not None and abs(lam - prev) <= stop:
             break
         prev = lam
@@ -124,15 +138,19 @@ def test_spectral_norm_matches_per_matrix_kernel_on_fig5_operator():
 
 def test_one_stuck_slice_raises(monkeypatch):
     monkeypatch.setattr(la, "_EIG_MAX_ITER", 5)
-    easy = 2.0 * np.eye(4)
-    stuck = np.diag([1.0, 1.0 - 1e-7, 1.0 - 2e-7, 1.0 - 3e-7])
-    stuck = la._start_block(4, 0, 4) @ stuck @ la._start_block(4, 0, 4).T
-    oracle_restarted(easy)
-    with pytest.raises(NoConvergenceError):
-        oracle_restarted(stuck)
-    stack = np.array([easy, stuck, easy])
-    with pytest.raises(NoConvergenceError, match="after 5 power iterations"):
-        la._restarted_top_eig(lambda V, live: stack[live] @ V, len(stack), 4)
+    size = 10  # above the cap, so no slice can end by exhausting its Krylov space
+    easy = 2.0 * np.eye(size)
+    rotation = start_block(size, 0, size)
+    stuck = rotation @ np.diag(1.0 - 1e-7 * np.arange(size)) @ rotation.T
+
+    def top(stack):
+        return la._lanczos_top_eig(lambda V, live: stack[live] @ V, len(stack), size)
+
+    assert top(easy[None]).tolist() == [2.0]
+    with pytest.raises(NoConvergenceError, match="after 5 steps"):
+        top(stuck[None])
+    with pytest.raises(NoConvergenceError, match="after 5 steps"):
+        top(np.array([easy, stuck, easy]))
 
 
 def test_symmetric_extremes_rejects_bad_input():
