@@ -20,10 +20,14 @@ previous round's g_new, so the round is bit-identical to recomputing it.
 Every run goes through one stacked round loop, ``_sweep``, which runs K
 stepsizes as one (K, n, d) state.  The weights y do not depend on the
 stepsize, so the stack shares one (n,) y and each round makes one
-``W @ y``; ``W @ x`` is one gemm per slice, and the gradient, the
-divergence check and the trace metrics are one call each for the whole
-stack.  Every slice rounds and is measured bit for bit like its own run.
-``gp_sweep``, ``pd_run`` (K=1) and the Push-DIGing tuner are its callers.
+``W @ y``; ``W @ x`` is one gemm per slice, and the gradient is one call
+for the whole stack.  The divergence check and the trace metrics run on
+blocks of rounds: the loop steps B rounds, B = ``_ROUND_BLOCK_FLOATS``
+// the floats of one stacked state, and checks and measures the B states
+as one (B*K, n, d) stack, one call each.  A large stack (the tuner's 200
+candidates, fig4 at n=400) gets B = 1, a check every round.  Every slice
+rounds and is measured bit for bit like its own run.  ``gp_sweep``,
+``pd_run`` (K=1) and the Push-DIGing tuner are its callers.
 
 The hybrid schedule runs gradient-push with a large stepsize for a warm
 start, then hands (w, y, z, grad F(z)) to Push-DIGing for exact
@@ -32,7 +36,8 @@ convergence.
 Runs never abort on numeric blow-up: once any block norm of the state
 exceeds the divergence threshold (or turns non-finite) the trace is
 flagged and truncated, so stepsize sweeps that cross the stability
-boundary still complete.
+boundary still complete.  A flagged slice may have been stepped on to its
+block's end, but its trace and its final state end at the flagged round.
 """
 
 import math
@@ -45,6 +50,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import pi_norm
 
 DIVERGENCE_THRESHOLD = 1e12
+_ROUND_BLOCK_FLOATS = 1 << 13  # floats of the stacked states one divergence check takes
 
 PHASE_GP = "gp"
 PHASE_PD = "pd"
@@ -81,7 +87,7 @@ class RunRefs:
     w_fixed: np.ndarray = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     t: int
     phase: str
@@ -207,18 +213,19 @@ def _sum_z_err(z, x_star):
 
 
 def _recorder(traces, net, refs, phase, mixed):
-    """A function appending one metrics record to each of ``traces`` per call.
+    """A function appending one metrics record per row of a stacked state.
 
-    ``record(live, state, flags)`` measures a stacked state whose slice i
-    belongs to ``traces[live[i]]``: (sum_z_err, w_fp_err, w_opt_err) of its
-    ratios z and its mixed state, the field ``mixed``, against the available
-    references.  Each slice has the bits of measuring it alone.  The
-    optimum's mixed state n * pi_j * x_star is built once per run.
+    ``record(owners, ts, state, flags)`` measures a stacked state whose row
+    i belongs to ``traces[owners[i]]`` at round ``ts[i]``, flagged as
+    ``flags[i]``: (sum_z_err, w_fp_err, w_opt_err) of its ratios z and its
+    mixed state, the field ``mixed``, against the available references.
+    Each row has the bits of measuring it alone.  The optimum's mixed state
+    n * pi_j * x_star is built once per run.
     """
     target = None if refs.x_star is None else np.outer(net.n * net.pi, refs.x_star)
 
-    def record(live, state, flags):
-        sum_z = fp = opt = [None] * len(live)
+    def record(owners, ts, state, flags):
+        sum_z = fp = opt = [None] * len(owners)
         w = getattr(state, mixed)
         with np.errstate(over="ignore", invalid="ignore"):
             if refs.x_star is not None:
@@ -226,21 +233,52 @@ def _recorder(traces, net, refs, phase, mixed):
                 opt = pi_norm(w - target, net.pi).tolist()
             if refs.w_fixed is not None:
                 fp = pi_norm(w - refs.w_fixed, net.pi).tolist()
-        for k, s, f, o, flag in zip(live, sum_z, fp, opt, flags):
-            traces[k].records.append(RunRecord(t=state.t, phase=phase, sum_z_err=s, w_fp_err=f,
-                                               w_opt_err=o, diverged=bool(flag)))
+        for k, t, s, f, o, flag in zip(owners, ts, sum_z, fp, opt, flags):
+            traces[k].records.append(RunRecord(t, phase, s, f, o, flag))
 
     return record
+
+
+def _check_block(states, live, names, flagged, record):
+    """Flags of a block of stacked states, ``flags[i, k]`` for slice k at
+    round i, from one ``flagged`` call on the block's (B*K, n, d) stacks
+    (a block of one round is handed over as it is).  Then one ``record``
+    call, if given, for the rounds of each slice up to its first flag."""
+    b, k = len(states), len(live)
+    block = states[0] if b == 1 else replace(states[-1], **{
+        n: np.concatenate([getattr(s, n) for s in states]) for n in names})
+    flags = np.reshape(flagged(block), (b, k))
+    if record is not None:
+        owners, ts = live.tolist() * b, [t for s in states for t in [s.t] * k]
+        marks = flags.ravel().tolist()
+        if any(marks):  # drop the rounds past each slice's first flag
+            rows = np.flatnonzero(np.arange(b)[:, None] <= _last_rounds(flags)).tolist()
+            block = replace(block, **{n: getattr(block, n)[rows] for n in names})
+            owners, ts, marks = ([a[i] for i in rows] for a in (owners, ts, marks))
+        record(owners, ts, block, marks)
+    return flags
+
+
+def _last_rounds(flags):
+    """Each slice's first flagged round in a (B, K) block, or the block's last round."""
+    return np.where(flags.any(axis=0), flags.argmax(axis=0), len(flags) - 1)
 
 
 def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None):
     """Run ``init`` for ``iters`` rounds at each stepsize of ``alphas``.
 
     The fields ``names`` of ``init`` are stacked, one slice per stepsize.
-    Each round makes one ``step``, handed the state without z, one
-    ``flagged`` and, if given, one ``record(live, state, flags)`` call, the
-    initial state included.  A slice leaves the stack at its first flagged
-    round.  Returns each slice's (final state, flagged), the state unstacked.
+    Each round makes one ``step``, handed the state without z.  Rounds are
+    checked in blocks of B = ``_ROUND_BLOCK_FLOATS`` // the floats of one
+    stacked state (at least one round, and the last block ends at round
+    ``iters``): the block's states, the initial state included, go to one
+    ``flagged`` call and, if given, one ``record(owners, ts, state, flags)``
+    call as one (B*K, n, d) stack per field, round by round (see
+    ``_check_block``).  A slice leaves the stack after the block of its
+    first flagged round: it may be stepped to the block's end, but its
+    records and its final state, taken from the block's states, end at
+    that round.  Returns each slice's (final state, flagged), the state
+    unstacked.
     """
     if iters < 0:
         raise ValidationError("iteration count must be >= 0")
@@ -251,23 +289,28 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
     alpha = np.asarray(alphas, dtype=float)[:, None, None]
     state = replace(init, **{name: np.repeat(getattr(init, name)[None], len(alphas), axis=0)
                              for name in names})
-    flags = flagged(state)
+    slice_floats = sum(np.size(getattr(init, n)) for n in names)
+    states = []
     for r in range(iters + 1):
-        if record is not None:
-            record(live, state, flags)
+        if r:
+            state = replace(state, z=None)  # z is recomputed from x / y: free its stack first
+            state = step(net, ensemble, alpha, state)
+        states.append(state)
+        if (len(states) + 1) * slice_floats * len(live) <= _ROUND_BLOCK_FLOATS and r < iters:
+            continue  # one more state fits in the block
+        flags = _check_block(states, live, names, flagged, record)
         if r == iters or flags.any():
-            keep = ~flags & (r < iters)
+            last = _last_rounds(flags)
+            keep = ~flags.any(axis=0) & (r < iters)
             take = np.copy if keep.any() else (lambda a: a)  # a retiree must not hold the stack
             for i in np.flatnonzero(~keep):
-                fields = {n: take(getattr(state, n)[i]) for n in names}
-                out[live[i]] = replace(state, **fields), flags[i]
+                fields = {n: take(getattr(states[last[i]], n)[i]) for n in names}
+                out[live[i]] = replace(states[last[i]], **fields), flags[last[i], i]
             if not keep.any():
                 break
             live, alpha = live[keep], alpha[keep]
             state = replace(state, **{n: getattr(state, n)[keep] for n in names})
-        state = replace(state, z=None)  # z is recomputed from x / y: free its stack first
-        state = step(net, ensemble, alpha, state)
-        flags = flagged(state)
+        states = []
     return out
 
 

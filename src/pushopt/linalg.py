@@ -18,6 +18,7 @@ from .errors import DimensionMismatchError, NoConvergenceError, NumericError
 
 _EIG_TOL = 1e-10  # relative Ritz residual that retires a slice of the Lanczos kernel
 _EIG_MAX_ITER = 500  # its steps before NoConvergenceError
+_EIG_CHECK = 4  # Lanczos steps per stop test
 
 
 def pi_norm(w, pi):
@@ -78,6 +79,9 @@ def _lanczos_top_eig(apply, count, size):
     converges to working accuracy (Paige, Linear Algebra Appl. 1980).  A
     slice retires once beta_k |s_k| <= ``_EIG_TOL`` theta, with theta its top
     Ritz value and s_k the last entry of that Ritz vector; beta_k = 0 passes.
+    The test diagonalizes every live tridiagonal, so it runs every
+    ``_EIG_CHECK`` steps, at the step cap, and at any step where a beta is 0
+    (whose next vector could not be normalized).
     A non-finite coefficient, which only an operator whose products overflow
     float64 gives, raises NumericError at once; a beta whose square alone
     overflows is measured scaled instead.
@@ -101,19 +105,20 @@ def _lanczos_top_eig(apply, count, size):
             raise NumericError("Lanczos recurrence overflowed: non-finite coefficient "
                                "(operator entries too large for float64)")
         alphas = np.concatenate([alphas, alpha[:, None]], axis=1)
-        T = np.zeros((len(live), k, k))
-        flat = T.reshape(len(live), k * k)
-        flat[:, ::k + 1], flat[:, k::k + 1] = alphas, betas  # eigh reads the lower triangle
-        ritz, vecs = np.linalg.eigh(T)
-        theta = np.maximum(ritz[:, -1], 0.0)  # psd: only rounding reads below 0
-        done = beta * np.abs(vecs[:, -1, -1]) <= _EIG_TOL * theta
-        if done.any():
-            out[live[done]] = theta[done]
-            if done.all():
-                return out
-            keep = ~done
-            live, u, beta, alphas, betas = (a[keep] for a in (live, u, beta, alphas, betas))
-            q = q[keep] if q.ndim == 3 else q
+        if k % _EIG_CHECK == 0 or k == _EIG_MAX_ITER or not beta.all():
+            T = np.zeros((len(live), k, k))
+            flat = T.reshape(len(live), k * k)
+            flat[:, ::k + 1], flat[:, k::k + 1] = alphas, betas  # eigh reads the lower triangle
+            ritz, vecs = np.linalg.eigh(T)
+            theta = np.maximum(ritz[:, -1], 0.0)  # psd: only rounding reads below 0
+            done = beta * np.abs(vecs[:, -1, -1]) <= _EIG_TOL * theta
+            if done.any():
+                out[live[done]] = theta[done]
+                if done.all():
+                    return out
+                keep = ~done
+                live, u, beta, alphas, betas = (a[keep] for a in (live, u, beta, alphas, betas))
+                q = q[keep] if q.ndim == 3 else q
         betas = np.concatenate([betas, beta[:, None]], axis=1)
         u /= beta[:, None, None]
         q_prev, q = q, u

@@ -28,6 +28,7 @@ computes:
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,12 @@ class OperatorContext:
             )
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise InvalidRateError(f"stepsize must be positive and finite, got {self.alpha}")
+
+    @cached_property
+    def limit_weights(self):
+        """The limit weight n pi_j of each entry of an (n, d) state, formed once
+        per context (a full array divides faster than a broadcast column)."""
+        return np.repeat((self.net.n * self.net.pi)[:, None], self.ensemble.d, axis=1)
 
 
 @dataclass(frozen=True)
@@ -158,14 +165,16 @@ def gradient_push_operator(ctx, w):
     """The limit operator: mix the state after a gradient step at w_j/(n pi_j),
     in the floating type of ``w`` (float64, or ``np.longdouble`` with n pi_j
     formed in it); the gradient rows are ``grad_stack``'s, bit for bit."""
-    w = np.asarray(w, dtype=np.longdouble if getattr(w, "dtype", None) == np.longdouble else float)
-    net, ens = ctx.net, ctx.ensemble
-    if w.shape != (net.n, ens.d):
-        raise DimensionMismatchError(f"state {w.shape} vs ({net.n}, {ens.d})")
-    u = w / (net.n * net.pi.astype(w.dtype))[:, None]
-    g = np.einsum("jab,jb->ja", ens.hess_stack, u)
+    if getattr(w, "dtype", None) == np.longdouble:
+        scale = (ctx.net.n * ctx.net.pi.astype(np.longdouble))[:, None]
+    else:
+        w, scale = np.asarray(w, dtype=float), ctx.limit_weights
+    ens = ctx.ensemble
+    if w.shape != ctx.limit_weights.shape:
+        raise DimensionMismatchError(f"state {w.shape} vs {ctx.limit_weights.shape}")
+    g = np.einsum("jab,jb->ja", ens.hess_stack, w / scale)
     g += ens.lin_stack
-    return net.W @ (w - ctx.alpha * g)
+    return ctx.net.W @ (w - ctx.alpha * g)
 
 
 def push_sum_perturbation(ctx, y, w):
@@ -328,7 +337,10 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
     Carson & Higham, SIAM J. Sci. Comput. 2018).  A cycle runs in the
     pi-weighted inner product, in which T contracts, and ends after
     ``_KRYLOV_RESTART`` vectors, on a breakdown or at a residual estimate of
-    (1 - L) tol / 4.  With w = x in double, the loop stops once
+    (1 - L) tol / 4.  It keeps its Arnoldi vectors in scaled coordinates
+    v_j / sqrt(pi_j), in which the pi-weighted inner product is the plain
+    dot product, and applies the operator only through
+    ``gradient_push_operator``.  With w = x in double, the loop stops once
     ``FixedPoint.bound`` = ||w - x|| + (||r|| + rounding) / (1 - L) is at
     most ``tol``; with ``rounding`` bounding r's rounding error, it bounds
     ||w - w*||.  L is ``lipschitz`` if given, else the measured Lipschitz
@@ -357,6 +369,7 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
     if not _contracts(lip):
         raise NotContractiveError(f"no contraction at alpha={ctx.alpha}: Lipschitz {lip}")
     m, weight, target = _KRYLOV_RESTART, 1.0 / net.pi[:, None], (1.0 - lip) * tol / 4.0
+    root = np.repeat(np.sqrt(net.pi)[:, None], ens.d, axis=1)  # |v / root| = ||v||_pi
 
     def norm(v):
         return math.sqrt(float((v * v * weight).sum()))
@@ -376,16 +389,16 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
             raise NoConvergenceError(f"fixed point not certified within tolerance {tol} at "
                                      f"alpha={ctx.alpha}: {stop}; best bound {best:.3e}")
         last = res
-        V, R = np.empty((m + 1,) + w.shape), np.zeros((m, m))
-        flat, rotations, g = V.reshape(m + 1, -1), [], [res]
-        V[0] = r / res
+        Q, R, rotations, g = np.empty((m + 1, w.size)), np.zeros((m, m)), [], [res]
+        Q[0] = (r / (res * root)).ravel()  # the Arnoldi basis, in scaled coordinates
         for j in range(m):
-            u = V[j] - (gradient_push_operator(ctx, V[j]) - offset)
-            c = flat[:j + 1] @ (u * weight).ravel()  # classical Gram-Schmidt, twice
-            u = u - (c @ flat[:j + 1]).reshape(u.shape)
-            c2 = flat[:j + 1] @ (u * weight).ravel()
-            u = u - (c2 @ flat[:j + 1]).reshape(u.shape)
-            h, sub = (c + c2).tolist(), norm(u)
+            u = (gradient_push_operator(ctx, Q[j].reshape(w.shape) * root) - offset) / root
+            u = Q[j] - u.ravel()
+            c = Q[:j + 1] @ u  # classical Gram-Schmidt, twice
+            u -= c @ Q[:j + 1]
+            c2 = Q[:j + 1] @ u
+            u -= c2 @ Q[:j + 1]
+            h, sub = (c + c2).tolist(), math.sqrt(u @ u)
             for i, (cos, sin) in enumerate(rotations):
                 h[i], h[i + 1] = cos * h[i] + sin * h[i + 1], cos * h[i + 1] - sin * h[i]
             diag = math.hypot(h[j], sub)
@@ -397,12 +410,12 @@ def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
             g[j:] = cos * g[j], -sin * g[j]
             if abs(g[j + 1]) <= target or sub == 0.0:
                 break
-            V[j + 1] = u / sub
+            np.divide(u, sub, out=Q[j + 1])
         k = len(rotations)
         y = np.zeros(k)
         for i in reversed(range(k)):
             y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
-        x = x + (y @ flat[:k]).reshape(w.shape)
+        x = x + (y @ Q[:k]).reshape(w.shape) * root
     residual = pi_norm(gradient_push_operator(ctx, w) - w, net.pi)
     w_bar = w.mean(axis=0)
     consensus = pi_norm(w - np.outer(net.n * net.pi, w_bar), net.pi)

@@ -238,3 +238,92 @@ def test_fig4_sweep_makes_one_gradient_call_per_round(monkeypatch, tmp_path):
     k = len(cfg.multipliers) + 1
     assert len(calls) == cfg.run_iters == 1000
     assert calls == [(k, net.n, ens.d)] * cfg.run_iters
+
+
+# Rounds per divergence check.  In fig4's sweep below, the slices at 3.0 and
+# 8.0 alpha0 are flagged at rounds 50 and 16: mid-block at 2, 7 and 64
+# rounds per block, and at 17 on the last round of the first block (0-16).
+ROUND_BLOCKS = [1, 2, 7, 17, 64]
+
+
+def _round_blocks(monkeypatch, rounds, fields, k, net, ens):
+    """Check a stack of ``k`` slices of ``fields`` (n, d) arrays ``rounds`` rounds at a time."""
+    monkeypatch.setattr(alg, "_ROUND_BLOCK_FLOATS", rounds * fields * k * net.n * ens.d)
+
+
+@pytest.mark.parametrize("rounds", ROUND_BLOCKS)
+def test_round_blocks_do_not_change_gradient_push_bits(monkeypatch, rounds):
+    cfg, net, ens, alpha0, refs = _scenario("fig4_case1_sweep")
+    mults = list(cfg.multipliers) + [cfg.supercritical_mult, 3.0, 8.0]
+    _round_blocks(monkeypatch, rounds, 3, len(mults), net, ens)
+    traces = _check_sweep(net, ens, [m * alpha0 for m in mults], cfg.run_iters, refs)
+    assert [(t.final_state.t, t.diverged) for t in traces[-3:]] == [(1000, False), (50, True),
+                                                                    (16, True)]
+    # flagged at t = 0: every slice leaves with its initial record
+    x0 = np.full((net.n, ens.d), 1e12)
+    alphas = [m * alpha0 for m in mults]
+    for alpha, trace in zip(alphas, alg.gp_sweep(net, ens, alphas, x0, 20, refs)):
+        assert len(trace.records) == 1
+        assert_same_trace(trace, legacy_gp_run(net, ens, alpha, x0, 20, refs))
+
+
+@pytest.mark.parametrize("rounds", ROUND_BLOCKS)
+def test_round_blocks_do_not_change_push_diging_bits(monkeypatch, net20, ens_case1, rounds):
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens_case1))
+    _round_blocks(monkeypatch, rounds, 4, 1, net20, ens_case1)
+    for alpha, x0 in ((0.002, 0.0), (0.2, 0.0), (0.002, 1e12)):  # flagged at 0.2 and at t = 0
+        init = alg.init_pd_state(net20, ens_case1, np.full((net20.n, ens_case1.d), x0))
+        trace = alg.pd_run(net20, ens_case1, alpha, init, 300, refs)
+        assert trace.diverged == (alpha > 0.1 or x0 > 0.0)
+        assert_same_trace(trace, legacy_pd_run(net20, ens_case1, alpha, init, 300, refs))
+
+
+@pytest.mark.parametrize("rounds", ROUND_BLOCKS)
+def test_round_blocks_do_not_change_hybrid_bits(monkeypatch, net20, ens_case1, rounds):
+    alpha0 = op.stepsize_ceiling(net20, ens_case1)
+    x0 = np.zeros((net20.n, ens_case1.d))
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens_case1))
+    for mult in (1.0, 20.0):  # the warm start at 20 alpha0 is flagged
+        monkeypatch.setattr(alg, "_ROUND_BLOCK_FLOATS", 1)
+        ref = alg.hybrid_run(net20, ens_case1, mult * alpha0, 0.01, 60, 200, x0, refs)
+        _round_blocks(monkeypatch, rounds, 4, 1, net20, ens_case1)
+        assert_same_trace(alg.hybrid_run(net20, ens_case1, mult * alpha0, 0.01, 60, 200, x0,
+                                         refs), ref)
+
+
+@pytest.mark.parametrize("rounds", ROUND_BLOCKS)
+def test_round_blocks_do_not_change_tuner_candidates(monkeypatch, rounds):
+    cfg = hz.resolve_config({"scenario": "fig1_hybrid", "net_seed": 7})
+    net, ens = hz.build_network(cfg), hz.build_ensemble(cfg)
+    alphas = [0.01 + 0.005 * k for k in range(20)]  # some of them are flagged
+    args = (net, ens, alphas, np.zeros((net.n, ens.d)), cfg.tune_iters,
+            co.ensemble_minimizer(ens))
+    monkeypatch.setattr(alg, "_ROUND_BLOCK_FLOATS", 1)
+    diverged, first, lasts = hz._pd_candidates(*args)
+    _round_blocks(monkeypatch, rounds, 4, len(alphas), net, ens)
+    mine = hz._pd_candidates(*args)
+    assert 0 < sum(diverged) < len(alphas)
+    assert mine[:2] == (diverged, first)
+    assert same_bits(mine[2], lasts)
+
+
+@pytest.mark.parametrize("rounds", ROUND_BLOCKS)
+def test_round_blocks_check_and_record_once_per_block(monkeypatch, net20, ens_case1, rounds):
+    alpha0 = op.stepsize_ceiling(net20, ens_case1)
+    init = alg.init_gp_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
+    _round_blocks(monkeypatch, rounds, 3, 1, net20, ens_case1)
+    checks, recorded = [], []
+
+    def flagged(state):
+        checks.append(len(state.x))
+        return alg.gp_diverged(state)
+
+    def record(owners, ts, state, flags):
+        recorded.append(ts)
+
+    iters = 300
+    ((end, flag),) = alg._sweep(net20, ens_case1, alg.gp_step, flagged, ("x", "w", "z"),
+                                [alpha0], init, iters, record)
+    assert len(checks) == len(recorded) == -(-(iters + 1) // rounds)
+    assert sum(checks) == iters + 1 and sum(recorded, []) == list(range(iters + 1))
+    assert not flag and end.t == iters
