@@ -73,7 +73,7 @@ class OperatorContext:
             raise InvalidRateError(f"stepsize must be positive and finite, got {self.alpha}")
 
     @cached_property
-    def limit_weights(self):
+    def _limit_weights(self):
         """The limit weight n pi_j of each entry of an (n, d) state, formed once
         per context (a full array divides faster than a broadcast column)."""
         return np.repeat((self.net.n * self.net.pi)[:, None], self.ensemble.d, axis=1)
@@ -168,10 +168,10 @@ def gradient_push_operator(ctx, w):
     if getattr(w, "dtype", None) == np.longdouble:
         scale = (ctx.net.n * ctx.net.pi.astype(np.longdouble))[:, None]
     else:
-        w, scale = np.asarray(w, dtype=float), ctx.limit_weights
+        w, scale = np.asarray(w, dtype=float), ctx._limit_weights
     ens = ctx.ensemble
-    if w.shape != ctx.limit_weights.shape:
-        raise DimensionMismatchError(f"state {w.shape} vs {ctx.limit_weights.shape}")
+    if w.shape != ctx._limit_weights.shape:
+        raise DimensionMismatchError(f"state {w.shape} vs {ctx._limit_weights.shape}")
     g = np.einsum("jab,jb->ja", ens.hess_stack, w / scale)
     g += ens.lin_stack
     return ctx.net.W @ (w - ctx.alpha * g)
