@@ -19,15 +19,15 @@ previous round's g_new, so the round is bit-identical to recomputing it.
 
 Every run goes through one stacked round loop, ``_sweep``, which runs K
 stepsizes as one (K, n, d) state.  The weights y do not depend on the
-stepsize, so the stack shares one (n,) y and each round makes one
-``W @ y``; ``W @ x`` is one gemm per slice, and the gradient is one call
-for the whole stack.  The divergence check and the trace metrics run on
-blocks of rounds: the loop steps B rounds, B = ``_ROUND_BLOCK_FLOATS``
-// the floats of one stacked state, and checks and measures the B states
-as one (B*K, n, d) stack, one call each.  A large stack (the tuner's 200
-candidates, fig4 at n=400) gets B = 1, a check every round.  Every slice
-rounds and is measured bit for bit like its own run.  ``gp_sweep``,
-``pd_run`` (K=1) and the Push-DIGing tuner are its callers.
+stepsize, so the stack shares one (n,) y and each round makes one ``W @ y``;
+``W @ x`` is one gemm per slice, and the gradient is one ``grad_stack``
+call, an einsum per agent or per Hessian tile.  The divergence check and the
+trace metrics run on blocks of rounds: the loop steps B rounds, B =
+``_ROUND_BLOCK_FLOATS`` // the floats of one stacked state, and checks and
+measures the B states as one (B*K, n, d) stack, one call each.  A large
+stack (the tuner's 200 candidates, fig4 at n=400) gets B = 1, a check every
+round.  Every slice rounds and is measured bit for bit like its own run.
+``gp_sweep``, ``pd_run`` (K=1) and the Push-DIGing tuner are its callers.
 
 The hybrid schedule runs gradient-push with a large stepsize for a warm
 start, then hands (w, y, z, grad F(z)) to Push-DIGing for exact
@@ -130,12 +130,17 @@ def init_gp_state(net, ensemble, x0):
     return GradientPushState(t=0, x=x0.copy(), w=x0.copy(), z=x0.copy(), y=np.ones(net.n))
 
 
+def _ratios(a, y):
+    """``a / y[:, None]`` on (K, n*d) rows: n*d-long inner loops, not d-long ones."""
+    return (a.reshape(-1, a.shape[-2] * a.shape[-1]) / np.repeat(y, a.shape[-1])).reshape(a.shape)
+
+
 def gp_step(net, ensemble, alpha, state):
     """One gradient-push round, in the exact update order w, y, z, x."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = net.W @ state.x
         y = net.W @ state.y
-        z = w / y[:, None]
+        z = _ratios(w, y)
         x = w - alpha * grad_stack(ensemble, z)
     return GradientPushState(t=state.t + 1, x=x, w=w, z=z, y=y)
 
@@ -170,7 +175,7 @@ def pd_step(net, ensemble, alpha, state):
         v = net.W @ state.v  # first, then updated in place: a stacked round keeps a steady heap
         x = net.W @ state.x - alpha * state.v
         y = net.W @ state.y
-        z = x / y[:, None]
+        z = _ratios(x, y)
         g = grad_stack(ensemble, z)
         v += g
         v -= state.g

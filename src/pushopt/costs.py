@@ -244,10 +244,10 @@ def grad_stack(ensemble, u):
     Leading axes of u are carried through, so a (K, n, d) stack of points
     gives K gradient stacks, each slice bit-identical to its own (n, d)
     call.  A stack is evaluated as flat rows, ``hess[j] @ u[j]`` for every
-    (slice, agent) row j, in chunks of ``ensemble.hess_tile`` rows.  Every
-    row reduces over its d entries in the same einsum kernel as the (n, d)
-    call; an einsum over the leading axes gives the same bits but ran up
-    to about 2x slower.
+    (slice, agent) row j, by agent or in chunks of ``ensemble.hess_tile``
+    rows, whichever loop makes fewer einsum calls.  Every row reduces over
+    its d entries in the same einsum kernel as the (n, d) call; an einsum
+    over the leading axes gives the same bits but ran up to about 2x slower.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[-2:] != (ensemble.n, ensemble.d):
@@ -257,6 +257,10 @@ def grad_stack(ensemble, u):
     rows = u.reshape(-1, ensemble.d)
     if len(rows) == ensemble.n:
         g = np.einsum("jab,jb->ja", ensemble.hess_stack, rows)
+    elif len(rows) > ensemble.n ** 2 * max(1, _GRAD_TILE_FLOATS // ensemble.hess_stack.size):
+        g = np.empty(rows.shape)
+        for j, hess in enumerate(ensemble.hess_stack):  # more slices than n tiles hold
+            np.einsum("ab,kb->ka", hess, rows[j::ensemble.n], out=g[j::ensemble.n])
     else:
         tile = ensemble.hess_tile
         g = np.empty(rows.shape)

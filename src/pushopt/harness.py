@@ -235,10 +235,13 @@ TRACE_HEADER = ("t", "phase", "sum_z_err", "w_fp_err", "w_opt_err", "diverged")
 
 
 def trace_to_csv(trace, path):
-    """Write the canonical run-trace CSV, one row per RunRecord."""
-    write_csv(path, TRACE_HEADER,
-              [(r.t, r.phase, r.sum_z_err, r.w_fp_err, r.w_opt_err, int(r.diverged))
-               for r in trace.records])
+    """Write the canonical run-trace CSV, one row per RunRecord: the bytes of
+    ``write_csv``, each row from one format string, None metrics left empty."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        for r in trace.records:
+            metrics = ["" if v is None else "%.17g" % v for v in (r.sum_z_err, r.w_fp_err, r.w_opt_err)]
+            fh.write("%d,%s,%s,%s,%s,%d\n" % (r.t, r.phase, *metrics, r.diverged))
 
 
 def write_json(path, payload):
@@ -306,6 +309,9 @@ def check_rowwise_bound(errors, bounds):
 
 
 def check_slope(alphas, errors):
+    bad = np.count_nonzero(~((np.asarray(errors, dtype=float) > 0) & np.isfinite(errors)))
+    if bad:  # their logs are undefined: no fit
+        return False, f"log-log slope undefined: {bad} of {len(errors)} errors are zero or non-finite"
     slope = fit_loglog_slope(alphas, errors)
     return (_SLOPE_LOW <= slope <= _SLOPE_HIGH,
             f"log-log slope {slope:.4f} (want [{_SLOPE_LOW}, {_SLOPE_HIGH}])")

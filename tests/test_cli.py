@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,22 @@ def test_overflowing_stepsize_exits_two_in_one_line(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "overflow" in err
     assert err.count("\n") == 1
+
+
+def test_zero_errors_fail_the_slope_in_one_line_without_a_warning(tmp_path, capsys):
+    """On this complete graph two fixed-point-to-optimum errors are exactly 0,
+    so the log-log slope is undefined: gap_slope_linear fails and says why."""
+    args = ["reproduce", "fig3", "--n", "6", "--p", "1.0", "--seed", "19", "--d", "1",
+            "--m", "3", "--delta-reg", "1e-06", "--out-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "failure: " in err and "gap_slope_linear" in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    (slope,) = [a for a in report["assertions"] if a["name"] == "gap_slope_linear"]
+    assert not slope["passed"]
+    assert slope["detail"] == "log-log slope undefined: 2 of 40 errors are zero or non-finite"
 
 
 @pytest.mark.parametrize("key, value", [

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pushopt import algorithms as alg
 from pushopt import costs as co
 from pushopt import harness as hz
 from pushopt import network as nw
@@ -108,6 +109,23 @@ def test_write_csv_formatting(tmp_path):
     assert lines[0] == "a,b,c"
     assert lines[1] == f"1,,{0.1:.17g}"
     assert lines[2] == f"gp,{2.5:.17g},3"
+
+
+def test_trace_csv_has_the_bytes_of_write_csv(tmp_path):
+    """None metrics leave empty fields; non-finite values, a negative zero
+    and a diverged row are formatted as write_csv formats them."""
+    trace = alg.RunTrace(records=[
+        alg.RunRecord(0, "gp", 0.1, 2.5e-300, 1.0, False),
+        alg.RunRecord(1, "gp", 1 / 3, None, 7e22, False),
+        alg.RunRecord(2, "pd", None, None, None, False),
+        alg.RunRecord(3, "pd", float("nan"), None, -0.0, False),
+        alg.RunRecord(4, "pd", float("inf"), 1e-5, None, True),
+    ])
+    hz.trace_to_csv(trace, tmp_path / "trace.csv")
+    hz.write_csv(tmp_path / "rows.csv", hz.TRACE_HEADER,
+                 [(r.t, r.phase, r.sum_z_err, r.w_fp_err, r.w_opt_err, int(r.diverged))
+                  for r in trace.records])
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_loglog_slope_and_plateau():

@@ -5,8 +5,10 @@ became the one-stepsize call of ``gp_sweep``, ``legacy_recorder`` the
 metrics of one (n, d) state per call that every run recorded before the
 recorder measured a whole stack, and ``legacy_grad_stack`` the
 leading-axis einsum ``grad_stack`` used before it evaluated a stack as
-flat rows.  All three are the library code as it was; the stacked paths
-must match them record for record and bit for bit.
+flat rows.  ``broadcast_gp_step`` and ``broadcast_pd_step`` are the round
+steps as they were before they divided (K, n*d) rows by y.  All are the
+library code as it was; the stacked paths must match them record for
+record and bit for bit.
 """
 
 from dataclasses import replace
@@ -213,14 +215,51 @@ def test_grad_stack_rows_match_the_leading_axis_einsum(name, ens, u):
 
 
 def test_grad_stack_chunks_do_not_change_bits(monkeypatch):
-    name, ens, u = STACKS[0]
-    whole = co.grad_stack(ens, u)
-    for floats, copies in ((1, 1), (ens.hess_stack.size * 3, 3),
-                           (ens.hess_stack.size * 7 + 5, 7), (ens.hess_stack.size * 200, 200)):
-        monkeypatch.setattr(co, "_GRAD_TILE_FLOATS", floats)
-        fresh = replace(ens)  # the tile is built once per ensemble
-        assert len(fresh.hess_tile) == copies * ens.n
-        assert same_bits(co.grad_stack(fresh, u), whole)
+    """The tuner's stack loops over its 20 agents at 1, 3 and 7 tile copies
+    and over one tile at 200; fig4's 4 slices of 400 agents always take the
+    tile loop."""
+    wholes = [co.grad_stack(ens, u) for _, ens, u in STACKS[:2]]
+    for (name, ens, u), whole in zip(STACKS[:2], wholes):
+        for floats, copies in ((1, 1), (ens.hess_stack.size * 3, 3),
+                               (ens.hess_stack.size * 7 + 5, 7), (ens.hess_stack.size * 200, 200)):
+            monkeypatch.setattr(co, "_GRAD_TILE_FLOATS", floats)
+            fresh = replace(ens)  # the tile is built once per ensemble
+            assert len(fresh.hess_tile) == copies * ens.n
+            assert same_bits(co.grad_stack(fresh, u), whole)
+
+
+def broadcast_gp_step(net, ensemble, alpha, x, y):
+    w = net.W @ x
+    y = net.W @ y
+    z = w / y[:, None]
+    return w - alpha * co.grad_stack(ensemble, z), w, z, y
+
+
+def broadcast_pd_step(net, ensemble, alpha, x, v, g, y):
+    x = net.W @ x - alpha * v
+    y = net.W @ y
+    z = x / y[:, None]
+    g_new = co.grad_stack(ensemble, z)
+    return x, z, net.W @ v + g_new - g, g_new, y
+
+
+@pytest.mark.parametrize("k", [None, 5], ids=["scalar_alpha_n_d", "per_slice_alphas_k_n_d"])
+def test_flat_steps_match_the_broadcast_formulas(net20, ens_case1, ens_case2, k):
+    rng = np.random.default_rng(5)
+    for ens in (ens_case1, ens_case2):
+        shape = (net20.n, ens.d) if k is None else (k, net20.n, ens.d)
+        alpha = 0.03 if k is None else rng.uniform(0.001, 0.1, k)[:, None, None]
+        x, z, v = (rng.standard_normal(shape) for _ in range(3))
+        y = rng.uniform(0.5, 2.0, net20.n)
+        gp = alg.gp_step(net20, ens, alpha, alg.GradientPushState(t=3, x=x, w=None, z=None, y=y))
+        assert gp.t == 4
+        for mine, ref in zip((gp.x, gp.w, gp.z, gp.y), broadcast_gp_step(net20, ens, alpha, x, y)):
+            assert same_bits(mine, ref)
+        g = co.grad_stack(ens, z)
+        pd = alg.pd_step(net20, ens, alpha, alg.PushDigingState(t=3, x=x, z=z, v=v, g=g, y=y))
+        for mine, ref in zip((pd.x, pd.z, pd.v, pd.g, pd.y),
+                             broadcast_pd_step(net20, ens, alpha, x, v, g, y)):
+            assert same_bits(mine, ref)
 
 
 def test_fig4_sweep_makes_one_gradient_call_per_round(monkeypatch, tmp_path):
