@@ -21,7 +21,7 @@ Every run goes through one stacked round loop, ``_sweep``, which runs K
 stepsizes as one (K, n, d) state.  The weights y do not depend on the
 stepsize, so the stack shares one (n,) y and each round makes one ``W @ y``;
 ``W @ x`` is one gemm per slice, and the gradient is one ``grad_stack``
-call, an einsum per agent or per Hessian tile.  The divergence check and the
+call (a gemm per agent and 4-slice block).  The divergence check and the
 trace metrics run on blocks of rounds: the loop steps B rounds, B =
 ``_ROUND_BLOCK_FLOATS`` // the floats of one stacked state, and checks and
 measures the B states as one (B*K, n, d) stack, one call each.  A large
@@ -273,7 +273,7 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
     """Run ``init`` for ``iters`` rounds at each stepsize of ``alphas``.
 
     The fields ``names`` of ``init`` are stacked, one slice per stepsize.
-    Each round makes one ``step``, handed the state without z.  Rounds are
+    Each round makes one ``step`` (a block's first without z).  Rounds are
     checked in blocks of B = ``_ROUND_BLOCK_FLOATS`` // the floats of one
     stacked state (at least one round, and the last block ends at round
     ``iters``): the block's states, the initial state included, go to one
@@ -298,7 +298,8 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
     states = []
     for r in range(iters + 1):
         if r:
-            state = replace(state, z=None)  # z is recomputed from x / y: free its stack first
+            if not states:  # no held state has this z, which x / y recomputes: free it
+                state = replace(state, z=None)
             state = step(net, ensemble, alpha, state)
         states.append(state)
         if (len(states) + 1) * slice_floats * len(live) <= _ROUND_BLOCK_FLOATS and r < iters:

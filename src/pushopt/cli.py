@@ -15,7 +15,7 @@ tune-pd            grid-search the Push-DIGing stepsize and print it
 Common flags: --seed, --out-dir, --config <json> (a flat JSON object with
 the keys documented in docs/config.md; explicit flags override it).
 
-Exit codes: 0 success, 1 validation/usage error, 2 numeric failure.
+Exit codes: 0 success, 1 validation/usage error, 2 numeric failure or failed check.
 """
 
 import argparse
@@ -30,7 +30,7 @@ from . import costs as co
 from . import harness as hz
 from . import network as nw
 from . import operators as op
-from .errors import ConfigError, NumericError, PushOptError, ValidationError
+from .errors import ConfigError, NumericError, PushOptError, ScenarioAssertionError, ValidationError
 
 _SCHEMA_HINT = "config schema: see docs/config.md (flat JSON, unknown keys rejected)"
 
@@ -291,6 +291,9 @@ def cli_main(argv):
     except ValidationError as exc:
         print(f"error: {exc}\n{_SCHEMA_HINT}", file=sys.stderr)
         return 1
+    except ScenarioAssertionError as exc:  # a failed check, not a numeric failure
+        print(f"failure: {exc}", file=sys.stderr)
+        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,7 @@ _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
 _MINIMIZER_TOL = 1e-9  # aggregate gradient residual at x*, relative to 1 + ||x*||
 _STORED_TOL = 1e-8  # relative agreement of a stored L or mu with the recomputed value
-_GRAD_TILE_FLOATS = 1 << 13  # bound on CostEnsemble.hess_tile (64 KB); larger tiles raise peak RSS
+_GRAD_ROWS = 4  # slices per gemm block of grad_stack: every row goes through one gemm shape
 _MAX_ATTEMPTS = 100  # case2 draws before FailedAggregatePDError
 
 
@@ -150,12 +150,9 @@ class CostEnsemble:
     lin_stack: np.ndarray
 
     @cached_property
-    def hess_tile(self):
-        """``hess_stack`` repeated as often as fits in ``_GRAD_TILE_FLOATS``
-        floats (at least once): the Hessians of a chunk of flat gradient
-        rows, built once per ensemble."""
-        copies = _GRAD_TILE_FLOATS // self.hess_stack.size
-        return np.tile(self.hess_stack, (copies, 1, 1)) if copies > 1 else self.hess_stack
+    def hess_t(self):
+        """H_j^T, contiguous: the right-hand factors of ``grad_stack``'s gemms."""
+        return np.ascontiguousarray(self.hess_stack.transpose(0, 2, 1))
 
 
 def cost_ensemble(costs, case_tag):
@@ -243,31 +240,29 @@ def grad_stack(ensemble, u):
 
     Leading axes of u are carried through, so a (K, n, d) stack of points
     gives K gradient stacks, each slice bit-identical to its own (n, d)
-    call.  A stack is evaluated as flat rows, ``hess[j] @ u[j]`` for every
-    (slice, agent) row j, by agent or in chunks of ``ensemble.hess_tile``
-    rows, whichever loop makes fewer einsum calls.  Every row reduces over
-    its d entries in the same einsum kernel as the (n, d) call; an einsum
-    over the leading axes gives the same bits but ran up to about 2x slower.
+    call: the slices are padded with zero slices to whole blocks of
+    ``_GRAD_ROWS`` = 4, and each block makes one (4 x d) (d x d) gemm per
+    agent j, its 4 rows of u_j times H_j^T (``ensemble.hess_t``).  So every
+    row, alone or stacked, goes through one gemm shape.  One gemm of K rows
+    per agent would be faster, but one row takes gemv, and at some d (17,
+    33) a larger gemm rounds its rows differently.  Overflow stays silent.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape[-2:] != (ensemble.n, ensemble.d):
-        raise DimensionMismatchError(
-            f"stacked point {u.shape} vs ensemble ({ensemble.n}, {ensemble.d})"
-        )
-    rows = u.reshape(-1, ensemble.d)
-    if len(rows) == ensemble.n:
-        g = np.einsum("jab,jb->ja", ensemble.hess_stack, rows)
-    elif len(rows) > ensemble.n ** 2 * max(1, _GRAD_TILE_FLOATS // ensemble.hess_stack.size):
-        g = np.empty(rows.shape)
-        for j, hess in enumerate(ensemble.hess_stack):  # more slices than n tiles hold
-            np.einsum("ab,kb->ka", hess, rows[j::ensemble.n], out=g[j::ensemble.n])
-    else:
-        tile = ensemble.hess_tile
-        g = np.empty(rows.shape)
-        for s in range(0, len(rows), len(tile)):
-            np.einsum("jab,jb->ja", tile[:len(rows) - s], rows[s:s + len(tile)],
-                      out=g[s:s + len(tile)])
-    g = g.reshape(u.shape)
+    u = np.ascontiguousarray(u, dtype=float)  # a strided row would not go through BLAS
+    n, d = ensemble.n, ensemble.d
+    if u.shape[-2:] != (n, d):
+        raise DimensionMismatchError(f"stacked point {u.shape} vs ensemble ({n}, {d})")
+    k = u.size // (n * d)
+    blocks = -(-k // _GRAD_ROWS)
+    rows = u
+    if k % _GRAD_ROWS:
+        rows = np.zeros((blocks * _GRAD_ROWS, n, d))
+        rows[:k] = u.reshape(k, n, d)
+    g = np.empty((blocks * _GRAD_ROWS, n, d))
+    shape = (blocks, _GRAD_ROWS, n, d)  # swapped to (blocks, n, 4, d): agent j's rows of a block
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(rows.reshape(shape).swapaxes(1, 2), ensemble.hess_t,
+                  out=g.reshape(shape).swapaxes(1, 2))
+    g = g[:k].reshape(u.shape)
     g += ensemble.lin_stack
     return g
 

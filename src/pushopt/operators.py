@@ -164,7 +164,7 @@ def mix_stack(net, w):
 def gradient_push_operator(ctx, w):
     """The limit operator: mix the state after a gradient step at w_j/(n pi_j),
     in the floating type of ``w`` (float64, or ``np.longdouble`` with n pi_j
-    formed in it); the gradient rows are ``grad_stack``'s, bit for bit."""
+    formed in it), with its own einsum gradient rows, not ``grad_stack``'s."""
     if getattr(w, "dtype", None) == np.longdouble:
         scale = (ctx.net.n * ctx.net.pi.astype(np.longdouble))[:, None]
     else:

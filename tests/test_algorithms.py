@@ -234,21 +234,26 @@ def test_hybrid_validation(net20, ens_case1):
         alg.pd_run(net20, ens_case1, 0.001, init, -1)
 
 
-def test_sweep_frees_the_old_ratio_stack_before_each_step(net20, ens_case1):
-    # z is recomputed from x / y, so the step never needs the old stack
+def test_sweep_frees_the_old_ratio_stack_before_each_block(monkeypatch, net20, ens_case1):
+    # z is recomputed from x / y, so the step never needs the old stack; inside
+    # a block the block's states still hold it, so only a block's first step
+    # is handed the state without it
     seen = []
 
     def step(net, ensemble, alpha, state):
-        seen.append(state.z)
+        seen.append(state.z is None)
         return alg.pd_step(net, ensemble, alpha, state)
 
     init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
-    ends = alg._sweep(net20, ens_case1, step, alg.pd_diverged, ("x", "z", "v", "g"),
-                      [0.001, 0.002], init, 4)
-    assert seen == [None] * 4
-    for alpha, (state, flagged) in zip((0.001, 0.002), ends):
-        own = alg.pd_run(net20, ens_case1, alpha, init, 4).final_state
-        assert not flagged and state.z.tobytes() == own.z.tobytes()
+    for rounds in (1, 3):  # rounds per block of the 2-slice, 4-field stack
+        monkeypatch.setattr(alg, "_ROUND_BLOCK_FLOATS", rounds * 4 * 2 * net20.n * ens_case1.d)
+        seen.clear()
+        ends = alg._sweep(net20, ens_case1, step, alg.pd_diverged, ("x", "z", "v", "g"),
+                          [0.001, 0.002], init, 7)
+        assert seen == [r % rounds == 0 for r in range(1, 8)]
+        for alpha, (state, flagged) in zip((0.001, 0.002), ends):
+            own = alg.pd_run(net20, ens_case1, alpha, init, 7).final_state
+            assert not flagged and state.z.tobytes() == own.z.tobytes()
 
 
 def test_sweep_releases_the_stack_a_retirement_replaces(net20, ens_case1):

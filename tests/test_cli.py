@@ -426,6 +426,16 @@ def test_zero_errors_fail_the_slope_in_one_line_without_a_warning(tmp_path, caps
     assert slope["detail"] == "log-log slope undefined: 2 of 40 errors are zero or non-finite"
 
 
+def test_a_failed_check_prints_failure_not_numeric_failure(tmp_path, capsys):
+    """A failed scenario check is no numeric failure: it exits 2 as one
+    ``failure:`` line."""
+    args = ["reproduce", "fig3", "--n", "6", "--p", "1.0", "--seed", "19", "--d", "1",
+            "--m", "3", "--delta-reg", "1e-06", "--out-dir", str(tmp_path)]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: scenario ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key, value", [
     ("alpha_gp", "fast"), ("alpha_gp", -0.03), ("alpha_pd", "alpha0"), ("alpha_pd", True),
 ])

@@ -3,15 +3,15 @@
 ``legacy_gp_run`` is the per-stepsize round loop ``gp_run`` had before it
 became the one-stepsize call of ``gp_sweep``, ``legacy_recorder`` the
 metrics of one (n, d) state per call that every run recorded before the
-recorder measured a whole stack, and ``legacy_grad_stack`` the
-leading-axis einsum ``grad_stack`` used before it evaluated a stack as
-flat rows.  ``broadcast_gp_step`` and ``broadcast_pd_step`` are the round
-steps as they were before they divided (K, n*d) rows by y.  All are the
-library code as it was; the stacked paths must match them record for
-record and bit for bit.
+recorder measured a whole stack, and ``own_grad_stack`` the library's
+``grad_stack`` called on each (n, d) state alone.  ``broadcast_gp_step``
+and ``broadcast_pd_step`` are the round steps as they were before they
+divided (K, n*d) rows by y.  All are the library code as it was, or as it
+runs one state; the stacked paths must match them record for record and
+bit for bit.
 """
 
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +23,10 @@ from pushopt import operators as op
 from pushopt.errors import ValidationError
 
 
-def legacy_grad_stack(ensemble, u):
-    return np.einsum("jab,...jb->...ja", ensemble.hess_stack, u) + ensemble.lin_stack
+def own_grad_stack(ensemble, u):
+    u = np.asarray(u, dtype=float)
+    states = u.reshape(-1, ensemble.n, ensemble.d)
+    return np.stack([co.grad_stack(ensemble, s) for s in states]).reshape(u.shape)
 
 
 def legacy_pi_norm(w, pi):
@@ -61,7 +63,7 @@ def legacy_gp_run(net, ensemble, alpha, x0, iters, refs=None):
             w = net.W @ state.x
             y = net.W @ state.y
             z = w / y[:, None]
-            x = w - alpha * legacy_grad_stack(ensemble, z)
+            x = w - alpha * own_grad_stack(ensemble, z)
         state = alg.GradientPushState(t=state.t + 1, x=x, w=w, z=z, y=y)
         record(state.w, state.z, state.t, alg.gp_diverged(state))
     trace.final_state = state
@@ -167,7 +169,7 @@ def test_hybrid_handoff_matches_the_per_run_warm_start(net20, ens_case1, alpha_m
         ref = head
     else:
         gp = head.final_state
-        g = legacy_grad_stack(ens_case1, gp.z)
+        g = own_grad_stack(ens_case1, gp.z)
         handoff = alg.PushDigingState(t=gp.t, x=gp.w.copy(), z=gp.z.copy(), v=g, g=g,
                                       y=gp.y.copy())
         tail = legacy_pd_run(net20, ens_case1, 0.01, handoff, 140, refs)
@@ -205,27 +207,76 @@ def _stacks():
 STACKS = _stacks()
 
 
+def assert_within_rounding(ens, u, g):
+    """Each row of g lies within gamma_d |H_j| |u_j| (the d-term dot products,
+    in any order, Higham ch. 3) plus gamma_1 |g| (adding the ``lin`` row) of
+    H_j u_j + b_j, measured against a long-double reference whose own
+    rounding is added."""
+    ld = np.longdouble
+    u = np.asarray(u, dtype=float)
+    ref = np.einsum("jab,...jb->...ja", ens.hess_stack.astype(ld), u.astype(ld)) + ens.lin_stack
+    mag = np.einsum("jab,...jb->...ja", np.abs(ens.hess_stack), np.abs(u).astype(ld))
+
+    def gamma(k, unit):
+        return k * unit / (1 - k * unit)
+
+    unit_ld = float(np.finfo(ld).eps) / 2
+    bound = (gamma(ens.d, 2.0 ** -53) * mag + gamma(1, 2.0 ** -53) * np.abs(g)
+             + gamma(ens.d + 1, unit_ld) * (mag + np.abs(ens.lin_stack)))
+    assert g.shape == u.shape and np.all(np.abs(g - ref) <= bound)
+
+
 @pytest.mark.parametrize("name, ens, u", STACKS, ids=[s[0] for s in STACKS])
 def test_grad_stack_rows_match_the_leading_axis_einsum(name, ens, u):
-    assert same_bits(co.grad_stack(ens, u), legacy_grad_stack(ens, u))
+    """Rows and the leading-axis einsum agree to within rounding: both lie
+    within the rounding bound of the exact rows."""
+    assert_within_rounding(ens, u, co.grad_stack(ens, u))
+    assert_within_rounding(ens, u, np.einsum("jab,...jb->...ja", ens.hess_stack, u)
+                           + ens.lin_stack)
     if u.ndim > 2:
         flat = u.reshape(-1, ens.n, ens.d)
         mine = co.grad_stack(ens, u).reshape(flat.shape)
         assert all(same_bits(mine[k], co.grad_stack(ens, flat[k])) for k in range(len(flat)))
 
 
-def test_grad_stack_chunks_do_not_change_bits(monkeypatch):
-    """The tuner's stack loops over its 20 agents at 1, 3 and 7 tile copies
-    and over one tile at 200; fig4's 4 slices of 400 agents always take the
-    tile loop."""
-    wholes = [co.grad_stack(ens, u) for _, ens, u in STACKS[:2]]
-    for (name, ens, u), whole in zip(STACKS[:2], wholes):
-        for floats, copies in ((1, 1), (ens.hess_stack.size * 3, 3),
-                               (ens.hess_stack.size * 7 + 5, 7), (ens.hess_stack.size * 200, 200)):
-            monkeypatch.setattr(co, "_GRAD_TILE_FLOATS", floats)
-            fresh = replace(ens)  # the tile is built once per ensemble
-            assert len(fresh.hess_tile) == copies * ens.n
-            assert same_bits(co.grad_stack(fresh, u), whole)
+# An (n, d) grid for the 4-slice gemm blocks.  At d = 17 and 33 one gemm of
+# K rows per agent rounds its rows differently from a one-slice call.
+GRID = [(n, d) for n in (1, 20, 400) for d in (1, 3, 10, 17, 33)]
+
+
+@pytest.mark.parametrize("n, d", GRID, ids=[f"n{n}_d{d}" for n, d in GRID])
+def test_grad_stack_slices_round_like_their_own_call(n, d):
+    """Every slice of a stack, padded or not, at any position in its block,
+    has the bits of its own (n, d) call."""
+    ens = co.make_case1_ensemble(n, d, d + 2, 0.1, 8)
+    rng = np.random.default_rng(n * 100 + d)
+    for k in (1, 2, 3, 4, 5, 7, 9) + (() if n == 400 else (17, 64, 200)):
+        u = rng.standard_normal((k, n, d)) * rng.uniform(0.1, 10.0, (k, 1, 1))
+        g = co.grad_stack(ens, u)
+        assert same_bits(g, own_grad_stack(ens, u)), k
+        assert_within_rounding(ens, u, g)
+
+
+@pytest.mark.parametrize("name, ens, u", STACKS[:3], ids=[s[0] for s in STACKS[:3]])
+def test_grad_stack_rows_lie_within_the_rounding_bound(name, ens, u):
+    """Far from unit scale too, and on a case2 ensemble scaled by 2^-20."""
+    for scale in (2.0 ** -40, 1.0, 2.0 ** 40):
+        assert_within_rounding(ens, scale * u, co.grad_stack(ens, scale * u))
+    tiny = co.scale_ensemble(ens, 2.0 ** -20)
+    assert_within_rounding(tiny, u, co.grad_stack(tiny, u))
+
+
+def test_grad_stack_is_silent_on_overflow():
+    ens = STACKS[0][1]
+    u = np.full((5, ens.n, ens.d), 1e308)
+    u[1] = -u[1]
+    u[2, 3, 4], u[3, 0, 0] = np.inf, np.nan
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        g = co.grad_stack(ens, u)
+        single = co.grad_stack(ens, u[2])
+    assert np.isposinf(g[0]).all() and np.isneginf(g[1]).all()
+    assert np.isnan(g[3, 0]).all() and same_bits(single, g[2])
 
 
 def broadcast_gp_step(net, ensemble, alpha, x, y):
