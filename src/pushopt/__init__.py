@@ -78,6 +78,7 @@ from .operators import (
     perturbation_product,
     push_sum_perturbation,
     solve_fixed_point,
+    solve_fixed_points,
     stepsize_ceiling,
 )
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .costs import grad_stack
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import pi_norm
+from .linalg import _sum_squares, pi_norm
 
 DIVERGENCE_THRESHOLD = 1e12
 _ROUND_BLOCK_FLOATS = 1 << 13  # floats of the stacked states one divergence check takes
@@ -213,8 +213,7 @@ def pd_diverged(state):
 def _sum_z_err(z, x_star):
     """Sum over agents of the distance of each ratio block to x_star, for
     an (n, d) state or per state of a (K, n, d) stack."""
-    diff = z - x_star
-    return np.sqrt((diff * diff).sum(axis=-1)).sum(axis=-1)
+    return np.sqrt(_sum_squares(z - x_star)).sum(axis=-1)
 
 
 def _recorder(traces, net, refs, phase, mixed):
@@ -225,16 +224,19 @@ def _recorder(traces, net, refs, phase, mixed):
     ``flags[i]``: (sum_z_err, w_fp_err, w_opt_err) of its ratios z and its
     mixed state, the field ``mixed``, against the available references.
     Each row has the bits of measuring it alone.  The optimum's mixed state
-    n * pi_j * x_star is built once per run.
+    n * pi_j * x_star and x_star repeated on every agent are built once per
+    run.
     """
-    target = None if refs.x_star is None else np.outer(net.n * net.pi, refs.x_star)
+    if refs.x_star is not None:
+        target = np.outer(net.n * net.pi, refs.x_star)
+        x_star = np.tile(refs.x_star, (net.n, 1))
 
     def record(owners, ts, state, flags):
         sum_z = fp = opt = [None] * len(owners)
         w = getattr(state, mixed)
         with np.errstate(over="ignore", invalid="ignore"):
             if refs.x_star is not None:
-                sum_z = _sum_z_err(state.z, refs.x_star).tolist()
+                sum_z = _sum_z_err(state.z, x_star).tolist()
                 opt = pi_norm(w - target, net.pi).tolist()
             if refs.w_fixed is not None:
                 fp = pi_norm(w - refs.w_fixed, net.pi).tolist()

@@ -427,23 +427,27 @@ def resolve_hybrid_stepsizes(cfg, net, ensemble):
     return alpha_gp, alpha_pd
 
 
-def fixed_point_sweep(cfg, net, ensemble, cert, out):
+def fixed_point_sweep(cfg, net, ensemble, cert, out, known=None):
     """Fixed-point-to-optimum error and gap bound over (0, alpha0].
 
-    Solves the fixed point at ``sweep_points`` evenly spaced stepsizes,
-    writes ``fp_sweep.csv`` into ``out`` and returns (alphas, errors,
-    bounds).
+    Solves the fixed point at ``sweep_points`` evenly spaced stepsizes in
+    one stacked call, writes ``fp_sweep.csv`` into ``out`` and returns
+    (alphas, errors, bounds).  ``known``, a fixed point solved at the
+    ceiling with the certificate's Lipschitz value, is reused for the last
+    stepsize when that stepsize and its Lipschitz value equal them bit for
+    bit.
     """
     x_star = co.ensemble_minimizer(ensemble)
     points = cfg.sweep_points
     alphas = [cert.alpha0 * (i + 1) / points for i in range(points)]
     lips = op.lipschitz_sweep(net, ensemble, alphas)  # one stacked call for every solve
-    errors, bounds = [], []
-    for a, lip in zip(alphas, lips):
-        sol = op.solve_fixed_point(op.OperatorContext(net, ensemble, a), tol=cfg.fp_tol,
-                                   lipschitz=lip)
-        errors.append(pi_norm(sol.w - np.outer(net.n * net.pi, x_star), net.pi))
-        bounds.append(op.optimality_gap_bound(net, ensemble, cert, a))
+    reuse = bool(known is not None and alphas[-1] == known.alpha
+                 and lips[-1] == cert.lipschitz_alpha)
+    sols = op.solve_fixed_points(net, ensemble, alphas[:points - reuse], tol=cfg.fp_tol,
+                                 lipschitz=lips[:points - reuse]) + [known] * reuse
+    target = np.outer(net.n * net.pi, x_star)
+    errors = [pi_norm(sol.w - target, net.pi) for sol in sols]
+    bounds = [op.optimality_gap_bound(net, ensemble, cert, a) for a in alphas]
     write_csv(out / "fp_sweep.csv", ("alpha", "fp_to_opt_err", "thm26_bound"),
               list(zip(alphas, errors, bounds)))
     return alphas, errors, bounds
@@ -572,7 +576,7 @@ def _run_fig35(cfg, net, ensemble, out):
     fp_errors = trace.column("w_fp_err")
     write_csv(out / "fp_convergence.csv", ("t", "w_fp_err"),
               [(r.t, r.w_fp_err) for r in trace.records])
-    alphas, errors, bounds = fixed_point_sweep(cfg, net, ensemble, cert, out)
+    alphas, errors, bounds = fixed_point_sweep(cfg, net, ensemble, cert, out, known=fp)
 
     constants = _base_constants(net, ensemble, cert)
     constants["fixed_point_residual"] = fp.residual

@@ -18,7 +18,8 @@ computes:
   from products with the operator and its transpose, never its nd x nd
   matrix, for a whole stack of stepsizes at once,
 * the fixed point by restarted GMRES on products with the operator, refined
-  with long-double residuals to a certified bound on its distance,
+  with long-double residuals to a certified bound on its distance, for a
+  whole stack of stepsizes at once,
 * the empirical push-sum constants (coefficient of the 1/y gap and the
   largest inverse weight),
 * the convergence envelope for runs, the fixed-point radius, the
@@ -48,6 +49,7 @@ from .linalg import _EIG_TOL, _lanczos_top_eig, pi_norm
 
 _KRYLOV_RESTART = 60  # Arnoldi vectors per restart cycle of the fixed-point solve
 _MAX_CYCLES = 100  # restart cycles of the fixed-point solve before NoConvergenceError
+_FP_BLOCK_FLOATS = 1 << 17  # Arnoldi basis floats of one chunk of a fixed-point stack
 _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
 CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
@@ -58,7 +60,11 @@ _TAIL_ROUNDS = 10  # push-sum rounds past the derived horizon, whose peaks are t
 
 @dataclass(frozen=True)
 class OperatorContext:
-    """A mixing network, a cost ensemble, and a stepsize, checked for fit."""
+    """A mixing network, a cost ensemble, and a stepsize, checked for fit.
+
+    ``alpha`` may also be a 1-D array of stepsizes: the context of a
+    (k, n, d) stack whose slice i is taken at ``alpha[i]``.
+    """
 
     net: object
     ensemble: object
@@ -69,7 +75,8 @@ class OperatorContext:
             raise DimensionMismatchError(
                 f"network has {self.net.n} agents, ensemble {self.ensemble.n}"
             )
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+        alpha = np.asarray(self.alpha, dtype=float)
+        if alpha.ndim > 1 or not np.all(np.isfinite(alpha) & (alpha > 0.0)):
             raise InvalidRateError(f"stepsize must be positive and finite, got {self.alpha}")
 
     @cached_property
@@ -162,19 +169,23 @@ def mix_stack(net, w):
 
 
 def gradient_push_operator(ctx, w):
-    """The limit operator: mix the state after a gradient step at w_j/(n pi_j),
-    in the floating type of ``w`` (float64, or ``np.longdouble`` with n pi_j
-    formed in it), with its own einsum gradient rows, not ``grad_stack``'s."""
-    if getattr(w, "dtype", None) == np.longdouble:
+    """The limit operator: mix the state after a gradient step at w_j/(n pi_j).
+    A float64 state takes ``grad_stack``'s gradient rows; a ``np.longdouble``
+    one, which BLAS does not take, einsum rows with n pi_j formed in long
+    double.  For a context of k stepsizes, ``w`` is a (k, n, d) stack, and
+    each slice has the bits of its own one-stepsize call."""
+    long = getattr(w, "dtype", None) == np.longdouble
+    w = w if long else np.asarray(w, dtype=float)
+    ens, alpha, shape = ctx.ensemble, np.asarray(ctx.alpha), ctx._limit_weights.shape
+    if w.shape != alpha.shape + shape:
+        raise DimensionMismatchError(f"state {w.shape} vs {alpha.shape + shape}")
+    if long:
         scale = (ctx.net.n * ctx.net.pi.astype(np.longdouble))[:, None]
+        H = ens.hess_stack.astype(np.longdouble)  # a mixed-type einsum runs about 2x slower
+        g = np.einsum("jab,...jb->...ja", H, w / scale) + ens.lin_stack
     else:
-        w, scale = np.asarray(w, dtype=float), ctx._limit_weights
-    ens = ctx.ensemble
-    if w.shape != ctx._limit_weights.shape:
-        raise DimensionMismatchError(f"state {w.shape} vs {ctx._limit_weights.shape}")
-    g = np.einsum("jab,jb->ja", ens.hess_stack, w / scale)
-    g += ens.lin_stack
-    return ctx.net.W @ (w - ctx.alpha * g)
+        g = grad_stack(ens, w / ctx._limit_weights)
+    return ctx.net.W @ (w - alpha[..., None, None] * g)
 
 
 def push_sum_perturbation(ctx, y, w):
@@ -327,119 +338,165 @@ def _contracts(lip):
 
 
 def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
-    """Fixed point by restarted GMRES whose restarts are refinement steps.
+    """``solve_fixed_points`` at the one stepsize ``ctx.alpha``, with
+    ``lipschitz`` its Lipschitz value if given."""
+    lips = None if lipschitz is None else [lipschitz]
+    return solve_fixed_points(ctx.net, ctx.ensemble, [ctx.alpha], tol, lips)[0]
+
+
+def solve_fixed_points(net, ensemble, alphas, tol=1e-12, lipschitz=None):
+    """Fixed point at each stepsize by restarted GMRES whose restarts are
+    refinement steps, on stacks of stepsizes.
 
     T is affine for constant Hessians, so the fixed point w* solves
     (I - A) w = T(0) with A w = T(w) - T(0).  The iterate x is kept in
     ``np.longdouble``; each restart evaluates r = T(x) - x in long double
-    (``_residual``) and adds the correction of one GMRES cycle in double on
-    (I - A) e = r, r rounded to double (GMRES-based iterative refinement:
-    Carson & Higham, SIAM J. Sci. Comput. 2018).  A cycle runs in the
-    pi-weighted inner product, in which T contracts, and ends after
-    ``_KRYLOV_RESTART`` vectors, on a breakdown or at a residual estimate of
-    (1 - L) tol / 4.  It keeps its Arnoldi vectors in scaled coordinates
-    v_j / sqrt(pi_j), in which the pi-weighted inner product is the plain
-    dot product, and applies the operator only through
-    ``gradient_push_operator``.  With w = x in double, the loop stops once
-    ``FixedPoint.bound`` = ||w - x|| + (||r|| + rounding) / (1 - L) is at
-    most ``tol``; with ``rounding`` bounding r's rounding error, it bounds
-    ||w - w*||.  L is ``lipschitz`` if given, else the measured Lipschitz
-    constant, whose square is a Lanczos Ritz value: a lower bound on
-    ||T||^2 whose 1e-10 relative residual can move 1/(1 - L) by about 2e-6
-    relative on sparse draws.  An L whose square lies within that 1e-10 of
-    1 certifies no contraction.
-    ``FixedPoint.iterations`` counts the cycles.
+    (``_residual``) and adds the correction of one ``_gmres_cycle`` in double
+    on (I - A) e = r (GMRES-based iterative refinement: Carson & Higham,
+    SIAM J. Sci. Comput. 2018).  With w = x in double, a stepsize is done
+    once ``FixedPoint.bound`` = ||w - x|| + (||r|| + rounding) / (1 - L) is
+    at most ``tol``; with ``rounding`` bounding r's rounding error, it bounds
+    ||w - w*||.  L is the stepsize's value in ``lipschitz``, else from
+    ``lipschitz_sweep``: its square is a Lanczos Ritz value whose 1e-10
+    relative residual can move 1/(1 - L) by about 2e-6 relative on sparse
+    draws, so an L whose square lies within 1e-10 of 1 certifies no
+    contraction.  ``FixedPoint.iterations`` counts the cycles.  The
+    stepsizes run as (k, n, d) stacks in chunks of at most
+    ``_FP_BLOCK_FLOATS`` Arnoldi basis floats; each slice leaves its stack at
+    its own bound and has the bits of its one-stepsize call.
 
-    Raises
-    ------
-    ValidationError
-        If ``tol`` is not positive: no bound reaches 0.
-    NonQuadraticError
-        If a cost has no constant Hessian, so that T is not affine.
-    NotContractiveError
-        If L certifies no contraction.
-    NoConvergenceError
-        If a cycle does not lower ||r||, or after ``_MAX_CYCLES`` cycles.
+    Raises ValidationError for a ``tol`` that is not positive,
+    NonQuadraticError if a cost has no constant Hessian, InvalidRateError
+    for a stepsize that is not positive and finite, NotContractiveError if
+    an L certifies no contraction, and NoConvergenceError if a cycle does
+    not lower ||r|| or after ``_MAX_CYCLES`` cycles: of several failing
+    stepsizes, the first in the order of ``alphas``.
     """
     if not tol > 0.0:
         raise ValidationError(f"fixed-point tolerance fp_tol must be positive, got {tol}")
-    net, ens = ctx.net, ctx.ensemble
-    _require_constant_hessians(ens)
-    lip = operator_lipschitz(ctx) if lipschitz is None else lipschitz
-    if not _contracts(lip):
-        raise NotContractiveError(f"no contraction at alpha={ctx.alpha}: Lipschitz {lip}")
-    m, weight, target = _KRYLOV_RESTART, 1.0 / net.pi[:, None], (1.0 - lip) * tol / 4.0
-    root = np.repeat(np.sqrt(net.pi)[:, None], ens.d, axis=1)  # |v / root| = ||v||_pi
+    _require_constant_hessians(ensemble)
+    alphas = OperatorContext(net, ensemble, np.asarray(alphas, dtype=float)).alpha
+    lips = lipschitz_sweep(net, ensemble, alphas) if lipschitz is None else np.asarray(
+        lipschitz, dtype=float).reshape(alphas.shape)
+    end = int(np.argmin(np.append(_contracts(lips), False)))  # the first not contracting
+    chunk = max(1, _FP_BLOCK_FLOATS // ((_KRYLOV_RESTART + 1) * net.n * ensemble.d))
+    out = []
+    for lo in range(0, end, chunk):
+        hi = min(lo + chunk, end)
+        out += _solve_chunk(OperatorContext(net, ensemble, alphas[lo:hi]), lips[lo:hi], tol)
+    if end < len(lips):
+        raise NotContractiveError(f"no contraction at alpha={alphas[end]}: Lipschitz {lips[end]}")
+    return out
 
-    def norm(v):
-        return math.sqrt(float((v * v * weight).sum()))
 
-    offset = gradient_push_operator(ctx, np.zeros((net.n, ens.d)))  # T(0)
-    x, last, best = np.zeros(offset.shape, dtype=np.longdouble), math.inf, math.inf
-    for cycles in range(_MAX_CYCLES + 1):
-        r, rounding = _residual(ctx, x)
-        w, res = x.astype(float), norm(r)
-        bound = norm(w - x) + (res + rounding) / (1.0 - lip)
-        if bound <= tol:
-            break
-        best = min(best, bound)
-        if not 0.0 < res < last or cycles == _MAX_CYCLES:
-            stop = ("a restart cycle did not lower the residual" if not 0.0 < res < last
+def _solve_chunk(ctx, lips, tol):
+    """``solve_fixed_points`` on one stack context; after a failing slice the
+    later ones leave the stack too."""
+    net, ens, k = ctx.net, ctx.ensemble, len(lips)
+    offset = gradient_push_operator(ctx, np.zeros((k, net.n, ens.d)))  # T(0) of each slice
+    x, live, sub, failed = np.zeros(offset.shape, np.longdouble), np.arange(k), ctx, None
+    w, bound, cycles = np.empty(offset.shape), np.empty(k), np.empty(k, dtype=int)
+    last = best = np.full(k, math.inf)
+    for cycle in range(_MAX_CYCLES + 1):
+        r, rounding = _residual(sub, x)
+        res, wl, lip = _scaled_norms(r, net.pi), x.astype(float), lips[live]
+        b = _scaled_norms(wl - x, net.pi) + (res + rounding) / (1.0 - lip)
+        done, best = b <= tol, np.minimum(best, b)
+        w[live[done]], bound[live[done]], cycles[live[done]] = wl[done], b[done], cycle
+        stalled = ~done & ~((0.0 < res) & (res < last))
+        failing = stalled | ~done & (cycle == _MAX_CYCLES)
+        if failing.any():
+            i = int(np.argmax(failing))  # the first failing live slice
+            stop = ("a restart cycle did not lower the residual" if stalled[i]
                     else f"the cycle cap {_MAX_CYCLES} is reached")
-            raise NoConvergenceError(f"fixed point not certified within tolerance {tol} at "
-                                     f"alpha={ctx.alpha}: {stop}; best bound {best:.3e}")
-        last = res
-        Q, R, rotations, g = np.empty((m + 1, w.size)), np.zeros((m, m)), [], [res]
-        Q[0] = (r / (res * root)).ravel()  # the Arnoldi basis, in scaled coordinates
-        for j in range(m):
-            u = (gradient_push_operator(ctx, Q[j].reshape(w.shape) * root) - offset) / root
-            u = Q[j] - u.ravel()
-            c = Q[:j + 1] @ u  # classical Gram-Schmidt, twice
-            u -= c @ Q[:j + 1]
-            c2 = Q[:j + 1] @ u
-            u -= c2 @ Q[:j + 1]
-            h, sub = (c + c2).tolist(), math.sqrt(u @ u)
-            for i, (cos, sin) in enumerate(rotations):
-                h[i], h[i + 1] = cos * h[i] + sin * h[i + 1], cos * h[i + 1] - sin * h[i]
-            diag = math.hypot(h[j], sub)
-            if diag == 0.0:
-                break
-            cos, sin = h[j] / diag, sub / diag
-            rotations.append((cos, sin))
-            R[:j + 1, j] = h[:j] + [diag]
-            g[j:] = cos * g[j], -sin * g[j]
-            if abs(g[j + 1]) <= target or sub == 0.0:
-                break
-            np.divide(u, sub, out=Q[j + 1])
-        k = len(rotations)
-        y = np.zeros(k)
-        for i in reversed(range(k)):
-            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
-        x = x + (y @ Q[:k]).reshape(w.shape) * root
+            failed = NoConvergenceError(f"fixed point not certified within tolerance {tol} at "
+                                        f"alpha={sub.alpha[i]}: {stop}; best bound {best[i]:.3e}")
+            done[i:] = True
+        if done.all():
+            break
+        live, x, r, last, best, lip = (a[~done] for a in (live, x, r, res, best, lip))
+        sub = OperatorContext(net, ens, ctx.alpha[live])
+        x = x + _gmres_cycle(sub, offset[live], r, last, (1.0 - lip) * tol / 4.0)
+    if failed is not None:
+        raise failed
     residual = pi_norm(gradient_push_operator(ctx, w) - w, net.pi)
-    w_bar = w.mean(axis=0)
-    consensus = pi_norm(w - np.outer(net.n * net.pi, w_bar), net.pi)
-    return FixedPoint(
-        alpha=ctx.alpha,
-        w=w,
-        w_bar=w_bar,
-        residual=float(residual),
-        bound=float(bound),
-        consensus_error=float(consensus),
-        iterations=cycles,
-    )
+    w_bar = w.mean(axis=1)
+    consensus = pi_norm(w - (net.n * net.pi)[:, None] * w_bar[:, None, :], net.pi)
+    return [FixedPoint(*f) for f in zip(ctx.alpha.tolist(), w, w_bar, residual.tolist(),
+                                         bound.tolist(), consensus.tolist(), cycles.tolist())]
+
+
+def _scaled_norms(v, pi):
+    """The pi-weighted norm of each slice of a (k, n, d) stack, summed in its
+    floating type and rounded to double before the root."""
+    return np.sqrt((v * v * (1.0 / pi)[:, None]).reshape(len(v), -1).sum(axis=1).astype(float))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _gmres_cycle(ctx, offset, r, res, target):
+    """One GMRES cycle on (I - A) e = r for each slice of a (k, n, d) stack,
+    with ``res`` the norms of r; returns each correction e in double.  It
+    works in the pi-weighted inner product, in which T contracts, as the
+    plain dot product of scaled vectors v_j / sqrt(pi_j), with classical
+    Gram-Schmidt run twice.  Earlier Givens rotations (Saad & Schultz, SIAM
+    J. Sci. Stat. Comput. 1986) reach a new Hessenberg column as one
+    accumulated rotation matrix.  A slice stops after ``_KRYLOV_RESTART``
+    vectors, on a breakdown or at a residual estimate of ``target``; it steps
+    on until the last slice stops, but its correction reads only its own
+    steps, zero-padded to fixed shapes.
+    """
+    k, n, d = r.shape
+    m, size = _KRYLOV_RESTART, n * d
+    root = np.repeat(np.sqrt(ctx.net.pi)[:, None], d, axis=1)  # |v / root| = ||v||_pi
+    Q, R, G = np.empty((m + 1, k, size)), np.zeros((k, m, m)), np.zeros((k, m + 1, m + 1))
+    Q[0], G[:, 0, 0] = (r / (res[:, None, None] * root)).reshape(k, size), 1.0
+    steps, stopped = np.full(k, m), np.zeros(k, dtype=bool)
+    for j in range(m):
+        u = gradient_push_operator(ctx, Q[j].reshape(k, n, d) * root)
+        u -= offset
+        u /= root
+        u = np.subtract(Q[j], u.reshape(k, size), out=u.reshape(k, size))
+        basis = Q[:j + 1].swapaxes(0, 1)  # slice i's vectors, as rows
+        c = basis @ u[:, :, None]
+        u -= (c.swapaxes(1, 2) @ basis)[:, 0]
+        c2 = basis @ u[:, :, None]
+        u -= (c2.swapaxes(1, 2) @ basis)[:, 0]
+        h = (G[:, :j + 1, :j + 1] @ (c + c2))[:, :, 0]  # the rotated Hessenberg column
+        sub = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
+        R[:, :j, j], R[:, j, j] = h[:, :j], np.hypot(h[:, j], sub)
+        cos, sin = h[:, j] / R[:, j, j], sub / R[:, j, j]
+        G[:, j + 1, :j + 1] = -sin[:, None] * G[:, j, :j + 1]
+        G[:, j, :j + 1] *= cos[:, None]
+        G[:, j, j + 1], G[:, j + 1, j + 1] = sin, cos
+        # G's first column times res is the rotated right-hand side: a zero
+        # sub makes its entry 0, a zero diagonal (a breakdown, the step not
+        # counted) makes it NaN
+        now = ~(res * np.abs(G[:, j + 1, 0]) > target)
+        if now.any():
+            now &= ~stopped
+            steps[now] = j + 1 - (R[now, j, j] == 0.0)
+            stopped |= now
+            if stopped.all():
+                break
+        np.divide(u, sub[:, None], out=Q[j + 1])
+    pad = np.arange(m) >= steps[:, None]  # the entries past each slice's own steps
+    Q[:m][pad.T], R[pad[:, :, None] | pad[:, None, :]] = 0.0, 0.0
+    R[:, np.arange(m), np.arange(m)] += pad  # an identity block past them
+    y = np.linalg.solve(R, np.where(pad, 0.0, res[:, None] * G[:, :m, 0])[:, :, None])
+    return (y.swapaxes(1, 2) @ Q[:m].swapaxes(0, 1))[:, 0].reshape(k, n, d) * root
 
 
 def _residual(ctx, x):
-    """r = T(x) - x in long double at a long-double x, and a bound on the
-    pi-weighted norm of its rounding error (Higham ch. 3), evaluated in
-    double.  With u the unit roundoff, gamma_k = k u / (1 - k u) and
-    P = |H_j| |x_j| / (n pi_j) + |b_j|, z = x - alpha grad errs by at most
-    E = gamma_1 |x| + gamma_{d+5} alpha P (gamma_{d+3} P from a gradient row);
-    row i of W z adds (W E)_i and gamma_{nnz_i} (W (|x| + alpha P + E))_i over
-    its nnz_i nonzeros, and the subtraction gamma_1 |r|.
+    """r = T(x) - x in long double at a long-double (k, n, d) stack x, and a
+    bound on the pi-weighted norm of each slice's rounding error (Higham
+    ch. 3), evaluated in double.  With u the unit roundoff,
+    gamma_k = k u / (1 - k u) and P = |H_j| |x_j| / (n pi_j) + |b_j|,
+    z = x - alpha grad errs by at most E = gamma_1 |x| + gamma_{d+5} alpha P
+    (gamma_{d+3} P from a gradient row); row i of W z adds (W E)_i and
+    gamma_{nnz_i} (W (|x| + alpha P + E))_i over its nnz_i nonzeros, and the
+    subtraction gamma_1 |r|.
     """
-    net, ens, alpha = ctx.net, ctx.ensemble, ctx.alpha
+    net, ens, alpha = ctx.net, ctx.ensemble, ctx.alpha[:, None, None]
     r = gradient_push_operator(ctx, x) - x
     u = float(np.finfo(np.longdouble).eps) / 2  # double's where long double is double: weaker
 
@@ -447,7 +504,7 @@ def _residual(ctx, x):
         return k * u / (1 - k * u)
 
     ax = np.abs(x).astype(float)
-    grad = np.einsum("jab,jb->ja", np.abs(ens.hess_stack), ax / (net.n * net.pi)[:, None])
+    grad = np.einsum("jab,kjb->kja", np.abs(ens.hess_stack), ax / (net.n * net.pi)[:, None])
     grad += np.abs(ens.lin_stack)
     err_z = gamma(1) * ax + gamma(ens.d + 5) * alpha * grad
     row_gamma = gamma(np.count_nonzero(net.W, axis=1))[:, None]

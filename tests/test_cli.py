@@ -13,7 +13,7 @@ from pushopt import costs as co
 from pushopt import harness as hz
 from pushopt import network as nw
 from pushopt import operators as op
-from pushopt.cli import build_parser, cli_main
+from pushopt.cli import _SCHEMA_HINT, build_parser, cli_main
 from pushopt.errors import ValidationError
 
 
@@ -471,3 +471,46 @@ def test_tune_pd_prints_stepsize(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 0
     value = float(capsys.readouterr().out.strip())
     assert 0.0 < value < 2.0
+
+
+def _contract_settings():
+    """A seeded sample of 60 fixed-point, sweep-alpha and reproduce fig3/fig5
+    settings on small draws, both cost cases, with varied tolerances and
+    sweep lengths (some of them invalid on purpose)."""
+    rng = np.random.default_rng(13)
+    commands = (["fixed-point"], ["sweep-alpha"], ["reproduce", "fig3"], ["reproduce", "fig5"])
+    settings = []
+    for i in range(60):
+        args, d, case = list(commands[i % len(commands)]), rng.choice([2, 3, 10]), i // 4 % 2
+        args += ["--n", str(rng.choice([1, 2, 3, 4, 5, 6, 10])),
+                 "--p", str(rng.choice([0.3, 0.6, 1.0])),
+                 "--seed", str(rng.integers(0, 50)),
+                 "--case", f"case{case + 1}", "--d", str(d)]
+        if case:
+            args += ["--m-rank", str(rng.integers(1, d))]
+        if args[0] == "fixed-point":
+            args += ["--tol", str(rng.choice([1e-16, 1e-14, 1e-12, 1e-10, 0.0]))]
+        if args[0] == "sweep-alpha":
+            args += ["--points", str(rng.choice([1, 2, 3, 7, 40]))]
+        settings.append(args)
+    return settings
+
+
+def test_exit_code_contract_on_a_sample_of_fixed_point_settings(tmp_path, capsys):
+    """Each setting exits 0, 1 or 2 with no exception or warning escaping, and
+    a non-zero exit says why in one line that starts with ``error:``,
+    ``numeric failure:`` or ``failure:`` (an exit 1 adds the schema hint)."""
+    codes = []
+    for i, args in enumerate(_contract_settings()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(args + ["--out-dir", str(tmp_path / str(i))])
+        err = capsys.readouterr().err
+        assert not caught, (args, [str(w.message) for w in caught])
+        assert code in (0, 1, 2), args
+        if code:
+            first, *rest = err.splitlines()
+            assert first.startswith(("error: ", "numeric failure: ", "failure: ")), (args, err)
+            assert rest == ([] if code == 2 else [_SCHEMA_HINT]), (args, err)
+        codes.append(code)
+    assert set(codes) == {0, 1, 2}  # the sample reaches every exit code

@@ -201,3 +201,11 @@ def test_spectral_norm_reports_a_lapack_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(NoConvergenceError, match="did not converge"):
         la.spectral_norm(np.eye(3))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_sum_squares_has_the_bits_of_numpys_sum(d):
+    # below 8 terms numpy's sum adds left to right, as the strided column adds do
+    a = np.random.default_rng(d).standard_normal((50, 400, d)) * 10.0 ** np.arange(-d, 0)
+    assert np.array_equal(la._sum_squares(a), (a * a).sum(axis=-1))
+    assert np.array_equal(la._sum_squares(a[0]), (a[0] * a[0]).sum(axis=-1))

@@ -130,25 +130,28 @@ def test_sweep_rejects_costs_without_a_constant_hessian(complete4):
 
 @pytest.mark.parametrize("figure,solves", [("fig2", 0), ("fig4", 0), ("fig5", 41)])
 def test_lipschitz_sweeps_and_fixed_point_solves_per_figure(figure, solves, tmp_path, monkeypatch):
-    sweeps, solved = [], []
-    real_sweep, real_solve = op.lipschitz_sweep, op.solve_fixed_point
+    sweeps, stacks = [], []
+    real_sweep, real_solve = op.lipschitz_sweep, op.solve_fixed_points
 
     def sweep(net, ensemble, alphas):
         sweeps.append(len(alphas))
         return real_sweep(net, ensemble, alphas)
 
-    def solve(ctx, **kwargs):
-        solved.append(ctx.alpha)
-        return real_solve(ctx, **kwargs)
+    def solve(net, ensemble, alphas, *args, **kwargs):
+        stacks.append(len(alphas))
+        return real_solve(net, ensemble, alphas, *args, **kwargs)
 
     monkeypatch.setattr(op, "lipschitz_sweep", sweep)
-    monkeypatch.setattr(op, "solve_fixed_point", solve)
+    monkeypatch.setattr(op, "solve_fixed_points", solve)
     assert cli.cli_main(["reproduce", figure, "--out-dir", str(tmp_path)]) == 0
     # fig2: one 200-point sweep (the case1 rate needs none); fig4: the
     # certificate's one estimate; fig5: the certificate's estimate at the
     # ceiling, then one 40-point sweep for the fixed-point solves
     assert sweeps == {"fig2": [200], "fig4": [1], "fig5": [1, 40]}[figure]
-    assert len(solved) == solves
+    # fig5 uses 41 fixed points: the ceiling's, solved alone, then one stack
+    # for the sweep, whose last point alpha0 * 40 / 40 equals alpha0 at this
+    # seed and reuses the ceiling's solve
+    assert stacks == {"fig2": [], "fig4": [], "fig5": [1, solves - 2]}[figure]
 
 
 def test_fixed_point_solve_at_n100_allocates_no_dense_operator():

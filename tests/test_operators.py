@@ -282,6 +282,58 @@ def test_fixed_point_lies_within_its_bound_of_the_long_double_reference(override
         assert fp.iterations <= op._MAX_CYCLES
 
 
+# fig5 stepsizes in an order in which the slices stop their cycles at
+# different steps and retire at different cycles (the small ones take two)
+STACK_MULTS = [0.5, 1 / 40, 1.0, 3 / 40, 1 / 20, 0.25, 7 / 40, 0.9, 2 / 40, 0.6, 1 / 8, 0.3]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+def test_stacked_fixed_points_have_the_bits_of_one_stepsize_calls(monkeypatch, chunk):
+    net, ens, alpha0 = fig5_instance()
+    alphas = [alpha0 * m for m in STACK_MULTS]
+    lips = op.lipschitz_sweep(net, ens, alphas)
+    alone = [op.solve_fixed_point(op.OperatorContext(net, ens, a), lipschitz=lip)
+             for a, lip in zip(alphas, lips)]
+    assert {fp.iterations for fp in alone} == {1, 2}
+    if chunk is not None:
+        slice_floats = (op._KRYLOV_RESTART + 1) * net.n * ens.d
+        monkeypatch.setattr(op, "_FP_BLOCK_FLOATS", chunk * slice_floats)
+    for one, fp in zip(alone, op.solve_fixed_points(net, ens, alphas, lipschitz=lips)):
+        assert (fp.alpha, fp.iterations, fp.bound, fp.residual, fp.consensus_error) == (
+            one.alpha, one.iterations, one.bound, one.residual, one.consensus_error)
+        assert np.array_equal(fp.w, one.w) and np.array_equal(fp.w_bar, one.w_bar)
+
+
+def _raised(solve):
+    with pytest.raises((NoConvergenceError, NotContractiveError)) as info:
+        solve()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+@pytest.mark.parametrize("flat", [None, 0, 1, 4])
+def test_stacked_fixed_points_raise_the_first_failure_in_grid_order(monkeypatch, chunk, flat):
+    # with a one-cycle cap the small stepsizes, which need two cycles, fail:
+    # the first at index 1; ``flat`` marks a Lipschitz value of 1, no contraction
+    monkeypatch.setattr(op, "_MAX_CYCLES", 1)
+    net, ens, alpha0 = fig5_instance()
+    alphas = [alpha0 * m for m in (0.5, 1 / 40, 1.0, 1 / 20, 0.25)]
+    lips = op.lipschitz_sweep(net, ens, alphas)
+    if flat is not None:
+        lips[flat] = 1.0
+
+    def one_by_one():
+        for a, lip in zip(alphas, lips):
+            op.solve_fixed_point(op.OperatorContext(net, ens, a), lipschitz=lip)
+
+    expected = _raised(one_by_one)
+    assert expected[0] is (NotContractiveError if flat in (0, 1) else NoConvergenceError)
+    if chunk is not None:
+        slice_floats = (op._KRYLOV_RESTART + 1) * net.n * ens.d
+        monkeypatch.setattr(op, "_FP_BLOCK_FLOATS", chunk * slice_floats)
+    assert _raised(lambda: op.solve_fixed_points(net, ens, alphas, lipschitz=lips)) == expected
+
+
 def test_long_double_residual_error_lies_within_its_rounding_bound(monkeypatch):
     # exact rational arithmetic at the long-double iterate that the solve certifies
     net, ens, alpha0 = fig5_instance()
@@ -294,7 +346,8 @@ def test_long_double_residual_error_lies_within_its_rounding_bound(monkeypatch):
 
     monkeypatch.setattr(op, "_residual", spy)
     op.solve_fixed_point(ctx, tol=1e-12)
-    x, r, rounding = seen[-1]
+    # _residual takes a (k, n, d) stack; a one-stepsize solve's has one slice
+    x, r, rounding = (a[0] for a in seen[-1])
     assert x.dtype == np.longdouble and r.dtype == np.longdouble
 
     def exact(v):
