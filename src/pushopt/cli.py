@@ -15,7 +15,8 @@ tune-pd            grid-search the Push-DIGing stepsize and print it
 Common flags: --seed, --out-dir, --config <json> (a flat JSON object with
 the keys documented in docs/config.md; explicit flags override it).
 
-Exit codes: 0 success, 1 validation/usage error, 2 numeric failure or failed check.
+Exit codes: 0 success, 1 validation/usage error, 2 numeric failure, failed check
+or refused allocation.
 """
 
 import argparse
@@ -299,6 +300,9 @@ def cli_main(argv):
         return 2
     except PushOptError as exc:
         print(f"failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a refused allocation, e.g. numpy's for a huge n
+        print(f"failure: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

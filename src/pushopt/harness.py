@@ -427,30 +427,25 @@ def resolve_hybrid_stepsizes(cfg, net, ensemble):
     return alpha_gp, alpha_pd
 
 
-def fixed_point_sweep(cfg, net, ensemble, cert, out, known=None):
+def fixed_point_sweep(cfg, net, ensemble, cert, out):
     """Fixed-point-to-optimum error and gap bound over (0, alpha0].
 
-    Solves the fixed point at ``sweep_points`` evenly spaced stepsizes in
-    one stacked call, writes ``fp_sweep.csv`` into ``out`` and returns
-    (alphas, errors, bounds).  ``known``, a fixed point solved at the
-    ceiling with the certificate's Lipschitz value, is reused for the last
-    stepsize when that stepsize and its Lipschitz value equal them bit for
-    bit.
+    Solves the fixed point at ``sweep_points`` evenly spaced stepsizes, and
+    at alpha0 when the last of them, alpha0 * points / points, rounds away
+    from it, in one stacked call.  Writes ``fp_sweep.csv`` into ``out`` and
+    returns (alphas, errors, bounds, the fixed point at alpha0).
     """
     x_star = co.ensemble_minimizer(ensemble)
     points = cfg.sweep_points
     alphas = [cert.alpha0 * (i + 1) / points for i in range(points)]
-    lips = op.lipschitz_sweep(net, ensemble, alphas)  # one stacked call for every solve
-    reuse = bool(known is not None and alphas[-1] == known.alpha
-                 and lips[-1] == cert.lipschitz_alpha)
-    sols = op.solve_fixed_points(net, ensemble, alphas[:points - reuse], tol=cfg.fp_tol,
-                                 lipschitz=lips[:points - reuse]) + [known] * reuse
+    ceiling = [] if alphas[-1] == cert.alpha0 else [cert.alpha0]
+    sols = op.solve_fixed_points(net, ensemble, alphas + ceiling, tol=cfg.fp_tol)
     target = np.outer(net.n * net.pi, x_star)
-    errors = [pi_norm(sol.w - target, net.pi) for sol in sols]
+    errors = [pi_norm(sol.w - target, net.pi) for sol in sols[:points]]
     bounds = [op.optimality_gap_bound(net, ensemble, cert, a) for a in alphas]
     write_csv(out / "fp_sweep.csv", ("alpha", "fp_to_opt_err", "thm26_bound"),
               list(zip(alphas, errors, bounds)))
-    return alphas, errors, bounds
+    return alphas, errors, bounds, sols[-1]
 
 
 @dataclass
@@ -568,15 +563,13 @@ def _run_fig2(cfg, net, ensemble, out):
 def _run_fig35(cfg, net, ensemble, out):
     cert = certify_config(cfg, net, ensemble)
     x_star = co.ensemble_minimizer(ensemble)
-    fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, cert.alpha0),
-                              tol=cfg.fp_tol, lipschitz=cert.lipschitz_alpha)
+    alphas, errors, bounds, fp = fixed_point_sweep(cfg, net, ensemble, cert, out)
     refs = alg.RunRefs(x_star=x_star, w_fixed=fp.w)
     trace = alg.gp_run(net, ensemble, cert.alpha0, np.zeros((net.n, ensemble.d)),
                        cfg.run_iters, refs)
     fp_errors = trace.column("w_fp_err")
     write_csv(out / "fp_convergence.csv", ("t", "w_fp_err"),
               [(r.t, r.w_fp_err) for r in trace.records])
-    alphas, errors, bounds = fixed_point_sweep(cfg, net, ensemble, cert, out, known=fp)
 
     constants = _base_constants(net, ensemble, cert)
     constants["fixed_point_residual"] = fp.residual

@@ -49,11 +49,10 @@ from .linalg import _EIG_TOL, _lanczos_top_eig, pi_norm
 
 _KRYLOV_RESTART = 60  # Arnoldi vectors per restart cycle of the fixed-point solve
 _MAX_CYCLES = 100  # restart cycles of the fixed-point solve before NoConvergenceError
-_FP_BLOCK_FLOATS = 1 << 17  # Arnoldi basis floats of one chunk of a fixed-point stack
+_CHUNK_FLOATS = 1 << 17  # working-set floats of one chunk of a stacked Lanczos or GMRES kernel
 _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
 CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
-_LIP_BLOCK_FLOATS = 1 << 10  # floats per (k, nd) Lanczos vector stack of a lipschitz_sweep chunk
 _NOISE_FLOOR = 1e-14  # smallest push-sum gap ever counted as signal
 _TAIL_ROUNDS = 10  # push-sum rounds past the derived horizon, whose peaks are the noise plateau
 
@@ -247,10 +246,10 @@ def lipschitz_sweep(net, ensemble, alphas):
     T^T y = s_j S_j^T (W^T @ (y_k / s_k)), so no nd x nd matrix is formed and
     a product costs O(n^2 d + n d^2).  Its top Ritz value is a lower bound on
     ||T||^2, so each value is an estimate from below, accepted at a relative
-    Ritz residual of 1e-10.  The stepsizes run as one stack, in chunks of at
-    most ``_LIP_BLOCK_FLOATS`` floats per Lanczos vector stack; each value
-    has the bits of its own one-stepsize call.  Returns a float array, empty
-    for an empty ``alphas``.
+    Ritz residual of 1e-10.  The stepsizes run as one stack, split by
+    ``_chunks``; a slice's working set is its n blocks S_j and four Lanczos
+    vectors, n d^2 + 4 n d floats.  Each value has the bits of its own
+    one-stepsize call.  Returns a float array, empty for an empty ``alphas``.
 
     Raises
     ------
@@ -271,13 +270,20 @@ def lipschitz_sweep(net, ensemble, alphas):
     if bad.any():
         raise InvalidRateError(f"stepsizes must be positive and finite, got {alphas[bad][0]}")
     n, d, s = net.n, ensemble.d, np.sqrt(net.pi)
-    chunk = max(1, _LIP_BLOCK_FLOATS // (n * d))
     out = np.empty(len(alphas))
-    for lo in range(0, len(alphas), chunk):
-        scale = alphas[lo:lo + chunk, None] / (n * net.pi)
+    for part in _chunks(len(alphas), n * d * d + 4 * n * d):
+        scale = alphas[part, None] / (n * net.pi)
         S = np.eye(d) - scale[:, :, None, None] * ensemble.hess_stack
-        out[lo:lo + chunk] = _lanczos_top_eig(_gram_apply(net.W, s, S), len(S), n * d)
+        out[part] = _lanczos_top_eig(_gram_apply(net.W, s, S), len(S), n * d)
     return np.sqrt(out)
+
+
+def _chunks(count, slice_floats):
+    """Slices that split a ``count``-slice stack into chunks of at most
+    ``_CHUNK_FLOATS`` working-set floats, ``slice_floats`` a slice, and of
+    at least one slice; the last chunk takes the rest."""
+    step = max(1, _CHUNK_FLOATS // slice_floats)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _gram_apply(W, s, S):
@@ -337,14 +343,12 @@ def _contracts(lip):
     return lip * lip < 1.0 - _EIG_TOL
 
 
-def solve_fixed_point(ctx, tol=1e-12, lipschitz=None):
-    """``solve_fixed_points`` at the one stepsize ``ctx.alpha``, with
-    ``lipschitz`` its Lipschitz value if given."""
-    lips = None if lipschitz is None else [lipschitz]
-    return solve_fixed_points(ctx.net, ctx.ensemble, [ctx.alpha], tol, lips)[0]
+def solve_fixed_point(ctx, tol=1e-12):
+    """``solve_fixed_points`` at the one stepsize ``ctx.alpha``."""
+    return solve_fixed_points(ctx.net, ctx.ensemble, [ctx.alpha], tol)[0]
 
 
-def solve_fixed_points(net, ensemble, alphas, tol=1e-12, lipschitz=None):
+def solve_fixed_points(net, ensemble, alphas, tol=1e-12):
     """Fixed point at each stepsize by restarted GMRES whose restarts are
     refinement steps, on stacks of stepsizes.
 
@@ -356,14 +360,14 @@ def solve_fixed_points(net, ensemble, alphas, tol=1e-12, lipschitz=None):
     SIAM J. Sci. Comput. 2018).  With w = x in double, a stepsize is done
     once ``FixedPoint.bound`` = ||w - x|| + (||r|| + rounding) / (1 - L) is
     at most ``tol``; with ``rounding`` bounding r's rounding error, it bounds
-    ||w - w*||.  L is the stepsize's value in ``lipschitz``, else from
-    ``lipschitz_sweep``: its square is a Lanczos Ritz value whose 1e-10
-    relative residual can move 1/(1 - L) by about 2e-6 relative on sparse
-    draws, so an L whose square lies within 1e-10 of 1 certifies no
-    contraction.  ``FixedPoint.iterations`` counts the cycles.  The
-    stepsizes run as (k, n, d) stacks in chunks of at most
-    ``_FP_BLOCK_FLOATS`` Arnoldi basis floats; each slice leaves its stack at
-    its own bound and has the bits of its one-stepsize call.
+    ||w - w*||.  L is the stepsize's value from one ``lipschitz_sweep`` over
+    ``alphas``: its square is a Lanczos Ritz value whose 1e-10 relative
+    residual can move 1/(1 - L) by about 2e-6 relative on sparse draws, so
+    an L whose square lies within 1e-10 of 1 certifies no contraction.
+    ``FixedPoint.iterations`` counts the cycles.  The stepsizes run as
+    (k, n, d) stacks split by ``_chunks``; a slice's working set is its
+    (``_KRYLOV_RESTART`` + 1) n d Arnoldi basis floats.  Each slice leaves
+    its stack at its own bound and has the bits of its one-stepsize call.
 
     Raises ValidationError for a ``tol`` that is not positive,
     NonQuadraticError if a cost has no constant Hessian, InvalidRateError
@@ -376,14 +380,11 @@ def solve_fixed_points(net, ensemble, alphas, tol=1e-12, lipschitz=None):
         raise ValidationError(f"fixed-point tolerance fp_tol must be positive, got {tol}")
     _require_constant_hessians(ensemble)
     alphas = OperatorContext(net, ensemble, np.asarray(alphas, dtype=float)).alpha
-    lips = lipschitz_sweep(net, ensemble, alphas) if lipschitz is None else np.asarray(
-        lipschitz, dtype=float).reshape(alphas.shape)
+    lips = lipschitz_sweep(net, ensemble, alphas)
     end = int(np.argmin(np.append(_contracts(lips), False)))  # the first not contracting
-    chunk = max(1, _FP_BLOCK_FLOATS // ((_KRYLOV_RESTART + 1) * net.n * ensemble.d))
     out = []
-    for lo in range(0, end, chunk):
-        hi = min(lo + chunk, end)
-        out += _solve_chunk(OperatorContext(net, ensemble, alphas[lo:hi]), lips[lo:hi], tol)
+    for part in _chunks(end, (_KRYLOV_RESTART + 1) * net.n * ensemble.d):
+        out += _solve_chunk(OperatorContext(net, ensemble, alphas[part]), lips[part], tol)
     if end < len(lips):
         raise NotContractiveError(f"no contraction at alpha={alphas[end]}: Lipschitz {lips[end]}")
     return out

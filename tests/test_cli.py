@@ -60,6 +60,22 @@ def test_numeric_failure_exit_two(tmp_path):
     assert code == 2
 
 
+def test_a_refused_allocation_exits_two_in_one_line(tmp_path, monkeypatch, capsys):
+    # numpy's own MemoryError, raised where the n x n arc draw would allocate 7.28 TiB
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    class Refusing:
+        def random(self, shape):
+            raise _ArrayMemoryError(shape, np.dtype(float))
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Refusing())
+    assert cli_main(["gen-net", "--n", "1000000", "--p", "0.5",
+                     "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: out of memory: Unable to allocate 7.28 TiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_gen_net_round_trip(tmp_path):
     assert cli_main(["gen-net", "--n", "12", "--p", "0.6", "--seed", "4",
                      "--out-dir", str(tmp_path)]) == 0

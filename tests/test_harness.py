@@ -7,12 +7,14 @@ from pushopt import algorithms as alg
 from pushopt import costs as co
 from pushopt import harness as hz
 from pushopt import network as nw
+from pushopt import operators as op
 from pushopt.errors import (
     AllDivergedError,
     ConfigError,
     ScenarioAssertionError,
     ValidationError,
 )
+from pushopt.linalg import pi_norm
 
 
 def test_resolve_config_scenario_defaults():
@@ -164,6 +166,52 @@ def test_scenario_fig3_small(tmp_path):
     conv = (tmp_path / "fp_convergence.csv").read_text().splitlines()
     assert conv[0] == "t,w_fp_err"
     assert len(conv) == 402
+
+
+@pytest.mark.parametrize("scenario,seed,on_grid", [
+    ("fig5_case2", 7, True),    # the default draw: alpha0 * 40 / 40 == alpha0
+    ("fig3_case1", 0, False),   # that grid point rounds away from alpha0
+])
+def test_fixed_point_sweep_solves_the_ceiling_and_the_grid_in_one_call(
+        tmp_path, monkeypatch, scenario, seed, on_grid):
+    cfg = hz.resolve_config({"scenario": scenario, "seed": seed,
+                             "out_dir": str(tmp_path / "run")})
+    net, ens = hz.build_network(cfg), hz.build_ensemble(cfg)
+    alpha0 = op.stepsize_ceiling(net, ens, hz.case_eps(cfg, ens))
+    points = cfg.sweep_points
+    assert (alpha0 * points / points == alpha0) is on_grid
+    runs, real_run = [], alg.gp_run
+    stacks, real_solve = [], op.solve_fixed_points
+
+    def run(net, ensemble, alpha, x0, iters, refs):
+        runs.append((alpha, refs.w_fixed))
+        return real_run(net, ensemble, alpha, x0, iters, refs)
+
+    def solve(net, ensemble, alphas, *args, **kwargs):
+        stacks.append(list(alphas))
+        return real_solve(net, ensemble, alphas, *args, **kwargs)
+
+    monkeypatch.setattr(alg, "gp_run", run)
+    monkeypatch.setattr(op, "solve_fixed_points", solve)
+    assert hz.run_scenario(cfg).passed
+    grid = [alpha0 * (i + 1) / points for i in range(points)]
+    assert stacks == [grid if on_grid else grid + [alpha0]]
+    monkeypatch.setattr(op, "solve_fixed_points", real_solve)
+
+    def alone(a):
+        return op.solve_fixed_point(op.OperatorContext(net, ens, a), tol=cfg.fp_tol)
+
+    # fp_convergence.csv is the run's distance to the fixed point at alpha0
+    [(alpha, w_fixed)] = runs
+    assert alpha == alpha0 and np.array_equal(w_fixed, alone(alpha0).w)
+    # fp_sweep.csv has the bytes of one solve per stepsize
+    cert = hz.certify_config(cfg, net, ens)
+    target = np.outer(net.n * net.pi, co.ensemble_minimizer(ens))
+    rows = [(a, pi_norm(alone(a).w - target, net.pi), op.optimality_gap_bound(net, ens, cert, a))
+            for a in grid]
+    hz.write_csv(tmp_path / "oracle.csv", ("alpha", "fp_to_opt_err", "thm26_bound"), rows)
+    assert (tmp_path / "run" / "fp_sweep.csv").read_bytes() == (
+        tmp_path / "oracle.csv").read_bytes()
 
 
 def test_scenario_fig4_small(tmp_path):

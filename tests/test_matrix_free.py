@@ -4,8 +4,8 @@
 blockwise and never forms the nd x nd matrix.  Its values must agree with
 the dense path (``dense_lipschitz_oracle``) to 1e-13 relative, each stacked
 value must have the bits of its own one-stepsize call however the stack is
-chunked, and neither a Lipschitz estimate nor a fixed-point solve may form
-an (nd)^2 array.
+chunked, neither a Lipschitz estimate nor a fixed-point solve may form an
+(nd)^2 array, and a sweep's chunks must keep to their memory budget.
 """
 
 import tracemalloc
@@ -75,12 +75,12 @@ def test_stacked_values_have_the_bits_of_one_stepsize_calls(scenario, monkeypatc
     net, ens, alpha0 = scenario_instance(scenario)
     alphas = [2.0 * alpha0 * (i + 1) / 40 for i in range(40)]
     single = [float(op.lipschitz_sweep(net, ens, [a])[0]) for a in alphas]
-    per_slice = net.n * ens.d
-    # the default budget holds 17 (fig2) resp. 5 (fig5) slices, fewer than 40
-    assert op._LIP_BLOCK_FLOATS // per_slice < len(alphas)
+    per_slice = net.n * ens.d * ens.d + 4 * net.n * ens.d
+    # the default budget holds 312 (fig2) resp. 46 (fig5) slices: all 40 in one chunk
+    assert op._CHUNK_FLOATS // per_slice >= len(alphas)
     for chunk in (None, 1, 4, 7, 40):
         if chunk is not None:
-            monkeypatch.setattr(op, "_LIP_BLOCK_FLOATS", chunk * per_slice)
+            monkeypatch.setattr(op, "_CHUNK_FLOATS", chunk * per_slice)
         assert op.lipschitz_sweep(net, ens, alphas).tolist() == single
 
 
@@ -96,6 +96,22 @@ def test_operator_lipschitz_at_n400_allocates_no_dense_operator(fig4_n400):
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 4
+
+
+def test_lipschitz_sweep_at_n400_holds_its_chunk_budget():
+    # fig5 at --n 400 --p 0.03: two slices a chunk, with their S blocks and
+    # Lanczos vectors; a budget of 2^17 Lanczos-vector floats alone would
+    # take 32, whose (32, k, k) tridiagonals peak near 20 MB
+    net, ens, alpha0 = scenario_instance("fig5_case2", n=400, p=0.03)
+    alphas = [alpha0 * (i + 1) / 40 for i in range(40)]
+    op.lipschitz_sweep(net, ens, alphas[:1])  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        op.lipschitz_sweep(net, ens, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_empty_sweep_returns_an_empty_array(net20, ens_case1):
@@ -116,16 +132,17 @@ def test_sweep_rejects_mismatched_sizes(net20, complete4, ens_case1):
         op.lipschitz_sweep(net20, ens_case1, [[0.01, 0.02]])
 
 
-def test_sweep_rejects_costs_without_a_constant_hessian(complete4):
+def test_sweep_rejects_costs_without_a_constant_hessian(complete4, monkeypatch):
     costs = [co.quadratic_cost(np.eye(2), np.zeros(2)) for _ in range(4)]
     # no constructor makes such a cost yet: relabel one of four quadratics
     costs[0] = replace(costs[0], kind="logistic")
     ens = co.cost_ensemble(costs, "case1")
     with pytest.raises(NonQuadraticError, match="constant Hessians"):
         op.lipschitz_sweep(complete4, ens, [0.1])
+    # a sweep that measures nothing leaves the raise to the solve's own guard
+    monkeypatch.setattr(op, "lipschitz_sweep", lambda net, ens, alphas: np.full(len(alphas), 0.5))
     with pytest.raises(NonQuadraticError, match="constant Hessians"):
-        # a given Lipschitz constant skips the sweep, so the solve's own guard raises
-        op.solve_fixed_point(op.OperatorContext(complete4, ens, 0.1), lipschitz=0.5)
+        op.solve_fixed_point(op.OperatorContext(complete4, ens, 0.1))
 
 
 @pytest.mark.parametrize("figure,solves", [("fig2", 0), ("fig4", 0), ("fig5", 41)])
@@ -148,21 +165,21 @@ def test_lipschitz_sweeps_and_fixed_point_solves_per_figure(figure, solves, tmp_
     # certificate's one estimate; fig5: the certificate's estimate at the
     # ceiling, then one 40-point sweep for the fixed-point solves
     assert sweeps == {"fig2": [200], "fig4": [1], "fig5": [1, 40]}[figure]
-    # fig5 uses 41 fixed points: the ceiling's, solved alone, then one stack
-    # for the sweep, whose last point alpha0 * 40 / 40 equals alpha0 at this
-    # seed and reuses the ceiling's solve
-    assert stacks == {"fig2": [], "fig4": [], "fig5": [1, solves - 2]}[figure]
+    # fig5 uses 41 fixed points, the ceiling's and the sweep's, in one stack:
+    # the sweep's last point alpha0 * 40 / 40 equals alpha0 at this seed
+    assert stacks == {"fig2": [], "fig4": [], "fig5": [solves - 1]}[figure]
 
 
-def test_fixed_point_solve_at_n100_allocates_no_dense_operator():
+def test_fixed_point_solve_at_n100_allocates_no_dense_operator(monkeypatch):
     net, ens, alpha0 = scenario_instance("fig5_case2", n=100)
     ctx = op.OperatorContext(net, ens, alpha0)
-    lip = op.operator_lipschitz(ctx)
-    op.solve_fixed_point(ctx, lipschitz=lip)  # warm up lazy imports and caches
+    lip = op.lipschitz_sweep(net, ens, [alpha0])
+    monkeypatch.setattr(op, "lipschitz_sweep", lambda net, ens, alphas: lip)
+    op.solve_fixed_point(ctx)  # warm up lazy imports and caches
     dense_bytes = (net.n * ens.d) ** 2 * 8  # one (nd)^2 float array: 8 MB
     tracemalloc.start()
     try:
-        op.solve_fixed_point(ctx, lipschitz=lip)
+        op.solve_fixed_point(ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

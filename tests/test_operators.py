@@ -241,6 +241,14 @@ def test_fixed_point_residual_radius_and_dense_oracle(net20, ens_case1):
     assert np.max(np.abs(w_dense - fp.w)) <= 1e-10
 
 
+def given_lipschitz(monkeypatch, alphas, lips):
+    """Make ``op.lipschitz_sweep`` serve ``lips`` as the values at ``alphas``,
+    the way a solve measures them."""
+    table = dict(zip(np.asarray(alphas, dtype=float).tolist(), np.asarray(lips).tolist()))
+    monkeypatch.setattr(op, "lipschitz_sweep",
+                        lambda net, ens, a: np.array([table[v] for v in np.asarray(a).tolist()]))
+
+
 def fig5_instance(**overrides):
     cfg = hz.resolve_config({"scenario": "fig5_case2", **overrides})
     net, ens = hz.build_network(cfg), hz.build_ensemble(cfg)
@@ -271,12 +279,14 @@ def test_fixed_point_polish_stays_within_tol_of_the_dense_solution():
     # fixed_point_convergence assertion: all of its solves
     ({"net_seed": 12}, [1.0] + [(i + 1) / 40 for i in range(40)]),
 ], ids=["sparse-n20-seed0", "draw8", "draw12"])
-def test_fixed_point_lies_within_its_bound_of_the_long_double_reference(overrides, mults):
+def test_fixed_point_lies_within_its_bound_of_the_long_double_reference(
+        overrides, mults, monkeypatch):
     net, ens, alpha0 = fig5_instance(**overrides)
     alphas = [alpha0 * m for m in mults]
-    for a, lip in zip(alphas, op.lipschitz_sweep(net, ens, alphas)):
+    given_lipschitz(monkeypatch, alphas, op.lipschitz_sweep(net, ens, alphas))
+    for a in alphas:
         ctx = op.OperatorContext(net, ens, a)
-        fp = op.solve_fixed_point(ctx, tol=1e-12, lipschitz=lip)
+        fp = op.solve_fixed_point(ctx, tol=1e-12)
         dist = pi_norm(fp.w - fixed_point_reference(ctx), net.pi)
         assert dist <= fp.bound <= 1e-12
         assert fp.iterations <= op._MAX_CYCLES
@@ -291,14 +301,13 @@ STACK_MULTS = [0.5, 1 / 40, 1.0, 3 / 40, 1 / 20, 0.25, 7 / 40, 0.9, 2 / 40, 0.6,
 def test_stacked_fixed_points_have_the_bits_of_one_stepsize_calls(monkeypatch, chunk):
     net, ens, alpha0 = fig5_instance()
     alphas = [alpha0 * m for m in STACK_MULTS]
-    lips = op.lipschitz_sweep(net, ens, alphas)
-    alone = [op.solve_fixed_point(op.OperatorContext(net, ens, a), lipschitz=lip)
-             for a, lip in zip(alphas, lips)]
+    given_lipschitz(monkeypatch, alphas, op.lipschitz_sweep(net, ens, alphas))
+    alone = [op.solve_fixed_point(op.OperatorContext(net, ens, a)) for a in alphas]
     assert {fp.iterations for fp in alone} == {1, 2}
     if chunk is not None:
         slice_floats = (op._KRYLOV_RESTART + 1) * net.n * ens.d
-        monkeypatch.setattr(op, "_FP_BLOCK_FLOATS", chunk * slice_floats)
-    for one, fp in zip(alone, op.solve_fixed_points(net, ens, alphas, lipschitz=lips)):
+        monkeypatch.setattr(op, "_CHUNK_FLOATS", chunk * slice_floats)
+    for one, fp in zip(alone, op.solve_fixed_points(net, ens, alphas)):
         assert (fp.alpha, fp.iterations, fp.bound, fp.residual, fp.consensus_error) == (
             one.alpha, one.iterations, one.bound, one.residual, one.consensus_error)
         assert np.array_equal(fp.w, one.w) and np.array_equal(fp.w_bar, one.w_bar)
@@ -321,17 +330,18 @@ def test_stacked_fixed_points_raise_the_first_failure_in_grid_order(monkeypatch,
     lips = op.lipschitz_sweep(net, ens, alphas)
     if flat is not None:
         lips[flat] = 1.0
+    given_lipschitz(monkeypatch, alphas, lips)
 
     def one_by_one():
-        for a, lip in zip(alphas, lips):
-            op.solve_fixed_point(op.OperatorContext(net, ens, a), lipschitz=lip)
+        for a in alphas:
+            op.solve_fixed_point(op.OperatorContext(net, ens, a))
 
     expected = _raised(one_by_one)
     assert expected[0] is (NotContractiveError if flat in (0, 1) else NoConvergenceError)
     if chunk is not None:
         slice_floats = (op._KRYLOV_RESTART + 1) * net.n * ens.d
-        monkeypatch.setattr(op, "_FP_BLOCK_FLOATS", chunk * slice_floats)
-    assert _raised(lambda: op.solve_fixed_points(net, ens, alphas, lipschitz=lips)) == expected
+        monkeypatch.setattr(op, "_CHUNK_FLOATS", chunk * slice_floats)
+    assert _raised(lambda: op.solve_fixed_points(net, ens, alphas)) == expected
 
 
 def test_long_double_residual_error_lies_within_its_rounding_bound(monkeypatch):
@@ -376,8 +386,9 @@ def test_fixed_point_cycle_from_zero_too_raises_at_once(monkeypatch, complete4):
         return np.where(np.floor(w) % 2 == 0, w + 1.0, w - 1.0)
 
     monkeypatch.setattr(op, "gradient_push_operator", hop)
+    given_lipschitz(monkeypatch, [ctx.alpha], [0.5])
     with pytest.raises(NoConvergenceError, match="did not lower the residual; best bound"):
-        op.solve_fixed_point(ctx, lipschitz=0.5)
+        op.solve_fixed_point(ctx)
     # Arnoldi breaks down after one vector and that cycle does not lower the residual
     assert len(calls) <= op._KRYLOV_RESTART + 2
 
@@ -395,8 +406,9 @@ def test_fixed_point_raises_at_the_picard_cap(monkeypatch, complete4):
     # the residual exp(-w) falls with every cycle but stays far above the certificate
     monkeypatch.setattr(op, "gradient_push_operator", lambda ctx, w: w + np.exp(-w))
     monkeypatch.setattr(op, "_residual", spy)
+    given_lipschitz(monkeypatch, [ctx.alpha], [0.5])
     with pytest.raises(NoConvergenceError, match="cycle cap 5 is reached"):
-        op.solve_fixed_point(ctx, lipschitz=0.5)
+        op.solve_fixed_point(ctx)
     assert len(residuals) == 6
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
