@@ -213,35 +213,28 @@ def build_ensemble(cfg):
     return co.make_case2_ensemble(cfg.n, cfg.d, cfg.m_rank, seed)
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.17g}"
+_INTEGERS = (int, np.integer)  # the cells write_csv writes in decimal; bool is an int
 
 
 def write_csv(path, header, rows):
-    """Write a CSV: 17 significant digits for floats, empty for None."""
+    """Write a CSV, each cell formatted here: None empty, a string as it is,
+    an integer (``bool`` and ``np.integer`` too) in decimal, anything else
+    with 17 significant digits (``%.17g``).  The one CSV row writer."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join([",".join(["" if v is None else v if isinstance(v, str)
+                                    else "%d" % v if isinstance(v, _INTEGERS)
+                                    else "%.17g" % v for v in row]) + "\n" for row in rows]))
 
 
 TRACE_HEADER = ("t", "phase", "sum_z_err", "w_fp_err", "w_opt_err", "diverged")
 
 
 def trace_to_csv(trace, path):
-    """Write the canonical run-trace CSV, one row per RunRecord: the bytes of
-    ``write_csv``, each row from one format string, None metrics left empty."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        for r in trace.records:
-            metrics = ["" if v is None else "%.17g" % v for v in (r.sum_z_err, r.w_fp_err, r.w_opt_err)]
-            fh.write("%d,%s,%s,%s,%s,%d\n" % (r.t, r.phase, *metrics, r.diverged))
+    """Write the canonical run-trace CSV through ``write_csv``, one row per
+    RunRecord."""
+    write_csv(path, TRACE_HEADER, ((r.t, r.phase, r.sum_z_err, r.w_fp_err, r.w_opt_err,
+                                    r.diverged) for r in trace.records))
 
 
 def write_json(path, payload):

@@ -75,7 +75,9 @@ class OperatorContext:
                 f"network has {self.net.n} agents, ensemble {self.ensemble.n}"
             )
         alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.ndim > 1 or not np.all(np.isfinite(alpha) & (alpha > 0.0)):
+        if alpha.ndim > 1:
+            raise DimensionMismatchError(f"expected a 1-D sequence of stepsizes, got {alpha.shape}")
+        if not np.all(np.isfinite(alpha) & (alpha > 0.0)):
             raise InvalidRateError(f"stepsize must be positive and finite, got {self.alpha}")
 
     @cached_property
@@ -168,22 +170,15 @@ def mix_stack(net, w):
 
 
 def gradient_push_operator(ctx, w):
-    """The limit operator: mix the state after a gradient step at w_j/(n pi_j).
-    A float64 state takes ``grad_stack``'s gradient rows; a ``np.longdouble``
-    one, which BLAS does not take, einsum rows with n pi_j formed in long
-    double.  For a context of k stepsizes, ``w`` is a (k, n, d) stack, and
-    each slice has the bits of its own one-stepsize call."""
-    long = getattr(w, "dtype", None) == np.longdouble
-    w = w if long else np.asarray(w, dtype=float)
-    ens, alpha, shape = ctx.ensemble, np.asarray(ctx.alpha), ctx._limit_weights.shape
+    """The limit operator: mix the state after a gradient step at w_j/(n pi_j),
+    in float64 (``_residual`` evaluates it in long double).  For a context of
+    k stepsizes, ``w`` is a (k, n, d) stack, and each slice has the bits of
+    its own one-stepsize call."""
+    w = np.asarray(w, dtype=float)
+    alpha, shape = np.asarray(ctx.alpha), ctx._limit_weights.shape
     if w.shape != alpha.shape + shape:
         raise DimensionMismatchError(f"state {w.shape} vs {alpha.shape + shape}")
-    if long:
-        scale = (ctx.net.n * ctx.net.pi.astype(np.longdouble))[:, None]
-        H = ens.hess_stack.astype(np.longdouble)  # a mixed-type einsum runs about 2x slower
-        g = np.einsum("jab,...jb->...ja", H, w / scale) + ens.lin_stack
-    else:
-        g = grad_stack(ens, w / ctx._limit_weights)
+    g = grad_stack(ctx.ensemble, w / ctx._limit_weights)
     return ctx.net.W @ (w - alpha[..., None, None] * g)
 
 
@@ -310,31 +305,27 @@ def _gram_apply(W, s, S):
 
 
 def contraction_constant(net, ensemble, eps=None):
-    """(stepsize ceiling, contraction rate C) with Lip <= 1 - C * alpha.
-
-    case1 uses the closed form min_k mu_k L_k / (n (mu_k + L_k) pi_k);
-    case2 measures the Lipschitz constant at the ceiling and converts it.
-    """
-    alpha0, C, _ = _contraction(net, ensemble, eps)
-    return alpha0, C
-
-
-def _contraction(net, ensemble, eps):
-    """(alpha0, C, eta): eta is the Lipschitz constant measured at alpha0,
-    or None for case1, whose rate needs no measurement."""
+    """(stepsize ceiling, contraction rate C) with Lip <= 1 - C * alpha, C from
+    ``_contraction_rate``; case2 measures the Lipschitz constant at the ceiling for it."""
     alpha0 = stepsize_ceiling(net, ensemble, eps)
+    eta = None if ensemble.case_tag == "case1" else operator_lipschitz(
+        OperatorContext(net, ensemble, alpha0))
+    return alpha0, _contraction_rate(net, ensemble, alpha0, eta)
+
+
+def _contraction_rate(net, ensemble, alpha0, eta):
+    """C of Lip <= 1 - C alpha on (0, alpha0]: case1's closed form
+    min_k mu_k L_k / (n (mu_k + L_k) pi_k); case2's (1 - eta) / alpha0 from eta,
+    the Lipschitz constant at alpha0, which must certify a contraction."""
     if ensemble.case_tag == "case1":
         L = np.array([c.L for c in ensemble.costs])
         mu = np.array([c.mu for c in ensemble.costs])
-        C = float(np.min(mu * L / (net.n * (mu + L) * net.pi)))
-        return alpha0, C, None
-    eta = operator_lipschitz(OperatorContext(net, ensemble, alpha0))
+        return float(np.min(mu * L / (net.n * (mu + L) * net.pi)))
     if not _contracts(eta):
-        raise NotContractiveError(
-            f"operator at the ceiling measured Lipschitz {eta}, not below 1 by more "
-            "than its tolerance; aggregate cost is likely not strongly convex"
-        )
-    return alpha0, (1.0 - eta) / alpha0, eta
+        raise NotContractiveError(f"operator at the ceiling measured Lipschitz {eta}, not below 1 "
+                                  "by more than its tolerance; aggregate cost is likely not "
+                                  "strongly convex")
+    return (1.0 - eta) / alpha0
 
 
 def _contracts(lip):
@@ -488,8 +479,9 @@ def _gmres_cycle(ctx, offset, r, res, target):
 
 
 def _residual(ctx, x):
-    """r = T(x) - x in long double at a long-double (k, n, d) stack x, and a
-    bound on the pi-weighted norm of each slice's rounding error (Higham
+    """r = T(x) - x in long double at a long-double (k, n, d) stack x (its
+    gradient rows by einsum, which takes long double where BLAS does not), and
+    a bound on the pi-weighted norm of each slice's rounding error (Higham
     ch. 3), evaluated in double.  With u the unit roundoff,
     gamma_k = k u / (1 - k u) and P = |H_j| |x_j| / (n pi_j) + |b_j|,
     z = x - alpha grad errs by at most E = gamma_1 |x| + gamma_{d+5} alpha P
@@ -498,7 +490,9 @@ def _residual(ctx, x):
     subtraction gamma_1 |r|.
     """
     net, ens, alpha = ctx.net, ctx.ensemble, ctx.alpha[:, None, None]
-    r = gradient_push_operator(ctx, x) - x
+    scale = (net.n * net.pi.astype(np.longdouble))[:, None]
+    H = ens.hess_stack.astype(np.longdouble)  # a mixed-type einsum runs about 2x slower
+    r = net.W @ (x - alpha * (np.einsum("jab,kjb->kja", H, x / scale) + ens.lin_stack)) - x
     u = float(np.finfo(np.longdouble).eps) / 2  # double's where long double is double: weaker
 
     def gamma(k):
@@ -668,24 +662,21 @@ def certify(net, ensemble, eps=None, alpha=None):
 
     ``alpha`` defaults to the stepsize ceiling and may not exceed it: the
     contraction rate, and every bound built on it, only holds up to the
-    ceiling.  All stored bounds (perturbation product, optimality gap,
-    consensus gap) are evaluated at that working stepsize; the per-alpha
-    bound functions remain available for sweeps.  The push-sum constants
-    come from ``estimate_consensus_constants``, which takes no setting.
+    ceiling, which is checked (InvalidRateError) before anything is measured.
+    One ``lipschitz_sweep`` over [alpha0], or [alpha0, alpha] below the
+    ceiling, then gives both Lipschitz values.  All stored bounds are
+    evaluated at the working stepsize; the per-alpha bound functions remain
+    available for sweeps.  The push-sum constants come from
+    ``estimate_consensus_constants``, which takes no setting.
     """
-    alpha0, C, eta = _contraction(net, ensemble, eps)
-    if alpha is None:
-        alpha = alpha0
+    alpha0 = stepsize_ceiling(net, ensemble, eps)
+    alpha = alpha0 if alpha is None else alpha
     if not 0.0 < alpha <= alpha0:
-        raise InvalidRateError(
-            f"working stepsize {alpha} outside (0, alpha0 = {alpha0}]: the "
-            "certificate only holds up to the stepsize ceiling"
-        )
-    if eta is None:
-        eta = operator_lipschitz(OperatorContext(net, ensemble, alpha0))
-    lip_alpha = eta if alpha == alpha0 else operator_lipschitz(
-        OperatorContext(net, ensemble, alpha)
-    )
+        raise InvalidRateError(f"working stepsize {alpha} outside (0, alpha0 = {alpha0}]: the "
+                               "certificate only holds up to the stepsize ceiling")
+    lips = lipschitz_sweep(net, ensemble, [alpha0] if alpha == alpha0 else [alpha0, alpha])
+    eta, lip_alpha = float(lips[0]), float(lips[-1])
+    C = _contraction_rate(net, ensemble, alpha0, eta)
     coeff, inv_y_max = estimate_consensus_constants(net)
     b = coeff * ensemble.L_max
     V = perturbation_product(alpha, b, C, net.rho)

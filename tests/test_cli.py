@@ -200,13 +200,8 @@ def test_bad_sizes_and_tuning_grid_exit_one_before_any_work(tmp_path, monkeypatc
 # the case1 closed-form rate is conservative: at seed 4 even 2 C still holds
 @pytest.mark.parametrize("case, factor", [("case1", 3.0), ("case2", 1.001)])
 def test_certify_overclaiming_rate_exits_two(tmp_path, monkeypatch, capsys, case, factor):
-    real = op._contraction
-
-    def inflated(net, ensemble, eps):
-        alpha0, C, eta = real(net, ensemble, eps)
-        return alpha0, factor * C, eta
-
-    monkeypatch.setattr(op, "_contraction", inflated)
+    real = op._contraction_rate
+    monkeypatch.setattr(op, "_contraction_rate", lambda *args: factor * real(*args))
     assert cli_main(["certify", "--case", case, "--seed", "4",
                      "--out-dir", str(tmp_path)]) == 2
     assert "exceeds 1 - C alpha" in capsys.readouterr().err
@@ -489,10 +484,15 @@ def test_tune_pd_prints_stepsize(tmp_path, capsys):
     assert 0.0 < value < 2.0
 
 
-def _contract_settings():
-    """A seeded sample of 60 fixed-point, sweep-alpha and reproduce fig3/fig5
-    settings on small draws, both cost cases, with varied tolerances and
-    sweep lengths (some of them invalid on purpose)."""
+def _contract_settings(tmp_path):
+    """A seeded sample of 150 settings on small draws, both cost cases, some
+    of them invalid on purpose.  The first 60 are fixed-point, sweep-alpha
+    and reproduce fig3/fig5 settings with varied tolerances and sweep
+    lengths.  The other 90 cover every other command: gen-net, gen-costs,
+    sweep-contraction, tune-pd, certify at an ``alpha`` or ``alpha_mult``
+    from a config file (multiples above 1 too), run gp/pd/hybrid and
+    reproduce fig1/fig2/fig4/fig6, with at most 60 rounds a run or tuning
+    run and at most 8 tuning runs."""
     rng = np.random.default_rng(13)
     commands = (["fixed-point"], ["sweep-alpha"], ["reproduce", "fig3"], ["reproduce", "fig5"])
     settings = []
@@ -509,6 +509,49 @@ def _contract_settings():
         if args[0] == "sweep-alpha":
             args += ["--points", str(rng.choice([1, 2, 3, 7, 40]))]
         settings.append(args)
+    rng = np.random.default_rng(14)
+    commands = ("gen-net", "gen-costs", "sweep-contraction", "tune-pd", "certify", "run gp",
+                "run pd", "run hybrid", "reproduce fig1", "reproduce fig2", "reproduce fig4",
+                "reproduce fig6")
+    for i in range(90):
+        command, d, case = commands[i % len(commands)], rng.choice([2, 3, 10]), i // 12 % 2
+        iters, config = str(rng.choice([1, 10, 60])), {}
+        p = [0.0, 0.01, 0.3, 0.6, 1.0, 1.5] if command == "gen-net" else [0.3, 0.6, 1.0]
+        args = command.split() + ["--n", str(rng.choice(7, p=[0.04] + [0.16] * 6)),
+                                  "--p", str(rng.choice(p)),
+                                  "--seed", str(rng.integers(0, 50))]
+        if command != "gen-net":
+            args += ["--case", f"case{case + 1}", "--d", str(d)]
+            args += ["--m-rank", str(rng.integers(1, d))] if case else ["--m", str(rng.choice([1, 4]))]
+        if command == "sweep-contraction":
+            args += ["--points", str(rng.choice([1, 2, 3, 7, 40]))]
+        if command == "reproduce fig2":
+            config = {"sweep_points": int(rng.choice([1, 2, 3, 7, 40]))}
+        if command == "tune-pd":
+            args += ["--grid-start", str(rng.choice([-1e-3, 1e-4, 1e-3, 0.01, 0.1, 1.0])),
+                     "--grid-step", str(rng.choice([1e-3, 0.01, 0.05])),
+                     "--budget", str(rng.integers(1, 9)), "--iters", iters]
+        if command == "certify":
+            if rng.random() < 0.5:
+                config = {"alpha": float(rng.choice([-0.1, 1e-3, 0.05, 0.3, 2.0]))}
+            else:
+                config = {"alpha_mult": float(rng.choice([0.25, 0.5, 1.0, 1.5, 3.0]))}
+        if command == "run gp":
+            args += ["--alpha-mult", str(rng.choice([0.5, 1.0, 1.5, 2.5])), "--iters", iters]
+        if command == "run pd":
+            args += ["--alpha", str(rng.choice([1e-3, 0.01, 0.1, 1.0])), "--iters", iters]
+        if command == "run hybrid":
+            args += ["--alpha-pd", str(rng.choice([1e-3, 0.01, 0.1])), "--iters", iters,
+                     "--gp-iters", str(rng.choice([0, 5, 30]))]
+        if command == "reproduce fig1":
+            config = {"run_iters": int(iters), "gp_iters": int(rng.integers(0, int(iters) + 2)),
+                      "tune_budget": int(rng.integers(1, 9)), "tune_iters": int(iters)}
+        if command in ("reproduce fig4", "reproduce fig6"):
+            config = {"run_iters": int(iters)}
+        if config:
+            (tmp_path / f"config{i}.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / f"config{i}.json")]
+        settings.append(args)
     return settings
 
 
@@ -517,7 +560,7 @@ def test_exit_code_contract_on_a_sample_of_fixed_point_settings(tmp_path, capsys
     a non-zero exit says why in one line that starts with ``error:``,
     ``numeric failure:`` or ``failure:`` (an exit 1 adds the schema hint)."""
     codes = []
-    for i, args in enumerate(_contract_settings()):
+    for i, args in enumerate(_contract_settings(tmp_path)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli_main(args + ["--out-dir", str(tmp_path / str(i))])

@@ -111,6 +111,11 @@ def test_write_csv_formatting(tmp_path):
     assert lines[0] == "a,b,c"
     assert lines[1] == f"1,,{0.1:.17g}"
     assert lines[2] == f"gp,{2.5:.17g},3"
+    # numpy scalars, bools and special floats: the artifacts' bytes depend on these spellings
+    hz.write_csv(path, ("a",), [(np.int64(-7), np.float64(0.1), np.float32(0.1), True, False,
+                                 float("nan"), float("inf"), -float("inf"), -0.0, 1e-300)])
+    assert path.read_bytes() == (b"a\n-7,0.10000000000000001,0.10000000149011612,1,0,"
+                                 b"nan,inf,-inf,-0,1e-300\n")
 
 
 def test_trace_csv_has_the_bytes_of_write_csv(tmp_path):

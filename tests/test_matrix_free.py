@@ -132,6 +132,14 @@ def test_sweep_rejects_mismatched_sizes(net20, complete4, ens_case1):
         op.lipschitz_sweep(net20, ens_case1, [[0.01, 0.02]])
 
 
+def test_context_and_fixed_point_solve_reject_a_2d_stepsize(net20, ens_case1):
+    """Valid stepsizes in a 2-D array are a shape error, as in the sweep."""
+    with pytest.raises(DimensionMismatchError, match="1-D"):
+        op.OperatorContext(net20, ens_case1, [[0.1, 0.2]])
+    with pytest.raises(DimensionMismatchError, match="1-D"):
+        op.solve_fixed_points(net20, ens_case1, [[0.1, 0.2]])
+
+
 def test_sweep_rejects_costs_without_a_constant_hessian(complete4, monkeypatch):
     costs = [co.quadratic_cost(np.eye(2), np.zeros(2)) for _ in range(4)]
     # no constructor makes such a cost yet: relabel one of four quadratics

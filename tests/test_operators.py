@@ -126,21 +126,30 @@ def test_contraction_constant_case2(net20, ens_case2):
     assert C == pytest.approx((1.0 - eta) / alpha0, rel=1e-12)
 
 
-def test_certify_measures_the_ceiling_lipschitz_once(net20, ens_case2, monkeypatch):
-    alpha0, C = op.contraction_constant(net20, ens_case2, eps=0.01)
-    eta = op.operator_lipschitz(op.OperatorContext(net20, ens_case2, alpha0))
-    measured = []
-    real = op.operator_lipschitz
-
-    def counting(ctx, *args, **kwargs):
-        measured.append(ctx.alpha)
-        return real(ctx, *args, **kwargs)
-
-    monkeypatch.setattr(op, "operator_lipschitz", counting)
-    cert = op.certify(net20, ens_case2, eps=0.01, alpha=alpha0)
-    assert measured == [alpha0]
-    assert cert.contraction_rate == C
-    assert cert.lipschitz_at_ceiling == cert.eta_ceiling == cert.lipschitz_alpha == eta
+def test_certify_measures_the_ceiling_lipschitz_once(net20, ens_case1, ens_case2, monkeypatch):
+    """One ``lipschitz_sweep`` request per certificate, on both cases: [alpha0]
+    at the ceiling and [alpha0, alpha0 / 2] below it, each value with the bits
+    of ``operator_lipschitz`` at its stepsize."""
+    cases = []
+    for ens, eps in ((ens_case1, None), (ens_case2, 0.01)):
+        alpha0, C = op.contraction_constant(net20, ens, eps=eps)
+        lips = [op.operator_lipschitz(op.OperatorContext(net20, ens, a)) for a in (alpha0, alpha0 / 2)]
+        cases.append((ens, eps, alpha0, C, *lips))
+    requests, real = [], op.lipschitz_sweep
+    monkeypatch.setattr(op, "lipschitz_sweep",
+                        lambda net, ens, alphas: requests.append(list(alphas)) or real(net, ens, alphas))
+    for ens, eps, alpha0, C, eta, half in cases:
+        requests.clear()
+        cert = op.certify(net20, ens, eps=eps, alpha=alpha0)
+        assert requests == [[alpha0]]
+        assert cert.contraction_rate == C
+        assert cert.lipschitz_at_ceiling == cert.lipschitz_alpha == eta
+        assert cert.eta_ceiling == (eta if eps else None)
+        requests.clear()
+        below = op.certify(net20, ens, eps=eps, alpha=alpha0 / 2)
+        assert requests == [[alpha0, alpha0 / 2]]
+        assert below.contraction_rate == C
+        assert below.lipschitz_at_ceiling == eta and below.lipschitz_alpha == half
 
 
 @pytest.mark.parametrize("case, factor", [("case1", 2.0), ("case2", 1.001)])
@@ -149,19 +158,15 @@ def test_certificate_checks_its_contraction_claim(request, net20, monkeypatch, c
     eps = 0.01 if case == "case2" else None
     cert = op.certify(net20, ens, eps=eps)
     assert cert.lipschitz_alpha <= 1.0 - cert.contraction_rate * cert.alpha + op.CONTRACTION_SLACK
-    real = op._contraction
-
-    def inflated(net, ensemble, eps):
-        alpha0, C, eta = real(net, ensemble, eps)
-        return alpha0, factor * C, eta
-
-    monkeypatch.setattr(op, "_contraction", inflated)
+    real = op._contraction_rate
+    monkeypatch.setattr(op, "_contraction_rate", lambda *args: factor * real(*args))
     with pytest.raises(NumericError, match="exceeds 1 - C alpha"):
         op.certify(net20, ens, eps=eps)
 
 
-def test_not_contractive_signalled():
-    # two flat quadratics: aggregate has a kernel, no contraction possible
+def flat_pair():
+    """Two flat case2 quadratics on a 2-cycle: the aggregate has a kernel, so
+    no stepsize contracts."""
     flat = co.quadratic_cost(np.diag([1.0, 0.0]), np.zeros(2))
     net = nw.build_mixing_matrix(nw.make_digraph(2, [(1, 2), (2, 1)]))
     ens = co.CostEnsemble(
@@ -170,21 +175,31 @@ def test_not_contractive_signalled():
         hess_stack=np.stack([flat.hess, flat.hess]),
         lin_stack=np.zeros((2, 2)),
     )
+    return net, ens
+
+
+def test_not_contractive_signalled():
+    net, ens = flat_pair()
     with pytest.raises(NotContractiveError):
         op.contraction_constant(net, ens, eps=0.01)
 
 
+def test_certify_rejects_a_stepsize_above_the_ceiling_before_measuring(monkeypatch):
+    """A stepsize above the ceiling is an input error, found before any
+    Lanczos run, even where the measurement would also fail."""
+    net, ens = flat_pair()
+    alpha0 = op.stepsize_ceiling(net, ens, eps=0.01)
+    requests = []
+    monkeypatch.setattr(op, "lipschitz_sweep", lambda *args: requests.append(args))
+    with pytest.raises(InvalidRateError, match="alpha0"):
+        op.certify(net, ens, eps=0.01, alpha=2 * alpha0)
+    assert requests == []
+
+
 def test_not_contractive_within_the_ritz_tolerance_of_one():
-    # the same flat pair at eps = 1: the measured Lipschitz constant reads
+    # the flat pair at eps = 1: the measured Lipschitz constant reads
     # 1 - 1.1e-16, below 1 but within the kernel's tolerance of it
-    flat = co.quadratic_cost(np.diag([1.0, 0.0]), np.zeros(2))
-    net = nw.build_mixing_matrix(nw.make_digraph(2, [(1, 2), (2, 1)]))
-    ens = co.CostEnsemble(
-        case_tag="case2", costs=(flat, flat), n=2, d=2, L_max=1.0, L_bar=1.0,
-        mu_agg=0.0, agg_hess=np.diag([1.0, 0.0]),
-        hess_stack=np.stack([flat.hess, flat.hess]),
-        lin_stack=np.zeros((2, 2)),
-    )
+    net, ens = flat_pair()
     ctx = op.OperatorContext(net, ens, op.stepsize_ceiling(net, ens, eps=1.0))
     assert 1.0 - op.operator_lipschitz(ctx) < 1e-15
     with pytest.raises(NotContractiveError):
@@ -403,7 +418,9 @@ def test_fixed_point_raises_at_the_picard_cap(monkeypatch, complete4):
         residuals.append(pi_norm(out[0], complete4.pi))
         return out
 
-    # the residual exp(-w) falls with every cycle but stays far above the certificate
+    # GMRES steps on this stand-in for the limit operator (the residual is the
+    # limit operator's own): the residual falls with every cycle but stays far
+    # above the certificate
     monkeypatch.setattr(op, "gradient_push_operator", lambda ctx, w: w + np.exp(-w))
     monkeypatch.setattr(op, "_residual", spy)
     given_lipschitz(monkeypatch, [ctx.alpha], [0.5])
