@@ -223,9 +223,10 @@ def _recorder(traces, net, refs, phase, mixed):
     i belongs to ``traces[owners[i]]`` at round ``ts[i]``, flagged as
     ``flags[i]``: (sum_z_err, w_fp_err, w_opt_err) of its ratios z and its
     mixed state, the field ``mixed``, against the available references.
-    Each row has the bits of measuring it alone.  The optimum's mixed state
-    n * pi_j * x_star and x_star repeated on every agent are built once per
-    run.
+    Each row has the bits of measuring it alone.  A trace whose last record
+    is flagged takes no more records, so it ends at its first flagged
+    round.  The optimum's mixed state n * pi_j * x_star and x_star repeated
+    on every agent are built once per run.
     """
     if refs.x_star is not None:
         target = np.outer(net.n * net.pi, refs.x_star)
@@ -241,7 +242,9 @@ def _recorder(traces, net, refs, phase, mixed):
             if refs.w_fixed is not None:
                 fp = pi_norm(w - refs.w_fixed, net.pi).tolist()
         for k, t, s, f, o, flag in zip(owners, ts, sum_z, fp, opt, flags):
-            traces[k].records.append(RunRecord(t, phase, s, f, o, flag))
+            records = traces[k].records
+            if not (records and records[-1].diverged):
+                records.append(RunRecord(t, phase, s, f, o, flag))
 
     return record
 
@@ -250,25 +253,16 @@ def _check_block(states, live, names, flagged, record):
     """Flags of a block of stacked states, ``flags[i, k]`` for slice k at
     round i, from one ``flagged`` call on the block's (B*K, n, d) stacks
     (a block of one round is handed over as it is).  Then one ``record``
-    call, if given, for the rounds of each slice up to its first flag."""
+    call, if given, on the whole block, round by round; the recorder ends
+    each trace at its first flag."""
     b, k = len(states), len(live)
     block = states[0] if b == 1 else replace(states[-1], **{
         n: np.concatenate([getattr(s, n) for s in states]) for n in names})
     flags = np.reshape(flagged(block), (b, k))
     if record is not None:
-        owners, ts = live.tolist() * b, [t for s in states for t in [s.t] * k]
-        marks = flags.ravel().tolist()
-        if any(marks):  # drop the rounds past each slice's first flag
-            rows = np.flatnonzero(np.arange(b)[:, None] <= _last_rounds(flags)).tolist()
-            block = replace(block, **{n: getattr(block, n)[rows] for n in names})
-            owners, ts, marks = ([a[i] for i in rows] for a in (owners, ts, marks))
-        record(owners, ts, block, marks)
+        record(live.tolist() * b, [t for s in states for t in [s.t] * k], block,
+               flags.ravel().tolist())
     return flags
-
-
-def _last_rounds(flags):
-    """Each slice's first flagged round in a (B, K) block, or the block's last round."""
-    return np.where(flags.any(axis=0), flags.argmax(axis=0), len(flags) - 1)
 
 
 def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None):
@@ -308,7 +302,7 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
             continue  # one more state fits in the block
         flags = _check_block(states, live, names, flagged, record)
         if r == iters or flags.any():
-            last = _last_rounds(flags)
+            last = np.where(flags.any(axis=0), flags.argmax(axis=0), len(states) - 1)
             keep = ~flags.any(axis=0) & (r < iters)
             take = np.copy if keep.any() else (lambda a: a)  # a retiree must not hold the stack
             for i in np.flatnonzero(~keep):

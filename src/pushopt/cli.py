@@ -31,7 +31,7 @@ from . import costs as co
 from . import harness as hz
 from . import network as nw
 from . import operators as op
-from .errors import ConfigError, NumericError, PushOptError, ScenarioAssertionError, ValidationError
+from .errors import ConfigError, NumericError, ScenarioAssertionError, ValidationError
 
 _SCHEMA_HINT = "config schema: see docs/config.md (flat JSON, unknown keys rejected)"
 
@@ -297,9 +297,6 @@ def cli_main(argv):
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
-    except PushOptError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a refused allocation, e.g. numpy's for a huge n
         print(f"failure: out of memory: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 Bad user input (configs, shapes, CLI arguments, serialized payloads) derives
 from ValidationError; failures of numeric procedures derive from
-NumericError.  The CLI maps ValidationError to exit code 1 and NumericError
-to exit code 2.  ``payload_count`` is the count check the payload loaders
-share.
+NumericError; every error class is one of the two, so the CLI's map of
+ValidationError to exit code 1 and NumericError to exit code 2 is total.
+``payload_count`` is the count check the payload loaders share.
 """
 
 from numbers import Integral
@@ -28,10 +28,6 @@ class ConfigError(ValidationError):
 
 class InvalidRateError(ValidationError):
     """A rate or stepsize parameter outside its admissible range."""
-
-
-class NonQuadraticError(ValidationError):
-    """An operation restricted to quadratic-Hessian costs received something else."""
 
 
 class NumericError(PushOptError):

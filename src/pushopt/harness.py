@@ -349,17 +349,17 @@ def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):
     """Walk the stepsize grid upward the way one tunes by hand.
 
     Each candidate runs Push-DIGing for ``iters`` rounds from zero; it
-    qualifies if it neither trips the divergence flag nor ends above its
-    starting error, and it replaces the selection when its final error
+    qualifies if it neither trips the divergence flag nor ends at or above
+    its starting error, and it replaces the selection when its final error
     ties or beats the best seen (so equal performance prefers the larger
-    stepsize).  The scan stops at the first flagged divergence after a
-    qualifier exists, or once a run ends three decades above the best.
+    stepsize).  Once a qualifier exists, the scan stops at the first
+    flagged divergence or final error not within three decades of the best
+    (NaN and inf are not; neither ever qualifies).
 
-    Candidates run as one stacked Push-DIGing run per block of grid points
-    (the default budget is one block); the walk then replays these rules
-    over the block in grid order and runs the next block only if it has
-    not stopped.  Every candidate's outcome is bit-identical to running it
-    on its own.
+    Candidates run as stacked Push-DIGing runs in blocks of grid points;
+    the walk replays these rules over a block in grid order and runs the
+    next block only if it has not stopped.  Every candidate's outcome is
+    bit-identical to running it on its own.
 
     Raises
     ------
@@ -383,14 +383,10 @@ def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):
                 raise AllDivergedError(
                     f"first grid stepsize {a} already diverges; lower grid_start"
                 )
-            if not np.isfinite(last) or last >= first:
-                if best_alpha is not None and (not np.isfinite(last) or last > 1e3 * max(best_err, 1e-300)):
-                    return best_alpha
-                continue
-            if last <= best_err:
+            if best_alpha is not None and not last <= 1e3 * max(best_err, 1e-300):
+                return best_alpha  # three decades above the best, NaN and inf included
+            if last < first and last <= best_err:
                 best_alpha, best_err = a, last
-            elif last > 1e3 * max(best_err, 1e-300):
-                return best_alpha
     if best_alpha is None:
         raise AllDivergedError("no grid stepsize made progress within the budget")
     return best_alpha

@@ -14,9 +14,9 @@ computes:
 
 * the certified stepsize ceiling and contraction rate for both benchmark
   cost cases,
-* the measured operator Lipschitz constant for quadratic-Hessian costs,
-  from products with the operator and its transpose, never its nd x nd
-  matrix, for a whole stack of stepsizes at once,
+* the measured operator Lipschitz constant, from products with the
+  operator and its transpose, never its nd x nd matrix, for a whole stack
+  of stepsizes at once,
 * the fixed point by restarted GMRES on products with the operator, refined
   with long-double residuals to a certified bound on its distance, for a
   whole stack of stepsizes at once,
@@ -25,6 +25,10 @@ computes:
 * the convergence envelope for runs, the fixed-point radius, the
   optimality-gap and consensus-error bounds, and the stricter stepsize
   threshold from earlier analyses kept for comparison.
+
+Every cost has a constant Hessian (see ``costs``), so the operator is affine
+and its kernels read only ``hess_stack`` and ``lin_stack``.  The input
+checks live in ``OperatorContext``, which the sweeps call.
 """
 
 import math
@@ -40,7 +44,6 @@ from .errors import (
     InvalidRateError,
     NoConvergenceError,
     NonpositiveYError,
-    NonQuadraticError,
     NotContractiveError,
     NumericError,
     ValidationError,
@@ -62,7 +65,10 @@ class OperatorContext:
     """A mixing network, a cost ensemble, and a stepsize, checked for fit.
 
     ``alpha`` may also be a 1-D array of stepsizes: the context of a
-    (k, n, d) stack whose slice i is taken at ``alpha[i]``.
+    (k, n, d) stack whose slice i is taken at ``alpha[i]``.  Raises
+    DimensionMismatchError if the network and the ensemble differ in n or
+    ``alpha`` is 2-D or more, and InvalidRateError naming the first
+    stepsize that is not positive and finite.
     """
 
     net: object
@@ -77,8 +83,9 @@ class OperatorContext:
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.ndim > 1:
             raise DimensionMismatchError(f"expected a 1-D sequence of stepsizes, got {alpha.shape}")
-        if not np.all(np.isfinite(alpha) & (alpha > 0.0)):
-            raise InvalidRateError(f"stepsize must be positive and finite, got {self.alpha}")
+        bad = ~(np.isfinite(alpha) & (alpha > 0.0))
+        if bad.any():
+            raise InvalidRateError(f"stepsize must be positive and finite, got {alpha[bad][0]}")
 
     @cached_property
     def _limit_weights(self):
@@ -217,13 +224,6 @@ def stepsize_ceiling(net, ensemble, eps=None):
     return float(np.min(2.0 * n * pi / (L + eps)))
 
 
-def _require_constant_hessians(ensemble):
-    if any(c.kind not in ("quadratic", "regularized_ls") for c in ensemble.costs):
-        raise NonQuadraticError(
-            "the limit operator is linear only for costs with constant Hessians"
-        )
-
-
 def operator_lipschitz(ctx):
     """Measured Lipschitz constant of the limit operator in the weighted norm:
     ``lipschitz_sweep`` at the one stepsize ``ctx.alpha``."""
@@ -249,21 +249,14 @@ def lipschitz_sweep(net, ensemble, alphas):
     Raises
     ------
     DimensionMismatchError
-        If the network and the ensemble differ in n, or ``alphas`` is not 1-D.
-    NonQuadraticError
-        If a cost has no constant Hessian.
-    InvalidRateError
-        If a stepsize is not positive and finite.
+        If ``alphas`` is not 1-D.
+    DimensionMismatchError, InvalidRateError
+        From ``OperatorContext``'s checks.
     """
-    if net.n != ensemble.n:
-        raise DimensionMismatchError(f"network has {net.n} agents, ensemble {ensemble.n}")
-    _require_constant_hessians(ensemble)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D sequence of stepsizes, got {alphas.shape}")
-    bad = ~(np.isfinite(alphas) & (alphas > 0.0))
-    if bad.any():
-        raise InvalidRateError(f"stepsizes must be positive and finite, got {alphas[bad][0]}")
+    OperatorContext(net, ensemble, alphas)
     n, d, s = net.n, ensemble.d, np.sqrt(net.pi)
     out = np.empty(len(alphas))
     for part in _chunks(len(alphas), n * d * d + 4 * n * d):
@@ -360,17 +353,15 @@ def solve_fixed_points(net, ensemble, alphas, tol=1e-12):
     (``_KRYLOV_RESTART`` + 1) n d Arnoldi basis floats.  Each slice leaves
     its stack at its own bound and has the bits of its one-stepsize call.
 
-    Raises ValidationError for a ``tol`` that is not positive,
-    NonQuadraticError if a cost has no constant Hessian, InvalidRateError
-    for a stepsize that is not positive and finite, NotContractiveError if
-    an L certifies no contraction, and NoConvergenceError if a cycle does
-    not lower ||r|| or after ``_MAX_CYCLES`` cycles: of several failing
-    stepsizes, the first in the order of ``alphas``.
+    Raises ValidationError for a ``tol`` that is not positive, the input
+    errors of ``lipschitz_sweep``, NotContractiveError if an L certifies no
+    contraction, and NoConvergenceError if a cycle does not lower ||r|| or
+    after ``_MAX_CYCLES`` cycles: of several failing stepsizes, the first in
+    the order of ``alphas``.
     """
     if not tol > 0.0:
         raise ValidationError(f"fixed-point tolerance fp_tol must be positive, got {tol}")
-    _require_constant_hessians(ensemble)
-    alphas = OperatorContext(net, ensemble, np.asarray(alphas, dtype=float)).alpha
+    alphas = np.asarray(alphas, dtype=float)
     lips = lipschitz_sweep(net, ensemble, alphas)
     end = int(np.argmin(np.append(_contracts(lips), False)))  # the first not contracting
     out = []

@@ -10,6 +10,7 @@ import pytest
 
 from pushopt import algorithms as alg
 from pushopt import costs as co
+from pushopt import errors
 from pushopt import harness as hz
 from pushopt import network as nw
 from pushopt import operators as op
@@ -74,6 +75,24 @@ def test_a_refused_allocation_exits_two_in_one_line(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("failure: out of memory: Unable to allocate 7.28 TiB")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_every_package_error_maps_to_an_exit_code():
+    """cli_main catches ValidationError (exit 1) and NumericError (exit 2):
+    every other package error derives from one of them, and no code raises
+    the bare base class."""
+    found = [c for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.PushOptError)]
+    below, seen = [errors.PushOptError], set()
+    while below:  # subclasses defined outside errors too
+        for sub in below.pop().__subclasses__():
+            below.append(sub)
+            seen.add(sub)
+    assert len(found) > 10 and seen >= set(found) - {errors.PushOptError}
+    for cls in seen:
+        assert issubclass(cls, (errors.ValidationError, errors.NumericError)), cls
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        assert "raise PushOptError" not in path.read_text(), path
 
 
 def test_gen_net_round_trip(tmp_path):

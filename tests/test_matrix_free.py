@@ -9,17 +9,15 @@ chunked, neither a Lipschitz estimate nor a fixed-point solve may form an
 """
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import dense_lipschitz_oracle
 from pushopt import cli
-from pushopt import costs as co
 from pushopt import harness as hz
 from pushopt import operators as op
-from pushopt.errors import DimensionMismatchError, InvalidRateError, NonQuadraticError
+from pushopt.errors import DimensionMismatchError, InvalidRateError
 from test_acceptance import CASE1_SEEDS, CASE2_SEEDS, _make_instance
 
 REL = 1e-13
@@ -140,17 +138,16 @@ def test_context_and_fixed_point_solve_reject_a_2d_stepsize(net20, ens_case1):
         op.solve_fixed_points(net20, ens_case1, [[0.1, 0.2]])
 
 
-def test_sweep_rejects_costs_without_a_constant_hessian(complete4, monkeypatch):
-    costs = [co.quadratic_cost(np.eye(2), np.zeros(2)) for _ in range(4)]
-    # no constructor makes such a cost yet: relabel one of four quadratics
-    costs[0] = replace(costs[0], kind="logistic")
-    ens = co.cost_ensemble(costs, "case1")
-    with pytest.raises(NonQuadraticError, match="constant Hessians"):
-        op.lipschitz_sweep(complete4, ens, [0.1])
-    # a sweep that measures nothing leaves the raise to the solve's own guard
-    monkeypatch.setattr(op, "lipschitz_sweep", lambda net, ens, alphas: np.full(len(alphas), 0.5))
-    with pytest.raises(NonQuadraticError, match="constant Hessians"):
-        op.solve_fixed_point(op.OperatorContext(complete4, ens, 0.1))
+def test_a_bad_stepsize_is_named_alone_and_a_scalar_sweep_is_a_shape_error(net20, ens_case1):
+    """The one shared check names the first bad stepsize, not the whole
+    array, and the sweep still asks for a 1-D sequence."""
+    with pytest.raises(InvalidRateError) as info:
+        op.solve_fixed_points(net20, ens_case1, [0.01] * 39 + [-1.0])
+    assert str(info.value).endswith("got -1.0")
+    with pytest.raises(InvalidRateError, match=r"got nan$"):
+        op.OperatorContext(net20, ens_case1, [0.01, np.nan, -1.0])
+    with pytest.raises(DimensionMismatchError, match="1-D"):
+        op.lipschitz_sweep(net20, ens_case1, 0.01)
 
 
 @pytest.mark.parametrize("figure,solves", [("fig2", 0), ("fig4", 0), ("fig5", 41)])

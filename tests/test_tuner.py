@@ -2,8 +2,9 @@
 
 ``sequential_outcome`` and ``sequential_walk`` are the tuner as it was
 before candidates were stacked: one ``pd_run`` per grid point, with the
-selection and stop rules applied as each run ends.  They are the oracle
-for the stacked runs.
+selection and stop rules applied as each run ends; ``walk_rules`` holds
+those rules, which also judge synthetic outcomes.  They are the oracle for
+the stacked runs.
 """
 
 import numpy as np
@@ -28,11 +29,17 @@ def sequential_outcome(net, ensemble, a, iters, x_star):
 def sequential_walk(net, ensemble, grid_start, grid_step, budget, iters=500):
     """The tuner's walk, one pd_run per candidate."""
     x_star = co.ensemble_minimizer(ensemble)
+    grid = (grid_start + grid_step * k for k in range(budget))
+    return walk_rules((a, *sequential_outcome(net, ensemble, a, iters, x_star)) for a in grid)
+
+
+def walk_rules(candidates):
+    """The selection and stop rules over (alpha, diverged, first, last) in
+    grid order, drawn one at a time, as the one-run-per-candidate tuner
+    wrote them."""
     best_alpha = None
     best_err = np.inf
-    for k in range(budget):
-        a = grid_start + grid_step * k
-        diverged, first, last = sequential_outcome(net, ensemble, a, iters, x_star)
+    for a, diverged, first, last in candidates:
         if diverged:
             if best_alpha is not None:
                 break
@@ -134,6 +141,52 @@ def test_tuner_blocks_replay_the_walk_in_grid_order(monkeypatch):
     monkeypatch.setattr(hz, "_pd_candidates", counted)
     assert hz.tune_pd_stepsize(net, ens, **grid) == whole == sequential_walk(net, ens, **grid)
     assert [len(b) for b in blocks] == [3, 3]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("flags, lasts", [
+    ([0, 0, 0], [0.5, NAN, 0.1]),
+    ([0, 0, 0], [0.5, INF, 0.1]),
+    ([0, 0, 0], [NAN, INF, 0.5]),
+    ([0, 0, 0], [1.0, 0.5, 0.7]),
+    ([0, 0, 0, 0], [0.5, 1.0, 0.4, 2.0]),
+    ([0, 0, 0], [0.5, 0.5, 0.7]),
+    ([0, 0, 0], [1e-4, 0.2, 1e-5]),
+    ([0, 0, 0], [2.0**-12, 1e3 * 2.0**-12, 2.0**-13]),
+    ([0, 0, 0], [0.0, 1e-298, 0.0]),
+    ([0, 0, 0], [0.0, 1e-296, 0.0]),
+    ([0, 1, 0], [0.5, NAN, 0.1]),
+    ([1, 0, 0], [NAN, 0.5, 0.1]),
+    ([0, 0, 0, 0], [1.0, 2.0, NAN, INF]),
+    ([0, 0, 1], [1.0, NAN, NAN]),
+], ids=["nan_stops", "inf_stops", "nonfinite_before_a_qualifier", "last_equals_first",
+        "at_or_above_first_after_a_qualifier", "tie_prefers_larger", "three_decades_jump",
+        "exactly_three_decades", "zero_best_floor", "zero_best_jump", "flag_after_a_qualifier",
+        "flagged_first_point", "no_qualifier", "flag_without_a_qualifier"])
+@pytest.mark.parametrize("block", [200, 2])
+def test_tuner_walk_on_synthetic_outcomes(monkeypatch, net20, ens_case1, flags, lasts, block):
+    """Outcomes no grid run reaches, fed to the tuner in place of its
+    stacked runs, select what the one-run-per-candidate rules select."""
+    first = 1.0
+
+    def outcomes(net, ensemble, alphas, *rest):
+        ks = [round(a) - 1 for a in alphas]  # grid_start = grid_step = 1
+        return [bool(flags[k]) for k in ks], first, [lasts[k] for k in ks]
+
+    monkeypatch.setattr(hz, "_TUNE_BLOCK", block)
+    monkeypatch.setattr(hz, "_pd_candidates", outcomes)
+    grid = [(k + 1.0, bool(f), first, last) for k, (f, last) in enumerate(zip(flags, lasts))]
+    try:
+        expected = walk_rules(iter(grid))
+    except AllDivergedError as exc:
+        expected = str(exc).split(" ")[:3]
+    try:
+        tuned = hz.tune_pd_stepsize(net20, ens_case1, 1.0, 1.0, len(lasts), iters=1)
+    except AllDivergedError as exc:
+        tuned = str(exc).split(" ")[:3]
+    assert tuned == expected
 
 
 def test_tuner_fig1_default_seed_value():
