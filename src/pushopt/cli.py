@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,46 @@ from .errors import ConfigError, NumericError, ScenarioAssertionError, Validatio
 
 _SCHEMA_HINT = "config schema: see docs/config.md (flat JSON, unknown keys rejected)"
 
+# config key -> (flag, argparse options); config and no_fixed_point set no key
+_FLAGS = {
+    "config": ("--config", {"help": "JSON config file; flags override it"}),
+    "seed": ("--seed", {"type": int, "help": "master seed"}),
+    "out_dir": ("--out-dir", {"help": "output directory (default: out)"}),
+    "n": ("--n", {"type": int}),
+    "p": ("--p", {"type": float}),
+    "case": ("--case", {"choices": ("case1", "case2")}),
+    "d": ("--d", {"type": int}),
+    "m": ("--m", {"type": int}),
+    "m_rank": ("--m-rank", {"type": int}),
+    "delta_reg": ("--delta-reg", {"type": float}),
+    "eps": ("--eps", {"type": float}),
+    "alpha": ("--alpha", {"type": float}),
+    "alpha_mult": ("--alpha-mult", {"type": float}),
+    "alpha_pd": ("--alpha-pd", {"type": float}),
+    "run_iters": ("--iters", {"type": int}),
+    "gp_iters": ("--gp-iters", {"type": int}),
+    "no_fixed_point": ("--no-fixed-point", {
+        "action": "store_true", "default": None,  # None when not given, like every other flag
+        "help": "skip the fixed-point reference column for gp runs"}),
+    "fp_tol": ("--tol", {"type": float}),
+    "sweep_points": ("--points", {"type": int}),
+    "tune_grid_start": ("--grid-start", {"type": float}),
+    "tune_grid_step": ("--grid-step", {"type": float}),
+    "tune_budget": ("--budget", {"type": int}),
+    "tune_iters": ("--iters", {"type": int}),
+}
+
+_COMMON = ("config", "seed", "out_dir")
+_PROBLEM = ("n", "p", "case", "d", "m", "m_rank", "delta_reg", "eps")
+
+# run flags that one algorithm reads: (that algorithm, what the others do instead);
+# the others refuse the flag, but not its key in a --config file: one file serves many commands
+_RUN_ONLY = {
+    "alpha_pd": ("hybrid", "takes --alpha"),
+    "gp_iters": ("hybrid", "takes --iters"),
+    "no_fixed_point": ("gp", "writes no fixed-point column"),
+}
+
 
 class _UsageError(ConfigError):
     pass
@@ -45,99 +86,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}{_SCHEMA_HINT}")
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out-dir", help="output directory (default: out)")
-
-
-def _add_problem(parser):
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--case", choices=("case1", "case2"))
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--m-rank", type=int, dest="m_rank")
-    parser.add_argument("--delta-reg", type=float, dest="delta_reg")
-    parser.add_argument("--eps", type=float)
-
-
-def build_parser():
-    parser = _Parser(prog="pushopt", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-net", help="generate and save a mixing network")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-
-    p = sub.add_parser("gen-costs", help="generate and save a cost ensemble")
-    _add_common(p)
-    _add_problem(p)
-
-    p = sub.add_parser("certify", help="emit the contraction certificate")
-    _add_common(p)
-    _add_problem(p)
-
-    p = sub.add_parser("fixed-point", help="solve the fixed point at a stepsize")
-    _add_common(p)
-    _add_problem(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-mult", type=float, dest="alpha_mult")
-    p.add_argument("--tol", type=float, dest="fp_tol")
-
-    p = sub.add_parser("sweep-contraction", help="Lipschitz constant over (0, 2 alpha0]")
-    _add_common(p)
-    _add_problem(p)
-    p.add_argument("--points", type=int, dest="sweep_points")
-
-    p = sub.add_parser("sweep-alpha", help="fixed-point gap over (0, alpha0]")
-    _add_common(p)
-    _add_problem(p)
-    p.add_argument("--points", type=int, dest="sweep_points")
-
-    p = sub.add_parser("run", help="run one algorithm and write its trace")
-    _add_common(p)
-    _add_problem(p)
-    p.add_argument("algorithm", choices=("gp", "pd", "hybrid"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-mult", type=float, dest="alpha_mult")
-    p.add_argument("--alpha-pd", type=float, dest="alpha_pd")
-    p.add_argument("--iters", type=int, dest="run_iters")
-    p.add_argument("--gp-iters", type=int, dest="gp_iters")
-    p.add_argument("--no-fixed-point", action="store_true",
-                   help="skip the fixed-point reference column for gp runs")
-
-    p = sub.add_parser("reproduce", help="run a bundled scenario")
-    _add_common(p)
-    _add_problem(p)
-    p.add_argument("figure", choices=tuple(f"fig{i}" for i in range(1, 7)))
-
-    p = sub.add_parser("tune-pd", help="grid-search the Push-DIGing stepsize")
-    _add_common(p)
-    _add_problem(p)
-    p.add_argument("--grid-start", type=float, dest="tune_grid_start")
-    p.add_argument("--grid-step", type=float, dest="tune_grid_step")
-    p.add_argument("--budget", type=int, dest="tune_budget")
-    p.add_argument("--iters", type=int, dest="tune_iters")
-
-    return parser
-
-
-_FIGURE_SCENARIOS = {
-    "fig1": "fig1_hybrid",
-    "fig2": "fig2_contraction",
-    "fig3": "fig3_case1",
-    "fig4": "fig4_case1_sweep",
-    "fig5": "fig5_case2",
-    "fig6": "fig6_case2_sweep",
-}
-
-
 def _gather_config(args, scenario):
     payload = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 payload = json.load(fh)
@@ -165,67 +116,54 @@ def _dump_json(path, payload):
     print(path)
 
 
-def _cmd_gen_net(args):
-    cfg = _gather_config(args, "custom")
+def _cmd_gen_net(cfg, args):
     out = hz._make_out_dir(cfg)
     _dump_json(out / "network.json", nw.network_to_dict(hz.build_network(cfg)))
-    return 0
 
 
-def _cmd_gen_costs(args):
-    cfg = _gather_config(args, "custom")
+def _cmd_gen_costs(cfg, args):
     out = hz._make_out_dir(cfg)
     _dump_json(out / "costs.json", co.ensemble_to_dict(hz.build_ensemble(cfg)))
-    return 0
 
 
-def _resolve_problem(cfg):
-    return hz.build_network(cfg), hz.build_ensemble(cfg)
-
-
-def _cmd_certify(args):
-    cfg = _gather_config(args, "custom")
+def _cmd_certify(cfg, args):
     out = hz._make_out_dir(cfg)
-    net, ensemble = _resolve_problem(cfg)
+    net, ensemble = hz.build_network(cfg), hz.build_ensemble(cfg)
     cert = hz.certify_config(cfg, net, ensemble, alpha=hz.resolve_alpha(cfg, net, ensemble))
     _dump_json(out / "certificate.json", op.certificate_to_dict(cert))
-    return 0
 
 
-def _cmd_fixed_point(args):
-    cfg = _gather_config(args, "custom")
+def _cmd_fixed_point(cfg, args):
     out = hz._make_out_dir(cfg)
-    net, ensemble = _resolve_problem(cfg)
+    net, ensemble = hz.build_network(cfg), hz.build_ensemble(cfg)
     alpha = hz.resolve_alpha(cfg, net, ensemble)
     fp = op.solve_fixed_point(op.OperatorContext(net, ensemble, alpha), tol=cfg.fp_tol)
     _dump_json(out / "fixed_point.json", op.fixed_point_to_dict(fp))
-    return 0
 
 
-def _cmd_sweep_contraction(args):
-    cfg = _gather_config(args, "fig2_contraction")
+def _cmd_sweep_contraction(cfg, args):
     report = hz.run_scenario(cfg)
     print(Path(report.out_dir) / "contraction_sweep.csv")
-    return 0
 
 
-def _cmd_sweep_alpha(args):
-    cfg = _gather_config(args, "custom")
+def _cmd_sweep_alpha(cfg, args):
     out = hz._make_out_dir(cfg)
-    net, ensemble = _resolve_problem(cfg)
+    net, ensemble = hz.build_network(cfg), hz.build_ensemble(cfg)
     cert = hz.certify_config(cfg, net, ensemble)
     hz.fixed_point_sweep(cfg, net, ensemble, cert, out)
     print(out / "fp_sweep.csv")
-    return 0
 
 
-def _cmd_run(args):
-    cfg = _gather_config(args, "custom")
+def _cmd_run(cfg, args):
+    for key, (owner, instead) in _RUN_ONLY.items():
+        if getattr(args, key) is not None and args.algorithm != owner:
+            raise ConfigError(f"run {args.algorithm} ignores {_FLAGS[key][0]}, which only "
+                              f"run {owner} reads; run {args.algorithm} {instead}")
     iters = cfg.run_iters
     if args.algorithm == "hybrid" and cfg.gp_iters > iters:
         raise ConfigError(f"gp_iters ({cfg.gp_iters}) must not exceed the {iters} rounds run")
     out = hz._make_out_dir(cfg)
-    net, ensemble = _resolve_problem(cfg)
+    net, ensemble = hz.build_network(cfg), hz.build_ensemble(cfg)
     refs = alg.RunRefs(x_star=co.ensemble_minimizer(ensemble))
     x0 = np.zeros((net.n, ensemble.d))
     if args.algorithm == "hybrid":
@@ -243,42 +181,73 @@ def _cmd_run(args):
     path = out / f"run_{args.algorithm}.csv"
     hz.trace_to_csv(trace, path)
     print(path)
-    return 0
 
 
-def _cmd_reproduce(args):
-    cfg = _gather_config(args, _FIGURE_SCENARIOS[args.figure])
+def _cmd_reproduce(cfg, args):
     report = hz.run_scenario(cfg)
     for name in report.manifest + ["report.json"]:
         print(Path(report.out_dir) / name)
-    return 0
 
 
-def _cmd_tune_pd(args):
-    cfg = _gather_config(args, "custom")
-    net, ensemble = _resolve_problem(cfg)
+def _cmd_tune_pd(cfg, args):
+    net, ensemble = hz.build_network(cfg), hz.build_ensemble(cfg)
     alpha = hz.tune_pd_stepsize(net, ensemble, cfg.tune_grid_start,
                                 cfg.tune_grid_step, cfg.tune_budget,
                                 iters=cfg.tune_iters)
     print(f"{alpha:.17g}")
-    return 0
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: tuple  # after _COMMON, in this order
+    handler: object
+    positional: tuple = None  # (dest, choices)
+    scenario: str = "custom"  # None: the one reproduce's figure names
 
 
 _COMMANDS = {
-    "gen-net": _cmd_gen_net,
-    "gen-costs": _cmd_gen_costs,
-    "certify": _cmd_certify,
-    "fixed-point": _cmd_fixed_point,
-    "sweep-contraction": _cmd_sweep_contraction,
-    "sweep-alpha": _cmd_sweep_alpha,
-    "run": _cmd_run,
-    "reproduce": _cmd_reproduce,
-    "tune-pd": _cmd_tune_pd,
+    "gen-net": _Command("generate and save a mixing network", ("n", "p"), _cmd_gen_net),
+    "gen-costs": _Command("generate and save a cost ensemble", _PROBLEM, _cmd_gen_costs),
+    "certify": _Command("emit the contraction certificate", _PROBLEM, _cmd_certify),
+    "fixed-point": _Command("solve the fixed point at a stepsize",
+                            _PROBLEM + ("alpha", "alpha_mult", "fp_tol"), _cmd_fixed_point),
+    "sweep-contraction": _Command("Lipschitz constant over (0, 2 alpha0]",
+                                  _PROBLEM + ("sweep_points",), _cmd_sweep_contraction,
+                                  scenario="fig2_contraction"),
+    "sweep-alpha": _Command("fixed-point gap over (0, alpha0]", _PROBLEM + ("sweep_points",),
+                            _cmd_sweep_alpha),
+    "run": _Command("run one algorithm and write its trace",
+                    _PROBLEM + ("alpha", "alpha_mult", "alpha_pd", "run_iters", "gp_iters",
+                                "no_fixed_point"),
+                    _cmd_run, positional=("algorithm", ("gp", "pd", "hybrid"))),
+    "reproduce": _Command("run a bundled scenario", _PROBLEM, _cmd_reproduce,
+                          positional=("figure", tuple(hz.FIGURES)), scenario=None),
+    "tune-pd": _Command("grid-search the Push-DIGing stepsize",
+                        _PROBLEM + ("tune_grid_start", "tune_grid_step", "tune_budget",
+                                    "tune_iters"), _cmd_tune_pd),
 }
 
 
+def build_parser():
+    """The parser of every subcommand, built from the two tables: ``_FLAGS``
+    declares each flag once and ``_COMMANDS`` lists each command's flags."""
+    parser = _Parser(prog="pushopt", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.positional:
+            dest, choices = command.positional
+            p.add_argument(dest, choices=choices)
+        for key in _COMMON + command.flags:
+            flag, options = _FLAGS[key]
+            p.add_argument(flag, dest=key, **options)
+    return parser
+
+
 def cli_main(argv):
-    """Entry point; returns the process exit code instead of raising."""
+    """Entry point; resolves the command's config once and hands it to the
+    command's handler.  Returns the process exit code instead of raising."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -287,8 +256,11 @@ def cli_main(argv):
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _gather_config(args, command.scenario or hz.FIGURES[args.figure])
+        command.handler(cfg, args)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}\n{_SCHEMA_HINT}", file=sys.stderr)
         return 1

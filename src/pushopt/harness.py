@@ -7,19 +7,8 @@ emitted artifact byte for byte.  Scenarios write their CSVs plus a
 assertions, then raise ScenarioAssertionError if any assertion failed (the
 artifacts are already on disk at that point).
 
-Scenario families:
-
-* ``fig2_contraction``: measured operator Lipschitz constant against the
-  certified envelope 1 - C * alpha over (0, 2 alpha0].
-* ``fig3_case1`` / ``fig5_case2``: convergence of a run to the fixed point
-  at the stepsize ceiling, plus a fixed-point-to-optimum sweep over
-  (0, alpha0] with the linear-in-alpha gap bound.
-* ``fig4_case1_sweep`` / ``fig6_case2_sweep``: full run traces at stepsize
-  multipliers including one super-critical value.
-* ``fig1_hybrid``: gradient-push vs Push-DIGing vs the hybrid schedule on
-  a larger regression instance.
-* ``custom``: defaults only, for the commands that run no scenario;
-  ``run_scenario`` rejects it.
+Each scenario, with its runner and defaults, is listed once: in
+``_SCENARIO_TABLE`` at the end of this module.
 """
 
 import json
@@ -34,16 +23,6 @@ from . import network as nw
 from . import operators as op
 from .errors import AllDivergedError, ConfigError, ScenarioAssertionError
 from .linalg import pi_norm
-
-SCENARIOS = (
-    "fig1_hybrid",
-    "fig2_contraction",
-    "fig3_case1",
-    "fig4_case1_sweep",
-    "fig5_case2",
-    "fig6_case2_sweep",
-    "custom",
-)
 
 # offset separating the cost stream from the network stream of one seed
 COST_SEED_OFFSET = 1000003
@@ -91,14 +70,6 @@ _CASE_DEFAULTS = {
     "case2": {"d": 10, "m_rank": 4, "eps": 0.01},
 }
 
-_SCENARIO_DEFAULTS = {
-    "fig1_hybrid": {"case": "case1", "d": 10, "m": 10, "delta_reg": 0.1, "run_iters": 500},
-    "fig2_contraction": {"sweep_points": 200},
-    "fig4_case1_sweep": {"supercritical_mult": 1.3},
-    "fig6_case2_sweep": {"case": "case2", "supercritical_mult": 1.45},
-    "fig5_case2": {"case": "case2"},
-}
-
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 _INT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.type is int)
 _FLOAT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.type is float)
@@ -114,7 +85,7 @@ def resolve_config(payload):
     scenario = payload.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    merged = dict(_SCENARIO_DEFAULTS.get(scenario, {}))
+    merged = dict(_SCENARIO_TABLE[scenario][1])
     merged.update({k: v for k, v in payload.items() if v is not None})
     case = merged.get("case", "case1")
     if case not in _CASE_DEFAULTS:
@@ -451,33 +422,13 @@ class ExperimentReport:
         return all(a["passed"] for a in self.assertions)
 
     def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "config": self.config,
-            "constants": self.constants,
-            "assertions": self.assertions,
-            "manifest": self.manifest,
-        }
+        """The report without out_dir, like ``config_to_dict``."""
+        return {k: v for k, v in asdict(self).items() if k != "out_dir"}
 
 
 def _assertion(name, result):
     passed, detail = result
     return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _finish(report, out):
-    for name in report.manifest:
-        path = Path(out) / name
-        if not path.exists() or path.stat().st_size == 0:
-            raise ScenarioAssertionError(f"manifest entry {name} missing or empty",
-                                         report=report)
-    write_json(Path(out) / "report.json", report.to_dict())
-    if not report.passed:
-        failed = [a["name"] for a in report.assertions if not a["passed"]]
-        raise ScenarioAssertionError(
-            f"scenario {report.scenario} assertions failed: {failed}", report=report
-        )
-    return report
 
 
 def _make_out_dir(cfg):
@@ -493,25 +444,27 @@ def _make_out_dir(cfg):
 
 def run_scenario(cfg):
     """Run one scenario; returns the report or raises ScenarioAssertionError."""
-    if cfg.scenario == "custom":
+    runner = _SCENARIO_TABLE[cfg.scenario][0]
+    if runner is None:
         raise ConfigError("the custom scenario only selects defaults; "
                           "use the certify or fixed-point command")
     out = _make_out_dir(cfg)
     net = build_network(cfg)
     ensemble = build_ensemble(cfg)
-    runner = {
-        "fig1_hybrid": _run_fig1,
-        "fig2_contraction": _run_fig2,
-        "fig3_case1": _run_fig35,
-        "fig5_case2": _run_fig35,
-        "fig4_case1_sweep": _run_fig46,
-        "fig6_case2_sweep": _run_fig46,
-    }[cfg.scenario]
     constants, assertions, manifest = runner(cfg, net, ensemble, out)
     report = ExperimentReport(scenario=cfg.scenario, config=config_to_dict(cfg),
                               constants=constants, assertions=assertions,
                               manifest=manifest, out_dir=str(out))
-    return _finish(report, out)
+    for name in manifest:
+        path = out / name
+        if not path.exists() or path.stat().st_size == 0:
+            raise ScenarioAssertionError(f"manifest entry {name} missing or empty", report=report)
+    write_json(out / "report.json", report.to_dict())
+    failed = [a["name"] for a in assertions if not a["passed"]]
+    if failed:
+        raise ScenarioAssertionError(f"scenario {cfg.scenario} assertions failed: {failed}",
+                                     report=report)
+    return report
 
 
 def _base_constants(net, ensemble, cert):
@@ -632,3 +585,27 @@ def _run_fig1(cfg, net, ensemble, out):
          f"hybrid {hybrid.last().sum_z_err:.4e} vs pd {pd.last().sum_z_err:.4e}"),
     )]
     return constants, assertions, manifest
+
+
+# name -> (runner, the defaults it lays under the case defaults); reproduce
+# figN runs the figN_* scenario, and custom, which has no runner, only selects
+# defaults for the commands that run no scenario
+_SCENARIO_TABLE = {
+    # gradient-push vs Push-DIGing vs the hybrid schedule, larger regression instance
+    "fig1_hybrid": (_run_fig1, {"case": "case1", "d": 10, "m": 10, "delta_reg": 0.1,
+                                "run_iters": 500}),
+    # measured operator Lipschitz constant against 1 - C alpha over (0, 2 alpha0]
+    "fig2_contraction": (_run_fig2, {"sweep_points": 200}),
+    # convergence of a run to the fixed point at the stepsize ceiling, and the
+    # fixed-point-to-optimum sweep over (0, alpha0] against the linear gap bound
+    "fig3_case1": (_run_fig35, {}),
+    # full run traces at stepsize multipliers, one of them super-critical
+    "fig4_case1_sweep": (_run_fig46, {"supercritical_mult": 1.3}),
+    # fig3 and fig4 on case2
+    "fig5_case2": (_run_fig35, {"case": "case2"}),
+    "fig6_case2_sweep": (_run_fig46, {"case": "case2", "supercritical_mult": 1.45}),
+    "custom": (None, {}),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
+FIGURES = {name.partition("_")[0]: name for name, (runner, _) in _SCENARIO_TABLE.items()
+           if runner is not None}

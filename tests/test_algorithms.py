@@ -8,7 +8,7 @@ from pushopt import costs as co
 from pushopt import harness as hz
 from pushopt import network as nw
 from pushopt import operators as op
-from pushopt.errors import ValidationError
+from pushopt.errors import DimensionMismatchError, ValidationError
 from pushopt.linalg import pi_norm
 
 
@@ -42,6 +42,12 @@ def test_gp_step_hand_trace():
     assert state.y == np.array([1.0])
     assert state.z == np.array([[1.0]])
     assert state.x == np.array([[0.0]])
+
+
+def test_gp_run_rejects_a_misshapen_start(net20, ens_case1):
+    for shape in ((net20.n, ens_case1.d + 1), (net20.n - 1, ens_case1.d), (net20.n,)):
+        with pytest.raises(DimensionMismatchError, match="initial state"):
+            alg.gp_run(net20, ens_case1, 0.01, np.zeros(shape), 5)
 
 
 def test_gp_weights_stay_one_for_doubly_stochastic(complete4):

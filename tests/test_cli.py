@@ -338,6 +338,106 @@ def test_every_flag_sets_a_config_key_and_the_docs_list_every_key():
     assert sorted(listed) == sorted(fields)
 
 
+_COMMON = [("--config", "config", None), ("--seed", "seed", int), ("--out-dir", "out_dir", None)]
+_PROBLEM = [("--n", "n", int), ("--p", "p", float), ("--case", "case", ("case1", "case2")),
+            ("--d", "d", int), ("--m", "m", int), ("--m-rank", "m_rank", int),
+            ("--delta-reg", "delta_reg", float), ("--eps", "eps", float)]
+# (flag, dest, type or choices) of every subparser, in order
+PARSER_OPTIONS = {
+    "gen-net": _COMMON + [("--n", "n", int), ("--p", "p", float)],
+    "gen-costs": _COMMON + _PROBLEM,
+    "certify": _COMMON + _PROBLEM,
+    "fixed-point": _COMMON + _PROBLEM + [("--alpha", "alpha", float),
+                                         ("--alpha-mult", "alpha_mult", float),
+                                         ("--tol", "fp_tol", float)],
+    "sweep-contraction": _COMMON + _PROBLEM + [("--points", "sweep_points", int)],
+    "sweep-alpha": _COMMON + _PROBLEM + [("--points", "sweep_points", int)],
+    "run": _COMMON + _PROBLEM + [("--alpha", "alpha", float),
+                                 ("--alpha-mult", "alpha_mult", float),
+                                 ("--alpha-pd", "alpha_pd", float),
+                                 ("--iters", "run_iters", int),
+                                 ("--gp-iters", "gp_iters", int),
+                                 ("--no-fixed-point", "no_fixed_point", "store_true")],
+    "reproduce": _COMMON + _PROBLEM,
+    "tune-pd": _COMMON + _PROBLEM + [("--grid-start", "tune_grid_start", float),
+                                     ("--grid-step", "tune_grid_step", float),
+                                     ("--budget", "tune_budget", int),
+                                     ("--iters", "tune_iters", int)],
+}
+PARSER_POSITIONALS = {"run": [("algorithm", ("gp", "pd", "hybrid"))],
+                      "reproduce": [("figure", ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"))]}
+
+
+def test_every_subparser_declares_its_flags_in_order():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(PARSER_OPTIONS)
+    for command, parser in sub.choices.items():
+        options = [(*a.option_strings, a.dest, "store_true"
+                    if isinstance(a, argparse._StoreTrueAction) else a.choices or a.type)
+                   for a in parser._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        assert options == PARSER_OPTIONS[command], command
+        positionals = [(a.dest, tuple(a.choices)) for a in parser._actions if not a.option_strings]
+        assert positionals == PARSER_POSITIONALS.get(command, []), command
+
+
+@pytest.mark.parametrize("command", [[]] + [[c] for c in PARSER_OPTIONS],
+                         ids=["top"] + list(PARSER_OPTIONS))
+def test_help_exits_zero(capsys, command):
+    assert cli_main(command + ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: pushopt", *command]))
+    assert ("Exit codes: 0 success" in out) == (command == [])
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config file: "),
+    ("{not json", "config file is not valid JSON: "),
+    ("[1, 2]", "config file must hold a JSON object"),
+    ('{"case": "case3"}', "case must be 'case1' or 'case2', got 'case3'"),
+], ids=["unreadable", "not-json", "list", "case3"])
+def test_a_bad_config_file_exits_one_with_its_own_message(tmp_path, capsys, content, message):
+    cfgfile = tmp_path / "cfg.json"
+    if content is not None:
+        cfgfile.write_text(content)
+    assert cli_main(["certify", "--config", str(cfgfile), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.endswith(f"\n{_SCHEMA_HINT}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("algorithm, flag, instead", [
+    ("pd", ["--alpha-pd", "0.01"], "takes --alpha"),
+    ("gp", ["--alpha-pd", "0.01"], "takes --alpha"),
+    ("gp", ["--gp-iters", "5"], "takes --iters"),
+    ("pd", ["--gp-iters", "0"], "takes --iters"),
+    ("pd", ["--no-fixed-point"], "writes no fixed-point column"),
+    ("hybrid", ["--no-fixed-point"], "writes no fixed-point column"),
+], ids=["pd-alpha-pd", "gp-alpha-pd", "gp-gp-iters", "pd-gp-iters", "pd-no-fixed-point",
+        "hybrid-no-fixed-point"])
+def test_run_rejects_an_explicit_flag_its_algorithm_ignores(tmp_path, monkeypatch, capsys,
+                                                            algorithm, flag, instead):
+    built = _count_calls(monkeypatch, hz, "build_network")
+    assert cli_main(["run", algorithm, *flag, "--iters", "5",
+                     "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run {algorithm} ignores {flag[0]}, which only run ")
+    assert f"; run {algorithm} {instead}\n" in err
+    assert built == [] and not (tmp_path / "o").exists()
+
+
+def test_run_reads_alpha_pd_and_gp_iters_of_a_config_file_as_before(tmp_path):
+    """One config file serves many commands, so its keys are not refused."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"alpha_pd": 0.01, "gp_iters": 5}))
+    for algorithm in ("gp", "pd"):
+        args = ["run", algorithm, "--iters", "5", "--out-dir"]
+        assert cli_main(args + [str(tmp_path / "cfg"), "--config", str(cfgfile)]) == 0
+        assert cli_main(args + [str(tmp_path / "plain")]) == 0
+        name = f"run_{algorithm}.csv"
+        assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_fixed_point_command(tmp_path):
     assert cli_main(["fixed-point", "--seed", "4", "--alpha-mult", "0.5",
                      "--out-dir", str(tmp_path)]) == 0

@@ -129,6 +129,19 @@ def test_case2_below_the_rank_bound_draws_nothing(monkeypatch):
     assert co.make_case2_ensemble(2, 10, 5, 7).mu_agg > 0  # n * m_rank == d
 
 
+def test_case2_resamples_from_the_next_substream(monkeypatch):
+    """Seed 910's first draw fails the positive-definiteness check, so the
+    ensemble is the one substream 911 draws first."""
+    drawn, real = [], co._with_constants
+    monkeypatch.setattr(co, "_with_constants", lambda parts: drawn.append(1) or real(parts))
+    ens = co.make_case2_ensemble(5, 10, 2, 910)
+    assert len(drawn) == 2
+    again = co.make_case2_ensemble(5, 10, 2, 911)
+    assert len(drawn) == 3
+    assert ens.hess_stack.tobytes() == again.hess_stack.tobytes()
+    assert ens.mu_agg > 0
+
+
 def test_case2_hand_built_aggregate():
     e1 = co.quadratic_cost(np.outer([1.0, 0.0], [1.0, 0.0]), np.zeros(2))
     e2 = co.quadratic_cost(np.outer([0.0, 1.0], [0.0, 1.0]), np.zeros(2))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -577,6 +578,19 @@ def test_envelope_structure(net20, ens_case1):
     values = [op.convergence_envelope(cert, 2.0, t) for t in (10, 100, 1000, 5000)]
     assert values[-1] <= 1e-12  # geometric decay in both branches
     assert all(v >= 0 for v in values)
+
+
+def test_envelope_degenerate_branch_is_the_limit_of_the_general_one(net20, ens_case1):
+    """At rho = 1 - C alpha the general remainder divides by zero; the
+    degenerate branch must agree with the general one just off it."""
+    cert = op.certify(net20, ens_case1)
+    decay = 1.0 - cert.contraction_rate * cert.alpha
+    on = dataclasses.replace(cert, rho=decay)
+    near = dataclasses.replace(cert, rho=decay - 1e-9)
+    assert abs(near.rho - decay) > op._BRANCH_TOL
+    for t in (1, 10, 100):
+        assert op.convergence_envelope(on, 2.0, t) == pytest.approx(
+            op.convergence_envelope(near, 2.0, t), rel=1e-6)
 
 
 def test_gap_bound_linear_in_stepsize(net20, ens_case1):
