@@ -159,9 +159,9 @@ def _cmd_run(cfg, args):
         if getattr(args, key) is not None and args.algorithm != owner:
             raise ConfigError(f"run {args.algorithm} ignores {_FLAGS[key][0]}, which only "
                               f"run {owner} reads; run {args.algorithm} {instead}")
+    if args.algorithm == "hybrid":
+        hz.check_warm_start(cfg)
     iters = cfg.run_iters
-    if args.algorithm == "hybrid" and cfg.gp_iters > iters:
-        raise ConfigError(f"gp_iters ({cfg.gp_iters}) must not exceed the {iters} rounds run")
     out = hz._make_out_dir(cfg)
     net, ensemble = hz.build_network(cfg), hz.build_ensemble(cfg)
     refs = alg.RunRefs(x_star=co.ensemble_minimizer(ensemble))
@@ -190,6 +190,8 @@ def _cmd_reproduce(cfg, args):
 
 
 def _cmd_tune_pd(cfg, args):
+    if args.out_dir is not None:
+        raise ConfigError("tune-pd writes no file, so it takes no --out-dir")
     net, ensemble = hz.build_network(cfg), hz.build_ensemble(cfg)
     alpha = hz.tune_pd_stepsize(net, ensemble, cfg.tune_grid_start,
                                 cfg.tune_grid_step, cfg.tune_budget,

@@ -46,8 +46,8 @@ KIND_QUADRATIC = "quadratic"
 KIND_REGLS = "regularized_ls"
 
 _SYM_TOL = 1e-12
-_PSD_TOL = 1e-10
-_MINIMIZER_TOL = 1e-9  # aggregate gradient residual at x*, relative to 1 + ||x*||
+_PSD_TOL = 1e-10  # eigenvalue tolerance, times max(L, 1), of the psd and positive definite checks
+_MINIMIZER_TOL = 1e-9  # bound on the error of x*, relative to 1 + ||x*||
 _STORED_TOL = 1e-8  # relative agreement of a stored L or mu with the recomputed value
 _GRAD_ROWS = 4  # slices per gemm block of grad_stack: every row goes through one gemm shape
 _MAX_ATTEMPTS = 100  # case2 draws before FailedAggregatePDError
@@ -123,7 +123,7 @@ def _with_constants(parts):
     costs = []
     L, mu = symmetric_extremes(np.stack([f["hess"] for f in parts]))
     for fields, L_k, mu_k in zip(parts, L.tolist(), mu.tolist()):
-        if fields["kind"] == KIND_QUADRATIC and mu_k < -_PSD_TOL:
+        if fields["kind"] == KIND_QUADRATIC and mu_k < -_PSD_TOL * max(L_k, 1.0):
             raise ValidationError(f"quadratic matrix has negative eigenvalue {mu_k}")
         costs.append(LocalCost(L=L_k, mu=max(mu_k, 0.0), **fields))
     return costs
@@ -275,8 +275,9 @@ def grad0_pi_norm(ensemble, pi):
 def ensemble_minimizer(ensemble):
     """Minimizer of the average cost by a dense solve of the normal equations.
 
-    The solution is validated by the aggregate gradient residual
-    ``||sum_j grad f_j(x*)|| <= _MINIMIZER_TOL * (1 + ||x*||)``.
+    The solution x is validated by the bound ``||sum_j grad f_j(x)|| / (n mu_agg)``
+    on its error, which must be at most ``_MINIMIZER_TOL * (1 + ||x||)``: a
+    check that scaling every cost by one factor leaves unchanged.
     """
     rhs = -ensemble.lin_stack.mean(axis=0)
     try:
@@ -284,10 +285,9 @@ def ensemble_minimizer(ensemble):
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"aggregate Hessian is singular: {exc}") from None
     total_grad = grad_stack(ensemble, np.tile(x_star, (ensemble.n, 1))).sum(axis=0)
-    if np.linalg.norm(total_grad) > _MINIMIZER_TOL * (1.0 + np.linalg.norm(x_star)):
-        raise SingularSystemError(
-            f"minimizer residual {np.linalg.norm(total_grad)} above tolerance"
-        )
+    error = np.linalg.norm(total_grad) / (ensemble.n * ensemble.mu_agg)
+    if error > _MINIMIZER_TOL * (1.0 + np.linalg.norm(x_star)):
+        raise SingularSystemError(f"minimizer error bound {error} above tolerance")
     return x_star
 
 

@@ -17,6 +17,11 @@ so every column sums to one.  ``pi`` is the positive right eigenvector of W
 at eigenvalue 1 normalized to total mass one, and ``rho`` is the
 pi-weighted induced norm of W minus the rank-one limit of its powers
 (every column of that limit equals pi), which measures mixing speed.
+
+A graph enters a MixingNetwork only through ``_network``, which first
+rejects one that is not strongly connected.  ``build_mixing_matrix`` makes W
+nonnegative, column stochastic and with the edge pattern by construction;
+``network_from_dict`` checks these on a stored W, and the stored pi and rho.
 """
 
 from dataclasses import dataclass
@@ -34,7 +39,7 @@ from .linalg import spectral_norm
 
 _PERRON_TOL = 1e-12  # residual max|W pi - pi| the power iteration for pi must reach
 _PERRON_MAX_ITER = 100_000  # its iterations before NoConvergenceError
-_INVARIANT_TOL = 1e-12  # column sums of W and eigen-residual of pi, on every network
+_INVARIANT_TOL = 1e-12  # column-sum error a stored W may carry
 _STORED_TOL = 1e-9  # agreement of a stored pi and rho with the recomputed values
 _W_ALIGN = 64  # byte boundary of the mixing matrix buffer
 _MAX_ATTEMPTS = 100  # digraph draws before FailedConnectivityError
@@ -221,33 +226,12 @@ def _aligned_matrix(n):
 
 
 def _network(g, W):
-    """Attach the Perron vector and rho to (g, W), then validate."""
-    pi = compute_perron(W)
-    net = MixingNetwork(graph=g, W=W, pi=pi, rho=compute_rho(W, pi), pi_min=float(pi.min()))
-    validate_network(net)
-    return net
-
-
-def validate_network(net):
-    """Check every structural invariant of a MixingNetwork."""
-    g, W, pi = net.graph, net.W, net.pi
-    n = g.n
-    if W.shape != (n, n):
-        raise ValidationError(f"W shape {W.shape} does not match n={n}")
-    if np.any(W < 0.0):
-        raise ValidationError("negative communication weight")
-    if np.max(np.abs(W.sum(axis=0) - 1.0)) > _INVARIANT_TOL:
-        raise ValidationError("columns of W do not sum to one")
-    if not np.array_equal(W > 0.0, g.adj | np.eye(n, dtype=bool)):
-        raise ValidationError("sparsity pattern of W does not match the edge set")
-    if np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > _INVARIANT_TOL:
-        raise ValidationError("pi must be positive with total mass one")
-    if np.max(np.abs(W @ pi - pi)) > _INVARIANT_TOL:
-        raise ValidationError("pi is not an eigenvector of W at eigenvalue 1")
-    if not (0.0 <= net.rho < 1.0):
-        raise ValidationError(f"rho={net.rho} outside [0, 1)")
+    """Attach the Perron vector and rho to (g, W): the one place a graph
+    enters a MixingNetwork, and so where it must be strongly connected."""
     if not is_strongly_connected(g):
         raise ValidationError("graph is not strongly connected")
+    pi = compute_perron(W)
+    return MixingNetwork(graph=g, W=W, pi=pi, rho=compute_rho(W, pi), pi_min=float(pi.min()))
 
 
 def network_to_dict(net):
@@ -278,10 +262,10 @@ def network_from_dict(payload):
     W = _aligned_matrix(n)
     W[...] = stored
     g = make_digraph(n, edges)
-    if not is_strongly_connected(g):
-        raise ValidationError("stored graph is not strongly connected")
     if not (np.all(W >= 0.0) and np.max(np.abs(W.sum(axis=0) - 1.0)) <= _INVARIANT_TOL):
         raise ValidationError("stored W is not column stochastic")
+    if not np.array_equal(W > 0.0, g.adj | np.eye(n, dtype=bool)):
+        raise ValidationError("sparsity pattern of W does not match the edge set")
     net = _network(g, W)
     if pi_stored.shape != (n,) or not np.max(np.abs(pi_stored - net.pi)) <= _STORED_TOL:
         raise ValidationError("stored pi disagrees with the eigenvector of W")

@@ -269,12 +269,12 @@ def test_run_hybrid_checks_gp_iters_against_its_own_rounds(tmp_path, monkeypatch
     built = _count_calls(monkeypatch, hz, "build_network")
     assert cli_main(["run", "hybrid", "--gp-iters", "100", "--iters", "50",
                      "--seed", "4", "--out-dir", str(tmp_path / "o")]) == 1
-    assert "gp_iters" in capsys.readouterr().err
+    assert "gp_iters (100) must not exceed run_iters (50)" in capsys.readouterr().err
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"gp_iters": 600}))
     assert cli_main(["reproduce", "fig1", "--config", str(cfgfile),
                      "--out-dir", str(tmp_path / "o")]) == 1
-    assert "gp_iters must not exceed run_iters" in capsys.readouterr().err
+    assert "gp_iters (600) must not exceed run_iters (500)" in capsys.readouterr().err
     assert tuned == [] and built == [] and not (tmp_path / "o").exists()
 
 
@@ -597,10 +597,25 @@ def test_tune_pd_prints_stepsize(tmp_path, capsys):
         "tune_grid_start": 0.1, "tune_grid_step": 0.1, "tune_budget": 8,
         "tune_iters": 1000,
     }))
-    assert cli_main(["tune-pd", "--seed", "4", "--config", str(cfgfile),
-                     "--out-dir", str(tmp_path)]) == 0
+    assert cli_main(["tune-pd", "--seed", "4", "--config", str(cfgfile)]) == 0
     value = float(capsys.readouterr().out.strip())
     assert 0.0 < value < 2.0
+
+
+def test_tune_pd_refuses_out_dir_but_not_the_config_key(tmp_path, monkeypatch, capsys):
+    """tune-pd writes no file: an explicit --out-dir is refused before any
+    work, while out_dir in a config file, which serves many commands, is not."""
+    monkeypatch.chdir(tmp_path)
+    tuned = _count_calls(monkeypatch, hz, "tune_pd_stepsize")
+    args = ["tune-pd", "--n", "1", "--d", "1", "--m", "1", "--budget", "2", "--iters", "10"]
+    assert cli_main(args + ["--out-dir", "o"]) == 1
+    assert "tune-pd writes no file, so it takes no --out-dir" in capsys.readouterr().err
+    assert tuned == [] and not (tmp_path / "o").exists()
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"out_dir": "o"}))
+    assert cli_main(args + ["--config", str(cfgfile)]) == 0
+    assert float(capsys.readouterr().out) > 0.0
+    assert len(tuned) == 1 and list(tmp_path.iterdir()) == [cfgfile]
 
 
 def _contract_settings(tmp_path):
@@ -682,7 +697,8 @@ def test_exit_code_contract_on_a_sample_of_fixed_point_settings(tmp_path, capsys
     for i, args in enumerate(_contract_settings(tmp_path)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = cli_main(args + ["--out-dir", str(tmp_path / str(i))])
+            out = [] if args[0] == "tune-pd" else ["--out-dir", str(tmp_path / str(i))]
+            code = cli_main(args + out)
         err = capsys.readouterr().err
         assert not caught, (args, [str(w.message) for w in caught])
         assert code in (0, 1, 2), args

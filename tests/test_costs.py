@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pushopt import costs as co
+from pushopt import harness as hz
 from pushopt.errors import (
     DimensionMismatchError,
     FailedAggregatePDError,
+    SingularSystemError,
     ValidationError,
 )
 
@@ -218,3 +220,71 @@ def test_ensemble_serialization_verifies_constants(ens_case1):
     payload["costs"][0]["L"] *= 1.5
     with pytest.raises(ValidationError):
         co.ensemble_from_dict(payload)
+
+
+def _payload(ens, **changes):
+    payload = co.ensemble_to_dict(ens)
+    payload["costs"][0] = {**payload["costs"][0], **changes.pop("cost", {})}
+    return {**payload, **changes}
+
+
+_EYE2 = np.eye(2)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda e: co.quadratic_cost(_EYE2, np.ones(3)), DimensionMismatchError, "linear term"),
+    (lambda e: co.quadratic_cost([[1.0, 1.0], [0.0, 1.0]], np.zeros(2)), ValidationError,
+     "symmetric"),
+    (lambda e: co.quadratic_cost(-_EYE2, np.zeros(2)), ValidationError, "negative eigenvalue"),
+    (lambda e: co.least_squares_cost(np.ones(3), np.ones(3), 1.0), DimensionMismatchError,
+     "incompatible"),
+    (lambda e: co.least_squares_cost(_EYE2, np.ones(2), -1.0), ValidationError, "nonnegative"),
+    (lambda e: co.cost_ensemble(e.costs, "case3"), ValidationError, "unknown case tag"),
+    (lambda e: co.cost_ensemble([], "case1"), ValidationError, "at least one cost"),
+    (lambda e: co.cost_ensemble([co.quadratic_cost(_EYE2, np.zeros(2)),
+                                 co.quadratic_cost(np.eye(3), np.zeros(3))], "case2"),
+     DimensionMismatchError, "one dimension"),
+    (lambda e: co.make_case1_ensemble(0, 3, 4, 2.0, 7), ValidationError, "n, d, m"),
+    (lambda e: co.make_case1_ensemble(2, 3, 4, 0.0, 7), ValidationError, "delta_reg > 0"),
+    (lambda e: co.make_case2_ensemble(5, 10, 10, 7), ValidationError, "m_rank < d"),
+    (lambda e: co.make_case2_ensemble(0, 10, 4, 7), ValidationError, "n must be"),
+    (lambda e: co.scale_ensemble(e, 0.0), ValidationError, "factor must be positive"),
+    (lambda e: co.ensemble_from_dict(_payload(e, n=e.n + 1)), ValidationError, "stored n"),
+    (lambda e: co.ensemble_from_dict(_payload(e, cost={"kind": "cubic"})), ValidationError,
+     "unknown cost kind"),
+    (lambda e: co.ensemble_from_dict(_payload(e, case_tag="case3")), ValidationError,
+     "unknown case tag"),
+])
+def test_each_input_check_raises_its_typed_error(ens_case1, call, error, match):
+    with pytest.raises(error, match=match):
+        call(ens_case1)
+
+
+def test_case2_gives_up_after_its_attempts(monkeypatch):
+    """Seed 910's first draw fails the positive-definiteness check."""
+    monkeypatch.setattr(co, "_MAX_ATTEMPTS", 1)
+    with pytest.raises(FailedAggregatePDError, match="in 1 attempts"):
+        co.make_case2_ensemble(5, 10, 2, 910)
+
+
+def test_minimizer_refuses_a_solve_it_cannot_bound():
+    """A valid aggregate with condition number 1e9: the solve's error bound,
+    about 7e-9 relative, exceeds the tolerance of 1e-9."""
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+    P = Q @ np.diag([1.0, 1e-9]) @ Q.T
+    ens = co.cost_ensemble([co.quadratic_cost((P + P.T) / 2, np.array([1.0, 0.0]))], "case2")
+    with pytest.raises(SingularSystemError, match="error bound"):
+        co.ensemble_minimizer(ens)
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig3", "fig5"])
+@pytest.mark.parametrize("k", [10, 20, 30, 40])
+def test_power_of_two_scaling_keeps_the_minimizer_bits(figure, k):
+    """Scaling every cost by 2^k scales every Hessian eigenvalue and gradient
+    exactly, so the PSD check (relative to max(L, 1)) and the minimizer's
+    error bound (in x) accept the scaled draw, and the solve gives the same x*.
+    fig6 draws fig5's ensemble."""
+    ens = hz.build_ensemble(hz.resolve_config({"scenario": hz.FIGURES[figure]}))
+    scaled = co.scale_ensemble(ens, 2.0**k)
+    assert scaled.mu_agg == 2.0**k * ens.mu_agg
+    assert co.ensemble_minimizer(scaled).tobytes() == co.ensemble_minimizer(ens).tobytes()

@@ -260,6 +260,9 @@ def test_tune_pd_all_diverged():
     # a negative round count is a typed error, not zero rounds without progress
     with pytest.raises(ValidationError, match=">= 0"):
         hz.tune_pd_stepsize(net, ens, grid_start=0.5, grid_step=0.5, budget=4, iters=-1)
+    # as is a grid the config check would refuse, for a caller that skips the config
+    with pytest.raises(ConfigError, match="grid parameters"):
+        hz.tune_pd_stepsize(net, ens, grid_start=0.5, grid_step=0.5, budget=0, iters=300)
 
 
 def test_scenario_assertion_failure_still_writes_artifacts(tmp_path, monkeypatch):
@@ -275,3 +278,12 @@ def test_scenario_assertion_failure_still_writes_artifacts(tmp_path, monkeypatch
     assert (tmp_path / "contraction_sweep.csv").exists()
     assert (tmp_path / "report.json").exists()
     assert err.value.report is not None and not err.value.report.passed
+
+
+def test_envelope_check_passes_a_trace_too_short_to_violate(net20, ens_case1):
+    """The envelope clock starts at index 1, so a run of at most one round
+    (``run_iters`` 0 or 1) has no point to compare."""
+    cert = op.certify(net20, ens_case1)
+    for errors in ([], [1.0], [1.0, 0.5]):
+        assert hz.check_envelope_domination(cert, errors) == (True, "trace too short to violate")
+    assert hz.check_envelope_domination(cert, [1.0, 0.5, 1e3])[0] is False

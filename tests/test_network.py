@@ -11,7 +11,7 @@ import pytest
 from conftest import induced_pi_norm, induced_pi_norm_oracle, perron_oracle
 from pushopt import harness as hz
 from pushopt import network as nw
-from pushopt.errors import FailedConnectivityError, NoConvergenceError, ValidationError
+from pushopt.errors import FailedConnectivityError, NoConvergenceError, NumericError, ValidationError
 
 
 def oracle_edges(adj):
@@ -108,6 +108,8 @@ def test_parameter_validation():
         nw.make_digraph(3, [(1, 1)])
     with pytest.raises(ValidationError):
         nw.make_digraph(3, [(1, 4)])
+    with pytest.raises(ValidationError, match="agent count"):
+        nw.make_digraph(0, [])
 
 
 @pytest.mark.parametrize("edges", [
@@ -175,11 +177,51 @@ def test_complete_digraph_doubly_stochastic(complete4):
 
 
 def test_mixing_invariants(net20):
-    assert np.max(np.abs(net20.W.sum(axis=0) - 1.0)) <= 1e-12
-    assert np.max(np.abs(net20.W @ net20.pi - net20.pi)) <= 1e-12
-    assert np.all(net20.pi > 0) and abs(net20.pi.sum() - 1.0) <= 1e-12
-    assert 0.0 <= net20.rho < 1.0
-    nw.validate_network(net20)
+    """Each invariant a MixingNetwork carries, on built networks and on a
+    ``network_from_dict`` round trip."""
+    nets = [nw.build_mixing_matrix(nw.generate_digraph(n, p, seed))
+            for n, p, seed in ((400, 0.7, 7), (200, 0.0397, 1))]
+    loaded = nw.network_from_dict(json.loads(json.dumps(nw.network_to_dict(net20))))
+    for net in (net20, *nets, loaded):
+        n, W, pi = net.n, net.W, net.pi
+        assert W.shape == (n, n)
+        assert np.all(W >= 0.0)
+        assert np.max(np.abs(W.sum(axis=0) - 1.0)) <= 1e-12
+        assert np.array_equal(W > 0.0, net.graph.adj | np.eye(n, dtype=bool))
+        assert np.all(pi > 0) and abs(pi.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(W @ pi - pi)) <= 1e-12
+        assert 0.0 <= net.rho < 1.0
+        assert oracle_strongly_connected(n, oracle_edges(net.graph.adj))
+
+
+def _uniform_weights(g):
+    links = g.adj | np.eye(g.n, dtype=bool)
+    return links / links.sum(axis=0)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (2, [(1, 2)]),  # a chain into agent 1
+    (4, [(1, 2), (2, 1), (3, 4), (4, 3)]),  # two components
+    (3, [(1, 2), (2, 3)]),  # a longer chain
+])
+def test_a_graph_that_is_not_strongly_connected_is_refused(n, edges):
+    """Whatever the graph's shape, before any spectral object is computed,
+    whether it is built or loaded with its uniform weights."""
+    g = nw.make_digraph(n, edges)
+    with pytest.raises(ValidationError, match="graph is not strongly connected"):
+        nw.build_mixing_matrix(g)
+    payload = {"n": n, "edges": edges, "W": list(_uniform_weights(g).ravel()),
+               "pi": [1.0 / n] * n, "rho": 0.0}
+    with pytest.raises(ValidationError, match="graph is not strongly connected"):
+        nw.network_from_dict(payload)
+
+
+def test_spectral_objects_refuse_what_no_network_has():
+    """The Perron vector of a reducible W and the rho of a W that does not mix."""
+    with pytest.raises(NumericError, match="lost positivity"):
+        nw.compute_perron(_uniform_weights(nw.make_digraph(3, [(1, 2), (2, 3)])))
+    with pytest.raises(NumericError, match="mixing norm"):
+        nw.compute_rho(np.eye(2), np.array([0.5, 0.5]))
 
 
 def test_mixing_matrix_buffer_is_64_byte_aligned(net20):
@@ -256,6 +298,28 @@ def test_serialization_round_trip(net20, tmp_path):
     assert np.array_equal(loaded.W, net20.W)
     assert np.array_equal(loaded.graph.adj, net20.graph.adj)
     assert abs(loaded.rho - net20.rho) <= 1e-12
+
+
+def _move_mass_off_the_edges(payload, net):
+    """Move column 1's diagonal weight to a receiver agent 1 has no edge to."""
+    W = np.reshape(payload["W"], (net.n, net.n))
+    i = int(np.flatnonzero(~net.graph.adj[:, 0])[1])  # [0] is agent 1 itself
+    W[i, 0], W[0, 0] = W[0, 0], 0.0
+    payload["W"] = W.ravel().tolist()
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (lambda p, net: p.update(W=[1.01 * v for v in p["W"]]), "not column stochastic"),
+    (_move_mass_off_the_edges, "sparsity pattern"),
+    (lambda p, net: p.update(pi=p["pi"][::-1]), "stored pi"),
+    (lambda p, net: p.update(pi=p["pi"][:-1]), "stored pi"),
+    (lambda p, net: p.update(rho=p["rho"] + 1e-6), "stored rho"),
+])
+def test_each_stored_check_names_its_fault(net20, tamper, match):
+    payload = nw.network_to_dict(net20)
+    tamper(payload, net20)
+    with pytest.raises(ValidationError, match=match):
+        nw.network_from_dict(payload)
 
 
 def test_serialization_rejects_tampering(net20):

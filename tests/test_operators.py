@@ -14,6 +14,7 @@ from pushopt import network as nw
 from pushopt import operators as op
 from pushopt.errors import (
     DegenerateMixingError,
+    DimensionMismatchError,
     InvalidRateError,
     NoConvergenceError,
     NonpositiveYError,
@@ -555,6 +556,17 @@ def test_perturbation_product_values():
         op.perturbation_product(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(InvalidRateError):
         op.perturbation_product(0.1, 1.0, 1.0, 1.0)
+    with pytest.raises(InvalidRateError, match="coefficient"):
+        op.perturbation_product(0.1, -1.0, 1.0, 0.5)
+
+
+def test_perturbation_product_overflow_is_a_numeric_error():
+    """Its log, about 822 here, exceeds the largest float64's, about 709.8;
+    an infinite factor, which rho does not shrink, ends the product too."""
+    for args in ((1.0, 1.0, 0.0, 0.999), (10.0, 1e308, 0.0, 0.5)):
+        with pytest.raises(NumericError, match="overflows float64"):
+            op.perturbation_product(*args)
+    assert op.perturbation_product(1.0, 1.0, 0.0, 0.99) < np.finfo(float).max
 
 
 def test_perturbation_product_under_cap(net20, ens_case1):
@@ -662,3 +674,34 @@ def test_certificate_serialization(net20, ens_case2):
     assert len(dumped["w"]) == net20.n
     assert dumped["residual"] <= 1e-10
     assert dumped["bound"] <= 1e-10
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"alpha0": 0.0}, "ceiling 0.0 must be positive"),
+    ({"contraction_rate": 0.0}, "outside"),
+    ({"perturbation_product": 0.5}, "below one"),
+    ({"radius": -1.0}, "radius must be nonnegative"),
+    ({"grad0_norm": -1.0}, "grad0_norm must be nonnegative"),
+])
+def test_certificate_checks_its_ranges_on_construction(net20, ens_case1, change, match):
+    cert = op.certify(net20, ens_case1)
+    with pytest.raises(NumericError, match=match):
+        dataclasses.replace(cert, **change)
+
+
+def test_operator_input_checks_raise_their_typed_errors(net20, ens_case1, ens_case2):
+    ctx = op.OperatorContext(net20, ens_case1, 0.01)
+    w = np.zeros((net20.n, ens_case1.d))
+    cases = [
+        (lambda: op.mix_stack(net20, np.zeros(net20.n)), DimensionMismatchError, "stacked state"),
+        (lambda: op.gradient_push_operator(ctx, w[1:]), DimensionMismatchError, "state"),
+        (lambda: op.push_sum_perturbation(ctx, np.ones(net20.n - 1), w),
+         DimensionMismatchError, "weights"),
+        (lambda: op.stepsize_ceiling(net20, ens_case2), ValidationError, "eps > 0"),
+        (lambda: op.stepsize_ceiling(net20, ens_case2, eps=0.0), ValidationError, "eps > 0"),
+        (lambda: op.convergence_envelope(op.certify(net20, ens_case1), 1.0, -1),
+         ValidationError, "iteration index"),
+    ]
+    for call, error, match in cases:
+        with pytest.raises(error, match=match):
+            call()
