@@ -41,7 +41,7 @@ print("the gap shrinks linearly with alpha; the bound tracks it from above")
 fp = solve_fixed_point(OperatorContext(net, ensemble, cert.alpha0), tol=1e-12)
 trace = gp_run(net, ensemble, cert.alpha0, np.zeros((net.n, ensemble.d)), 120,
                RunRefs(x_star=x_star, w_fixed=fp.w))
-errors = trace.column("w_fp_err")
+errors = trace.w_fp_err
 print("\nrun distance to the fixed point vs the certified envelope")
 print("   t    measured      envelope")
 for t in (1, 5, 10, 20, 40, 80, 120):

@@ -45,7 +45,7 @@ print(f"\nsum of distances to the minimizer, {total} rounds "
       f"(hybrid switches at {warm})")
 print("   t    gradient-push   Push-DIGing     hybrid")
 for t in (0, 50, 100, 200, 300, 500):
-    row = lambda tr: tr.records[t].sum_z_err
+    row = lambda tr: tr.sum_z_err[t]
     print(f" {t:4d}   {row(gp):12.4e}   {row(pd):12.4e}   {row(hybrid):12.4e}")
 print("\ngradient-push stalls at its plateau, Push-DIGing keeps grinding,")
 print("and the hybrid enjoys the warm start plus exact convergence")

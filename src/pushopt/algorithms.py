@@ -28,6 +28,9 @@ measures the B states as one (B*K, n, d) stack, one call each.  A large
 stack (the tuner's 200 candidates, fig4 at n=400) gets B = 1, a check every
 round.  Every slice rounds and is measured bit for bit like its own run.
 ``gp_sweep``, ``pd_run`` (K=1) and the Push-DIGing tuner are its callers.
+A run's ``RunTrace`` is columnar: one float64 array per metric, each block
+written with one slice assignment, and ``RunTrace.rows`` makes the rows a
+trace CSV writes.
 
 The hybrid schedule runs gradient-push with a large stepsize for a warm
 start, then hands (w, y, z, grad F(z)) to Push-DIGing for exact
@@ -41,7 +44,8 @@ block's end, but its trace and its final state end at the flagged round.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -51,9 +55,6 @@ from .linalg import _sum_squares, pi_norm
 
 DIVERGENCE_THRESHOLD = 1e12
 _ROUND_BLOCK_FLOATS = 1 << 13  # floats of the stacked states one divergence check takes
-
-PHASE_GP = "gp"
-PHASE_PD = "pd"
 
 
 @dataclass(frozen=True)
@@ -87,32 +88,45 @@ class RunRefs:
     w_fixed: np.ndarray = None
 
 
-@dataclass(frozen=True, slots=True)
-class RunRecord:
-    t: int
-    phase: str
-    sum_z_err: float
-    w_fp_err: float
-    w_opt_err: float
-    diverged: bool
+METRICS = ("sum_z_err", "w_fp_err", "w_opt_err")
+TRACE_FIELDS = ("t", "phase", *METRICS, "diverged")  # a trace row, as trace CSVs write it
 
 
 @dataclass
 class RunTrace:
-    """Per-iteration metrics of a run; ``final_state`` is not serialized."""
+    """Per-round metrics of a run, one float64 column per metric.
 
-    records: list = field(default_factory=list)
-    final_state: object = None
+    Row i is round ``t0 + i``, through ``final_state.t``; rows from
+    ``switch`` on are Push-DIGing rounds (None: there are none).  A metric
+    is None when the run had no reference for it, and ``w_fp_err``, a
+    gradient-push metric, has no rows from ``switch`` on.  ``diverged``
+    flags the last row.  ``final_state`` is not serialized.
+    """
 
-    @property
-    def diverged(self):
-        return any(r.diverged for r in self.records)
+    t0: int
+    switch: int
+    sum_z_err: np.ndarray
+    w_fp_err: np.ndarray
+    w_opt_err: np.ndarray
+    diverged: bool
+    final_state: object
 
-    def column(self, name):
-        return [getattr(r, name) for r in self.records]
+    def __len__(self):
+        return self.final_state.t - self.t0 + 1
 
-    def last(self):
-        return self.records[-1]
+    def rows(self, names=TRACE_FIELDS):
+        """One tuple of the fields ``names`` per row, made as it is read: a
+        metric is a Python float (a memoryview yields them), or None where
+        its column has no row."""
+        n = len(self)
+        switch = n if self.switch is None else self.switch
+        cells = {"t": range(self.t0, self.t0 + n),
+                 "phase": chain(repeat("gp", switch), repeat("pd")),
+                 "diverged": chain(repeat(False, n - 1), [self.diverged])}
+        for name in METRICS:
+            column = getattr(self, name)
+            cells[name] = chain(() if column is None else memoryview(column), repeat(None))
+        return islice(zip(*(cells[name] for name in names)), n)
 
 
 def _check_shapes(net, ensemble, x0):
@@ -216,53 +230,41 @@ def _sum_z_err(z, x_star):
     return np.sqrt(_sum_squares(z - x_star)).sum(axis=-1)
 
 
-def _recorder(traces, net, refs, phase, mixed):
-    """A function appending one metrics record per row of a stacked state.
-
-    ``record(owners, ts, state, flags)`` measures a stacked state whose row
-    i belongs to ``traces[owners[i]]`` at round ``ts[i]``, flagged as
-    ``flags[i]``: (sum_z_err, w_fp_err, w_opt_err) of its ratios z and its
-    mixed state, the field ``mixed``, against the available references.
-    Each row has the bits of measuring it alone.  A trace whose last record
-    is flagged takes no more records, so it ends at its first flagged
-    round.  The optimum's mixed state n * pi_j * x_star and x_star repeated
-    on every agent are built once per run.
+def _recorder(net, refs, mixed, slices, rows, t0):
+    """The ``METRICS`` columns of ``slices`` runs over ``rows`` rounds from
+    round ``t0``, each a (slices, rows) array or None without its reference,
+    and ``record(live, t, state)``, which fills them from a stacked state
+    whose rows are the slices ``live`` at round t, then t + 1, and so on:
+    the metrics of its ratios z and its mixed state, the field ``mixed``,
+    each with the bits of measuring its state alone.  Rows past a slice's
+    flagged round may be filled; its trace ends there (``_traces``).
     """
-    if refs.x_star is not None:
+    has_opt, has_fp = refs.x_star is not None, refs.w_fixed is not None
+    columns = [np.empty((slices, max(rows, 0))) if has else None  # _sweep refuses rows < 0
+               for has in (has_opt, has_fp, has_opt)]
+    if has_opt:
         target = np.outer(net.n * net.pi, refs.x_star)
         x_star = np.tile(refs.x_star, (net.n, 1))
 
-    def record(owners, ts, state, flags):
-        sum_z = fp = opt = [None] * len(owners)
+    def record(live, t, state):
         w = getattr(state, mixed)
         with np.errstate(over="ignore", invalid="ignore"):
-            if refs.x_star is not None:
-                sum_z = _sum_z_err(state.z, x_star).tolist()
-                opt = pi_norm(w - target, net.pi).tolist()
-            if refs.w_fixed is not None:
-                fp = pi_norm(w - refs.w_fixed, net.pi).tolist()
-        for k, t, s, f, o, flag in zip(owners, ts, sum_z, fp, opt, flags):
-            records = traces[k].records
-            if not (records and records[-1].diverged):
-                records.append(RunRecord(t, phase, s, f, o, flag))
+            values = (_sum_z_err(state.z, x_star) if has_opt else None,
+                      pi_norm(w - refs.w_fixed, net.pi) if has_fp else None,
+                      pi_norm(w - target, net.pi) if has_opt else None)
+        start = t - t0
+        for column, v in zip(columns, values):
+            if column is not None:
+                column[live, start:start + len(v) // len(live)] = v.reshape(-1, len(live)).T
 
-    return record
+    return columns, record
 
 
-def _check_block(states, live, names, flagged, record):
-    """Flags of a block of stacked states, ``flags[i, k]`` for slice k at
-    round i, from one ``flagged`` call on the block's (B*K, n, d) stacks
-    (a block of one round is handed over as it is).  Then one ``record``
-    call, if given, on the whole block, round by round; the recorder ends
-    each trace at its first flag."""
-    b, k = len(states), len(live)
-    block = states[0] if b == 1 else replace(states[-1], **{
-        n: np.concatenate([getattr(s, n) for s in states]) for n in names})
-    flags = np.reshape(flagged(block), (b, k))
-    if record is not None:
-        record(live.tolist() * b, [t for s in states for t in [s.t] * k], block,
-               flags.ravel().tolist())
-    return flags
+def _traces(columns, ends, t0, switch):
+    """One RunTrace per slice from its columns and its (final state, flag)."""
+    return [RunTrace(t0, switch, *(None if c is None else c[k, :state.t - t0 + 1] for c in columns),
+                     bool(flag), state)
+            for k, (state, flag) in enumerate(ends)]
 
 
 def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None):
@@ -273,12 +275,13 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
     checked in blocks of B = ``_ROUND_BLOCK_FLOATS`` // the floats of one
     stacked state (at least one round, and the last block ends at round
     ``iters``): the block's states, the initial state included, go to one
-    ``flagged`` call and, if given, one ``record(owners, ts, state, flags)``
-    call as one (B*K, n, d) stack per field, round by round (see
-    ``_check_block``).  A slice leaves the stack after the block of its
-    first flagged round: it may be stepped to the block's end, but its
-    records and its final state, taken from the block's states, end at
-    that round.  Returns each slice's (final state, flagged), the state
+    ``flagged`` call, giving ``flags[i, k]`` for slice k at the block's
+    round i, and, if given, one ``record(live, t, state)`` call, as one
+    (B*K, n, d) stack per field, round by round (a block of one round is
+    handed over as it is).  A slice leaves the stack after the block of its
+    first flagged round: it may be stepped and measured to the block's
+    end, but its final state, taken from the block's states, ends at that
+    round.  Returns each slice's (final state, flagged), the state
     unstacked.
     """
     if iters < 0:
@@ -300,7 +303,12 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
         states.append(state)
         if (len(states) + 1) * slice_floats * len(live) <= _ROUND_BLOCK_FLOATS and r < iters:
             continue  # one more state fits in the block
-        flags = _check_block(states, live, names, flagged, record)
+        block = states[0] if len(states) == 1 else replace(states[-1], **{
+            n: np.concatenate([getattr(s, n) for s in states]) for n in names})
+        flags = np.reshape(flagged(block), (len(states), len(live)))
+        if record is not None:
+            record(live, states[0].t, block)
+        del block  # or it holds a stack a retirement replaces through the next step
         if r == iters or flags.any():
             last = np.where(flags.any(axis=0), flags.argmax(axis=0), len(states) - 1)
             keep = ~flags.any(axis=0) & (r < iters)
@@ -318,25 +326,22 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
 
 def gp_sweep(net, ensemble, alphas, x0, iters, refs=None):
     """Gradient-push from x0 at each stepsize of ``alphas``: one trace each,
-    starting with a t=0 record of the initial state (mixed state taken equal
-    to x0).  A slice stops at its first flagged record; the others run on.
+    starting with a t=0 row of the initial state (mixed state taken equal
+    to x0).  A slice stops at its first flagged row; the others run on.
     """
-    traces = [RunTrace() for _ in alphas]
-    record = _recorder(traces, net, refs or RunRefs(), PHASE_GP, "w")
+    columns, record = _recorder(net, refs or RunRefs(), "w", len(alphas), iters + 1, 0)
     ends = _sweep(net, ensemble, gp_step, gp_diverged, ("x", "w", "z"), alphas,
                   init_gp_state(net, ensemble, x0), iters, record)
-    for trace, (state, _) in zip(traces, ends):
-        trace.final_state = state
-    return traces
+    return _traces(columns, ends, 0, None)
 
 
 def gp_run(net, ensemble, alpha, x0, iters, refs=None):
     """Run gradient-push for ``iters`` rounds, recording metrics each round:
     the one-stepsize ``gp_sweep``.
 
-    The t=0 record measures the initial state (mixed state taken equal to
-    x0).  Stops early, with the offending record flagged, once any block
-    norm crosses the divergence threshold.
+    The t=0 row measures the initial state (mixed state taken equal to
+    x0).  Stops early, with the offending row flagged, once any block norm
+    crosses the divergence threshold.
     """
     return gp_sweep(net, ensemble, [alpha], x0, iters, refs)[0]
 
@@ -349,16 +354,16 @@ def pd_run(net, ensemble, alpha, init, iters, refs=None):
     (``DimensionMismatchError``, ``ValidationError``); that check costs one
     gradient evaluation.
 
-    In mixed-phase traces the Push-DIGing state variable x plays the role
-    of the mixed state for the optimality metric; the fixed-point metric is
-    left empty since the fixed point belongs to the gradient-push operator.
+    The Push-DIGing state variable x plays the role of the mixed state for
+    the optimality metric; the fixed-point metric is left empty since the
+    fixed point belongs to the gradient-push operator.
     """
     _check_pd_init(net, ensemble, init)
-    trace = RunTrace()
-    record = _recorder([trace], net, RunRefs(x_star=refs.x_star if refs else None), PHASE_PD, "x")
-    ((trace.final_state, _),) = _sweep(net, ensemble, pd_step, pd_diverged, ("x", "z", "v", "g"),
-                                       [alpha], init, iters, record)
-    return trace
+    columns, record = _recorder(net, RunRefs(x_star=refs.x_star if refs else None), "x", 1,
+                                iters + 1, init.t)
+    ends = _sweep(net, ensemble, pd_step, pd_diverged, ("x", "z", "v", "g"), [alpha], init,
+                  iters, record)
+    return _traces(columns, ends, init.t, 0)[0]
 
 
 def hybrid_run(net, ensemble, alpha_gp, alpha_pd, gp_iters, total_iters, x0,
@@ -367,10 +372,11 @@ def hybrid_run(net, ensemble, alpha_gp, alpha_pd, gp_iters, total_iters, x0,
 
     The handoff takes the mixed state w, the weights y and the ratios z of
     the last gradient-push round, and initializes the tracked gradients at
-    grad F(z).  The handoff state is already the last gradient-push record,
-    so the Push-DIGing initial record is dropped.  A warm start that was
-    flagged as diverged ends the trace at its flagged record: the flag may
-    come from x alone, which the handoff state does not carry.
+    grad F(z).  The handoff state is already the last gradient-push row,
+    so the Push-DIGing initial row is dropped and the phase switches at row
+    ``gp_iters + 1``.  A warm start that was flagged as diverged ends the
+    trace at its flagged row: the flag may come from x alone, which the
+    handoff state does not carry.
     """
     if not (0 <= gp_iters <= total_iters):
         raise ValidationError(f"need 0 <= gp_iters <= total_iters, got {gp_iters}, {total_iters}")
@@ -378,20 +384,15 @@ def hybrid_run(net, ensemble, alpha_gp, alpha_pd, gp_iters, total_iters, x0,
     if gp_iters == total_iters:
         return gp_run(net, ensemble, alpha_gp, x0, total_iters, refs)
     if gp_iters == 0:
-        init = init_pd_state(net, ensemble, x0)
-        return pd_run(net, ensemble, alpha_pd, init, total_iters, refs)
+        return pd_run(net, ensemble, alpha_pd, init_pd_state(net, ensemble, x0), total_iters, refs)
     head = gp_run(net, ensemble, alpha_gp, x0, gp_iters, refs)
     if head.diverged:
         return head
     gp_state = head.final_state
     g = grad_stack(ensemble, gp_state.z)
-    handoff = PushDigingState(
-        t=gp_state.t,
-        x=gp_state.w.copy(),
-        z=gp_state.z.copy(),
-        v=g,
-        g=g,
-        y=gp_state.y.copy(),
-    )
+    handoff = PushDigingState(t=gp_state.t, x=gp_state.w.copy(), z=gp_state.z.copy(), v=g, g=g,
+                              y=gp_state.y.copy())
     tail = pd_run(net, ensemble, alpha_pd, handoff, total_iters - gp_iters, refs)
-    return RunTrace(records=head.records + tail.records[1:], final_state=tail.final_state)
+    sum_z, opt = (h if h is None else np.concatenate((h, p[1:]))
+                  for h, p in ((head.sum_z_err, tail.sum_z_err), (head.w_opt_err, tail.w_opt_err)))
+    return RunTrace(head.t0, len(head), sum_z, head.w_fp_err, opt, tail.diverged, tail.final_state)

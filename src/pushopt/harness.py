@@ -13,6 +13,7 @@ Each scenario, with its runner and defaults, is listed once: in
 
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -191,27 +192,28 @@ def build_ensemble(cfg):
 
 
 _INTEGERS = (int, np.integer)  # the cells write_csv writes in decimal; bool is an int
+_CSV_BLOCK_ROWS = 2048  # rows formatted and written per write call
 
 
 def write_csv(path, header, rows):
     """Write a CSV, each cell formatted here: None empty, a string as it is,
     an integer (``bool`` and ``np.integer`` too) in decimal, anything else
-    with 17 significant digits (``%.17g``).  The one CSV row writer."""
+    with 17 significant digits (``%.17g``).  The one CSV row writer; it
+    writes ``_CSV_BLOCK_ROWS`` rows at a time."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([",".join(["" if v is None else v if isinstance(v, str)
-                                    else "%d" % v if isinstance(v, _INTEGERS)
-                                    else "%.17g" % v for v in row]) + "\n" for row in rows]))
-
-
-TRACE_HEADER = ("t", "phase", "sum_z_err", "w_fp_err", "w_opt_err", "diverged")
+        while block := "".join([",".join(["" if v is None else v if isinstance(v, str)
+                                          else "%d" % v if isinstance(v, _INTEGERS)
+                                          else "%.17g" % v for v in row]) + "\n"
+                                for row in islice(rows, _CSV_BLOCK_ROWS)]):
+            fh.write(block)
 
 
 def trace_to_csv(trace, path):
     """Write the canonical run-trace CSV through ``write_csv``, one row per
-    RunRecord."""
-    write_csv(path, TRACE_HEADER, ((r.t, r.phase, r.sum_z_err, r.w_fp_err, r.w_opt_err,
-                                    r.diverged) for r in trace.records))
+    round (``RunTrace.rows``)."""
+    write_csv(path, alg.TRACE_FIELDS, trace.rows())
 
 
 def write_json(path, payload):
@@ -511,9 +513,8 @@ def _run_fig35(cfg, net, ensemble, out):
     refs = alg.RunRefs(x_star=x_star, w_fixed=fp.w)
     trace = alg.gp_run(net, ensemble, cert.alpha0, np.zeros((net.n, ensemble.d)),
                        cfg.run_iters, refs)
-    fp_errors = trace.column("w_fp_err")
-    write_csv(out / "fp_convergence.csv", ("t", "w_fp_err"),
-              [(r.t, r.w_fp_err) for r in trace.records])
+    fp_errors = trace.w_fp_err.tolist()  # the envelope check's loop runs faster on floats
+    write_csv(out / "fp_convergence.csv", ("t", "w_fp_err"), trace.rows(("t", "w_fp_err")))
 
     constants = _base_constants(net, ensemble, cert)
     constants["fixed_point_residual"] = fp.residual
@@ -543,7 +544,7 @@ def _run_fig46(cfg, net, ensemble, out):
         manifest.append(name)
         diverged[f"{mult:g}"] = trace.diverged
         if mult in cfg.multipliers:
-            plateaus.append(plateau_level(trace.column("w_opt_err")))
+            plateaus.append(plateau_level(trace.w_opt_err))
     bounds = [op.optimality_gap_bound(net, ensemble, cert, m * cert.alpha0)
               for m in cfg.multipliers]
     constants = _base_constants(net, ensemble, cert)
@@ -575,16 +576,12 @@ def _run_fig1(cfg, net, ensemble, out):
     constants = _base_constants(net, ensemble, cert)
     constants["alpha_gp"] = alpha_gp
     constants["alpha_pd"] = alpha_pd
-    constants["final_sum_z_err"] = {
-        "gp": gp.last().sum_z_err,
-        "pd": pd.last().sum_z_err,
-        "hybrid": hybrid.last().sum_z_err,
-    }
-    hybrid_wins = hybrid.last().sum_z_err <= pd.last().sum_z_err
+    final = {"gp": float(gp.sum_z_err[-1]), "pd": float(pd.sum_z_err[-1]),
+             "hybrid": float(hybrid.sum_z_err[-1])}
+    constants["final_sum_z_err"] = final
     assertions = [_assertion(
         "hybrid_final_at_most_pd",
-        (hybrid_wins,
-         f"hybrid {hybrid.last().sum_z_err:.4e} vs pd {pd.last().sum_z_err:.4e}"),
+        (final["hybrid"] <= final["pd"], f"hybrid {final['hybrid']:.4e} vs pd {final['pd']:.4e}"),
     )]
     return constants, assertions, manifest
 

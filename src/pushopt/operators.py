@@ -553,9 +553,9 @@ def perturbation_product(alpha, coeff, rate, rho):
     """
     if not (0.0 <= rho < 1.0):
         raise InvalidRateError(f"mixing rate {rho} outside [0, 1)")
-    if coeff < 0.0:
+    if not coeff >= 0.0:  # NaN fails each domain check
         raise InvalidRateError("perturbation coefficient must be nonnegative")
-    if rate * alpha >= 1.0 or alpha <= 0.0:
+    if not (alpha > 0.0 and rate * alpha < 1.0):
         raise InvalidRateError(f"need 0 < alpha and rate * alpha < 1, got {rate * alpha}")
     term = alpha * coeff / (1.0 - rate * alpha)
     log_value = 0.0

@@ -137,7 +137,7 @@ def test_criterion_02_fixed_point_convergence(scenario_instances, case1_instance
         refs = alg.RunRefs(x_star=None, w_fixed=fp.w)
         trace = alg.gp_run(inst.net, inst.ensemble, inst.alpha0,
                            np.zeros((inst.net.n, inst.ensemble.d)), 1000, refs)
-        errors = trace.column("w_fp_err")
+        errors = trace.w_fp_err
         dominated, detail2 = hz.check_envelope_domination(cert, errors)
         ok = dominated
         if scenario:
@@ -187,7 +187,7 @@ def test_criterion_04_plateau_ordering(scenario_instances):
         for mult in (0.2, 0.5, 1.0):
             trace = alg.gp_run(inst.net, inst.ensemble, mult * inst.alpha0,
                                np.zeros((inst.net.n, inst.ensemble.d)), 1000, refs)
-            plateaus.append(hz.plateau_level(trace.column("w_opt_err")))
+            plateaus.append(hz.plateau_level(trace.w_opt_err))
             bounds.append(op.optimality_gap_bound(inst.net, inst.ensemble, cert,
                                                   mult * inst.alpha0) + 1e-12)
         ordered, d1 = hz.check_plateau_ordering(plateaus)
@@ -249,7 +249,7 @@ def test_criterion_06_push_diging_exact_convergence(fig1_instances):
         trace = alg.pd_run(net, ens, tuned,
                            alg.init_pd_state(net, ens, np.zeros((net.n, ens.d))),
                            5000, alg.RunRefs(x_star=x_star))
-        best = min(v for v in trace.column("sum_z_err") if v is not None)
+        best = min(trace.sum_z_err.tolist())
         finals.append(best)
         ok_all &= best <= 1e-8
     _report(6, "Push-DIGing below 1e-8 within 5000 rounds", ok_all,
@@ -267,8 +267,8 @@ def test_criterion_07_hybrid_superiority(fig1_instances):
         x0 = np.zeros((net.n, ens.d))
         pd = alg.pd_run(net, ens, tuned, alg.init_pd_state(net, ens, x0), 500, refs)
         hybrid = alg.hybrid_run(net, ens, alpha0, tuned, 100, 500, x0, refs)
-        pairs.append((hybrid.last().sum_z_err, pd.last().sum_z_err))
-        wins += hybrid.last().sum_z_err <= pd.last().sum_z_err
+        pairs.append((hybrid.sum_z_err[-1], pd.sum_z_err[-1]))
+        wins += bool(hybrid.sum_z_err[-1] <= pd.sum_z_err[-1])
     ok = wins >= 9
     _report(7, "hybrid final error at most Push-DIGing's", ok, f"{wins}/10 seeds")
     assert ok

@@ -134,14 +134,14 @@ def test_pd_default_init_and_empty_run(net20, ens_case1):
     assert np.array_equal(init.v, co.grad_stack(ens_case1, x0))
     assert np.all(init.y == 1.0)
     trace = alg.pd_run(net20, ens_case1, 0.001, init, 0)
-    assert len(trace.records) == 1 and trace.records[0].t == 0
+    assert len(trace) == 1 and trace.t0 == 0 and trace.sum_z_err is None
 
 
 def test_pd_run_decays_geometrically(net20, ens_case1):
     x_star = co.ensemble_minimizer(ens_case1)
     init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
     trace = alg.pd_run(net20, ens_case1, 0.004, init, 1500, alg.RunRefs(x_star=x_star))
-    err = np.array(trace.column("sum_z_err"))
+    err = trace.sum_z_err
     # fitted tail rate strictly below one after burn-in
     tail = err[500:]
     rate = np.exp(np.polyfit(np.arange(len(tail)), np.log(tail), 1)[0])
@@ -155,14 +155,13 @@ def test_trace_records_strictly_increasing_and_flags(net20, ens_case1):
     trace = alg.gp_run(net20, ens_case1, 5.0 * alpha0,
                        np.ones((net20.n, ens_case1.d)), 400,
                        alg.RunRefs(x_star=x_star))
-    ts = trace.column("t")
+    ts, flags = zip(*trace.rows(("t", "diverged")))
     assert all(b - a == 1 for a, b in zip(ts, ts[1:]))
     assert trace.diverged
-    assert trace.records[-1].diverged and not trace.records[0].diverged
-    assert len(trace.records) < 401  # truncated at the flagged record
-    # flag matches the documented threshold on the preceding record
-    prev = trace.records[-2]
-    assert not prev.diverged
+    assert flags[-1] and not flags[0]
+    assert len(trace) < 401  # truncated at the flagged row
+    # flag matches the documented threshold on the preceding row
+    assert not flags[-2]
 
 
 def test_divergence_threshold_definition(net20, ens_case1):
@@ -189,13 +188,13 @@ def test_hybrid_edges_match_pure_runs(net20, ens_case1):
     pure_pd = alg.pd_run(net20, ens_case1, 0.003,
                          alg.init_pd_state(net20, ens_case1, x0), 50, refs)
     all_pd = alg.hybrid_run(net20, ens_case1, alpha0, 0.003, 0, 50, x0, refs)
-    assert [r.sum_z_err for r in all_pd.records] == [r.sum_z_err for r in pure_pd.records]
-    assert all(r.phase == "pd" for r in all_pd.records)
+    assert all_pd.sum_z_err.tolist() == pure_pd.sum_z_err.tolist()
+    assert {phase for (phase,) in all_pd.rows(("phase",))} == {"pd"}
 
     pure_gp = alg.gp_run(net20, ens_case1, alpha0, x0, 50, refs)
     all_gp = alg.hybrid_run(net20, ens_case1, alpha0, 0.003, 50, 50, x0, refs)
-    assert [r.sum_z_err for r in all_gp.records] == [r.sum_z_err for r in pure_gp.records]
-    assert all(r.phase == "gp" for r in all_gp.records)
+    assert all_gp.sum_z_err.tolist() == pure_gp.sum_z_err.tolist()
+    assert {phase for (phase,) in all_gp.rows(("phase",))} == {"gp"}
 
 
 def test_hybrid_handoff_structure(net20, ens_case1):
@@ -204,14 +203,13 @@ def test_hybrid_handoff_structure(net20, ens_case1):
     x0 = np.zeros((net20.n, ens_case1.d))
     alpha0, _ = op.contraction_constant(net20, ens_case1)
     trace = alg.hybrid_run(net20, ens_case1, alpha0, 0.003, 20, 60, x0, refs)
-    phases = trace.column("phase")
+    ts, phases = map(list, zip(*trace.rows(("t", "phase"))))
     assert phases[:21] == ["gp"] * 21
     assert phases[21:] == ["pd"] * 40
-    ts = trace.column("t")
     assert ts == list(range(61))
     # the handoff reuses the warm-started mixed state, so the pd phase
     # starts from the gp phase's error level, not from scratch
-    assert trace.records[21].sum_z_err <= 2.0 * trace.records[20].sum_z_err
+    assert trace.sum_z_err[21] <= 2.0 * trace.sum_z_err[20]
 
 
 # at 20 alpha0 the warm start is flagged on x alone, so the handoff state
@@ -222,9 +220,71 @@ def test_hybrid_stops_at_a_diverged_warm_start(net20, ens_case1, mult):
     alpha0, _ = op.contraction_constant(net20, ens_case1)
     trace = alg.hybrid_run(net20, ens_case1, mult * alpha0, 0.003, 300, 500,
                            np.ones((net20.n, ens_case1.d)), alg.RunRefs(x_star=x_star))
-    flags = trace.column("diverged")
+    flags, phases = map(list, zip(*trace.rows(("diverged", "phase"))))
     assert trace.diverged and flags.index(True) == len(flags) - 1
-    assert trace.last().phase == "gp"
+    assert trace.switch is None and phases[-1] == "gp"
+
+
+@pytest.mark.parametrize("gp_iters", [0, 1, 20, 60])
+def test_hybrid_trace_switches_phase_at_gp_iters(net20, ens_case1, gp_iters):
+    """Rows through round gp_iters are gradient-push rows (none when the
+    run is all Push-DIGing), the rest Push-DIGing rows."""
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens_case1))
+    alpha0, _ = op.contraction_constant(net20, ens_case1)
+    trace = alg.hybrid_run(net20, ens_case1, alpha0, 0.003, gp_iters, 60,
+                           np.zeros((net20.n, ens_case1.d)), refs)
+    gp_rows = gp_iters + 1 if gp_iters else 0
+    phases = [phase for (phase,) in trace.rows(("phase",))]
+    assert phases == ["gp"] * gp_rows + ["pd"] * (61 - gp_rows)
+    assert len(trace) == len(trace.sum_z_err) == len(trace.w_opt_err) == 61
+
+
+def test_a_flagged_trace_ends_at_its_first_flagged_row(net20, ens_case1):
+    """Stacked or single, a flagged trace's last row is the first round
+    whose state is flagged, and only that row carries the flag."""
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens_case1))
+    alpha0, _ = op.contraction_constant(net20, ens_case1)
+    x0 = np.ones((net20.n, ens_case1.d))
+    alphas = [0.5 * alpha0, 5.0 * alpha0, 20.0 * alpha0]
+    swept = alg.gp_sweep(net20, ens_case1, alphas, x0, 400, refs)
+    for alpha, stacked in zip(alphas, swept):
+        single = alg.gp_run(net20, ens_case1, alpha, x0, 400, refs)
+        for trace in (stacked, single):
+            state = trace.final_state
+            assert trace.diverged == (alpha > alpha0) == alg.gp_diverged(state)
+            assert len(trace) == len(trace.sum_z_err) == state.t + 1
+            flags = [flag for (flag,) in trace.rows(("diverged",))]
+            assert flags == [False] * state.t + [trace.diverged]
+            if trace.diverged:
+                assert not alg.gp_run(net20, ens_case1, alpha, x0, state.t - 1).diverged
+    init = alg.init_pd_state(net20, ens_case1, x0)
+    trace = alg.pd_run(net20, ens_case1, 0.2, init, 300, refs)
+    assert trace.diverged and alg.pd_diverged(trace.final_state)
+    assert not alg.pd_run(net20, ens_case1, 0.2, init, trace.final_state.t - 1).diverged
+    assert len(trace.sum_z_err) == trace.final_state.t + 1
+
+
+def test_a_trace_holds_its_columns_and_writes_its_csv_in_blocks(net20, ens_case1, tmp_path):
+    """A 20,000-round run keeps at most 40 bytes a round (three float64
+    columns take 24), and writing its CSV adds at most 1 MB."""
+    iters = 20000
+    x0 = np.zeros((net20.n, ens_case1.d))
+    refs = alg.RunRefs(x_star=co.ensemble_minimizer(ens_case1), w_fixed=x0)
+    alpha0, _ = op.contraction_constant(net20, ens_case1)
+    alg.gp_run(net20, ens_case1, alpha0, x0, 5, refs)  # warm every cache first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = alg.gp_run(net20, ens_case1, alpha0, x0, iters, refs)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        hz.trace_to_csv(trace, tmp_path / "trace.csv")
+        written = tracemalloc.get_traced_memory()[1] - before - held
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == iters + 1
+    assert held <= 40 * (iters + 1), held
+    assert written <= 1 << 20, written
 
 
 def test_hybrid_validation(net20, ens_case1):
@@ -294,7 +354,7 @@ def test_runs_stay_under_certified_envelope(net20, ens_case1):
         trace = alg.gp_run(net20, ens_case1, mult * cert.alpha0,
                            np.zeros((net20.n, ens_case1.d)), 600,
                            alg.RunRefs(w_fixed=fp.w))
-        ok, detail = check_envelope_domination(cert_a, trace.column("w_fp_err"))
+        ok, detail = check_envelope_domination(cert_a, trace.w_fp_err)
         assert ok, detail
 
 

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_builders_deterministic():
     assert np.array_equal(ea.lin_stack, eb.lin_stack)
 
 
-def test_write_csv_formatting(tmp_path):
+def test_write_csv_formatting(tmp_path, monkeypatch):
     path = tmp_path / "x.csv"
     hz.write_csv(path, ("a", "b", "c"), [(1, None, 0.1), ("gp", 2.5, 3)])
     lines = path.read_text().splitlines()
@@ -116,23 +117,37 @@ def test_write_csv_formatting(tmp_path):
                                  float("nan"), float("inf"), -float("inf"), -0.0, 1e-300)])
     assert path.read_bytes() == (b"a\n-7,0.10000000000000001,0.10000000149011612,1,0,"
                                  b"nan,inf,-inf,-0,1e-300\n")
+    # rows are written in blocks: blocks of 3 rows give the bytes of one block,
+    # for a row count that fills its last block and one that does not
+    for count in (6, 7, 0):
+        rows = [(i, "gp" if i % 2 else None, i / 7, np.float64(-i)) for i in range(count)]
+        hz.write_csv(path, ("t", "s", "a", "b"), rows)
+        whole = path.read_bytes()
+        with monkeypatch.context() as patched:
+            patched.setattr(hz, "_CSV_BLOCK_ROWS", 3)
+            hz.write_csv(path, ("t", "s", "a", "b"), iter(rows))
+        assert path.read_bytes() == whole and whole.count(b"\n") == count + 1
 
 
 def test_trace_csv_has_the_bytes_of_write_csv(tmp_path):
-    """None metrics leave empty fields; non-finite values, a negative zero
-    and a diverged row are formatted as write_csv formats them."""
-    trace = alg.RunTrace(records=[
-        alg.RunRecord(0, "gp", 0.1, 2.5e-300, 1.0, False),
-        alg.RunRecord(1, "gp", 1 / 3, None, 7e22, False),
-        alg.RunRecord(2, "pd", None, None, None, False),
-        alg.RunRecord(3, "pd", float("nan"), None, -0.0, False),
-        alg.RunRecord(4, "pd", float("inf"), 1e-5, None, True),
-    ])
+    """A None column leaves empty fields, and so does w_fp_err from the
+    phase switch on; non-finite values, a negative zero and the flagged
+    last row are formatted as write_csv formats them."""
+    nan, inf = float("nan"), float("inf")
+    trace = alg.RunTrace(t0=3, switch=2,
+                         sum_z_err=np.array([0.1, 1 / 3, nan, inf, 2.5e-300]),
+                         w_fp_err=np.array([7e22, -0.0]), w_opt_err=None, diverged=True,
+                         final_state=SimpleNamespace(t=7))
+    rows = [(3, "gp", 0.1, 7e22, None, False), (4, "gp", 1 / 3, -0.0, None, False),
+            (5, "pd", nan, None, None, False), (6, "pd", inf, None, None, False),
+            (7, "pd", 2.5e-300, None, None, True)]
+    assert len(trace) == 5
     hz.trace_to_csv(trace, tmp_path / "trace.csv")
-    hz.write_csv(tmp_path / "rows.csv", hz.TRACE_HEADER,
-                 [(r.t, r.phase, r.sum_z_err, r.w_fp_err, r.w_opt_err, int(r.diverged))
-                  for r in trace.records])
-    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    hz.write_csv(tmp_path / "rows.csv", alg.TRACE_FIELDS, rows)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes() == (
+        b"t,phase,sum_z_err,w_fp_err,w_opt_err,diverged\n"
+        b"3,gp,0.10000000000000001,7.0000000000000004e+22,,0\n"
+        b"4,gp,0.33333333333333331,-0,,0\n5,pd,nan,,,0\n6,pd,inf,,,0\n7,pd,2.5e-300,,,1\n")
 
 
 def test_loglog_slope_and_plateau():

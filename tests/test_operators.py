@@ -558,6 +558,12 @@ def test_perturbation_product_values():
         op.perturbation_product(0.1, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidRateError, match="coefficient"):
         op.perturbation_product(0.1, -1.0, 1.0, 0.5)
+    nan = float("nan")
+    with pytest.raises(InvalidRateError, match="coefficient"):
+        op.perturbation_product(0.1, nan, 1.0, 0.5)
+    for alpha, rate in ((nan, 1.0), (0.1, nan)):
+        with pytest.raises(InvalidRateError, match="rate \\* alpha"):
+            op.perturbation_product(alpha, 1.0, rate, 0.5)
 
 
 def test_perturbation_product_overflow_is_a_numeric_error():

@@ -208,7 +208,7 @@ def test_pd_run_rejects_malformed_initial_states(net20, ens_case1):
     for bad in (alg.PushDigingState(**{**good.__dict__, "g": one_ulp}), stale):
         with pytest.raises(ValidationError, match="bit for bit"):
             alg.pd_run(net20, ens_case1, 0.001, bad, 5)
-    assert len(alg.pd_run(net20, ens_case1, 0.001, good, 5).records) == 6
+    assert len(alg.pd_run(net20, ens_case1, 0.001, good, 5)) == 6
 
 
 def _count_gradients(monkeypatch):

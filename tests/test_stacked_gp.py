@@ -7,11 +7,13 @@ recorder measured a whole stack, and ``own_grad_stack`` the library's
 ``grad_stack`` called on each (n, d) state alone.  ``broadcast_gp_step``
 and ``broadcast_pd_step`` are the round steps as they were before they
 divided (K, n*d) rows by y.  All are the library code as it was, or as it
-runs one state; the stacked paths must match them record for record and
-bit for bit.
+runs one state; the stacked paths must match them row for row and bit for
+bit.  A legacy run returns a ``Legacy`` trace: a table of its rows, in
+``alg.TRACE_FIELDS`` order, and its final state.
 """
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -33,7 +35,19 @@ def legacy_pi_norm(w, pi):
     return float(np.sqrt(((w * w).sum(axis=1) / pi).sum()))
 
 
-def legacy_recorder(trace, net, refs, phase):
+class Legacy(NamedTuple):
+    table: list
+    final_state: object
+
+    def rows(self):
+        return self.table
+
+    @property
+    def diverged(self):
+        return self.table[-1][-1]
+
+
+def legacy_recorder(rows, net, refs, phase):
     target = None if refs.x_star is None else np.outer(net.n * net.pi, refs.x_star)
 
     def record(mixed, z, t, diverged):
@@ -45,19 +59,18 @@ def legacy_recorder(trace, net, refs, phase):
                 opt = legacy_pi_norm(mixed - target, net.pi)
             if refs.w_fixed is not None:
                 fp = legacy_pi_norm(mixed - refs.w_fixed, net.pi)
-        trace.records.append(alg.RunRecord(t=t, phase=phase, sum_z_err=sum_z, w_fp_err=fp,
-                                           w_opt_err=opt, diverged=bool(diverged)))
+        rows.append((t, phase, sum_z, fp, opt, bool(diverged)))
 
     return record
 
 
 def legacy_gp_run(net, ensemble, alpha, x0, iters, refs=None):
     state = alg.init_gp_state(net, ensemble, x0)
-    trace = alg.RunTrace()
-    record = legacy_recorder(trace, net, refs or alg.RunRefs(), alg.PHASE_GP)
+    rows = []
+    record = legacy_recorder(rows, net, refs or alg.RunRefs(), "gp")
     record(state.w, state.z, 0, alg.gp_diverged(state))
     for _ in range(iters):
-        if trace.records[-1].diverged:
+        if rows[-1][-1]:
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             w = net.W @ state.x
@@ -66,22 +79,20 @@ def legacy_gp_run(net, ensemble, alpha, x0, iters, refs=None):
             x = w - alpha * own_grad_stack(ensemble, z)
         state = alg.GradientPushState(t=state.t + 1, x=x, w=w, z=z, y=y)
         record(state.w, state.z, state.t, alg.gp_diverged(state))
-    trace.final_state = state
-    return trace
+    return Legacy(rows, state)
 
 
 def legacy_pd_run(net, ensemble, alpha, init, iters, refs):
     state = init
-    trace = alg.RunTrace()
-    record = legacy_recorder(trace, net, alg.RunRefs(x_star=refs.x_star), alg.PHASE_PD)
+    rows = []
+    record = legacy_recorder(rows, net, alg.RunRefs(x_star=refs.x_star), "pd")
     record(state.x, state.z, state.t, alg.pd_diverged(state))
     for _ in range(iters):
-        if trace.records[-1].diverged:
+        if rows[-1][-1]:
             break
         state = alg.pd_step(net, ensemble, alpha, state)
         record(state.x, state.z, state.t, alg.pd_diverged(state))
-    trace.final_state = state
-    return trace
+    return Legacy(rows, state)
 
 
 def same_bits(a, b):
@@ -89,14 +100,14 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def record_bits(r):
-    metrics = (r.sum_z_err, r.w_fp_err, r.w_opt_err)
-    return (r.t, r.phase, r.diverged,
-            *(None if v is None else np.float64(v).tobytes() for v in metrics))
+def row_bits(row):
+    t, phase, *metrics, diverged = row
+    return (t, phase, diverged, *(None if v is None else np.float64(v).tobytes() for v in metrics))
 
 
 def assert_same_trace(mine, ref):
-    assert [record_bits(r) for r in mine.records] == [record_bits(r) for r in ref.records]
+    """Two traces, ``Legacy`` or not: rows, their bits and the final state."""
+    assert [row_bits(r) for r in mine.rows()] == [row_bits(r) for r in ref.rows()]
     assert type(mine.final_state) is type(ref.final_state)
     assert mine.final_state.t == ref.final_state.t
     for name in ("x", "z", "y") + (("w",) if hasattr(ref.final_state, "w") else ("v", "g")):
@@ -138,7 +149,7 @@ def test_slices_leave_the_stack_at_their_flagged_round():
     ends = [(t.final_state.t, t.diverged) for t in traces]
     assert ends == [(1000, False), (50, True), (1000, False), (16, True), (1000, False)]
     for trace in traces:
-        assert [r.diverged for r in trace.records[:-1]] == [False] * (len(trace.records) - 1)
+        assert [flag for (flag,) in trace.rows(("diverged",))][:-1] == [False] * (len(trace) - 1)
 
 
 def test_one_stepsize_sweep_is_gp_run(net20, ens_case1):
@@ -173,7 +184,7 @@ def test_hybrid_handoff_matches_the_per_run_warm_start(net20, ens_case1, alpha_m
         handoff = alg.PushDigingState(t=gp.t, x=gp.w.copy(), z=gp.z.copy(), v=g, g=g,
                                       y=gp.y.copy())
         tail = legacy_pd_run(net20, ens_case1, 0.01, handoff, 140, refs)
-        ref = alg.RunTrace(records=head.records + tail.records[1:], final_state=tail.final_state)
+        ref = Legacy(head.table + tail.table[1:], tail.final_state)
     assert hybrid.diverged == (alpha_mult > 1.0)
     assert_same_trace(hybrid, ref)
 
@@ -353,7 +364,7 @@ def test_round_blocks_do_not_change_gradient_push_bits(monkeypatch, rounds):
     x0 = np.full((net.n, ens.d), 1e12)
     alphas = [m * alpha0 for m in mults]
     for alpha, trace in zip(alphas, alg.gp_sweep(net, ens, alphas, x0, 20, refs)):
-        assert len(trace.records) == 1
+        assert len(trace) == 1
         assert_same_trace(trace, legacy_gp_run(net, ens, alpha, x0, 20, refs))
 
 
@@ -408,8 +419,8 @@ def test_round_blocks_check_and_record_once_per_block(monkeypatch, net20, ens_ca
         checks.append(len(state.x))
         return alg.gp_diverged(state)
 
-    def record(owners, ts, state, flags):
-        recorded.append(ts)
+    def record(live, t, state):
+        recorded.append(list(range(t, t + len(state.x))))
 
     iters = 300
     ((end, flag),) = alg._sweep(net20, ens_case1, alg.gp_step, flagged, ("x", "w", "z"),

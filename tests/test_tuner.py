@@ -22,8 +22,8 @@ def sequential_outcome(net, ensemble, a, iters, x_star):
     x0 = np.zeros((net.n, ensemble.d))
     trace = alg.pd_run(net, ensemble, a, alg.init_pd_state(net, ensemble, x0), iters,
                        alg.RunRefs(x_star=x_star))
-    last = None if trace.diverged else trace.last().sum_z_err
-    return trace.diverged, trace.records[0].sum_z_err, last
+    last = None if trace.diverged else float(trace.sum_z_err[-1])
+    return trace.diverged, float(trace.sum_z_err[0]), last
 
 
 def sequential_walk(net, ensemble, grid_start, grid_step, budget, iters=500):
