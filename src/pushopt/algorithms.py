@@ -18,19 +18,20 @@ Carrying g makes one gradient evaluation per round: grad F(z_old) is the
 previous round's g_new, so the round is bit-identical to recomputing it.
 
 Every run goes through one stacked round loop, ``_sweep``, which runs K
-stepsizes as one (K, n, d) state.  The weights y do not depend on the
-stepsize, so the stack shares one (n,) y and each round makes one ``W @ y``;
-``W @ x`` is one gemm per slice, and the gradient is one ``grad_stack``
-call (a gemm per agent and 4-slice block).  The divergence check and the
-trace metrics run on blocks of rounds: the loop steps B rounds, B =
-``_ROUND_BLOCK_FLOATS`` // the floats of one stacked state, and checks and
-measures the B states as one (B*K, n, d) stack, one call each.  A large
-stack (the tuner's 200 candidates, fig4 at n=400) gets B = 1, a check every
-round.  Every slice rounds and is measured bit for bit like its own run.
-``gp_sweep``, ``pd_run`` (K=1) and the Push-DIGing tuner are its callers.
-A run's ``RunTrace`` is columnar: one float64 array per metric, each block
-written with one slice assignment, and ``RunTrace.rows`` makes the rows a
-trace CSV writes.
+stepsizes as one (K, n, d) state, each slice rounding and measured bit for
+bit like its own run.  Each stacked field has one block buffer of B states,
+B = ``_ROUND_BLOCK_FLOATS`` // the floats of one stacked state (two slots
+at B = 1), and each round's kernel writes the next slot in place.  The
+divergence check and the trace metrics run once per block, on its
+(B*K, n, d) views.  The stack shares one (n,) y from
+``network._push_sum_weights``, which stops multiplying by W once a product
+returns y's own bits (a few dozen rounds), so no later round makes a
+``W @ y`` and every bit stays as it was.  ``W @ x`` is one gemm per slice
+and the gradient one in-place ``costs._grad_into`` call.  ``gp_sweep``,
+``pd_run`` (K=1) and the Push-DIGing tuner call the loop; ``gp_step`` and
+``pd_step`` run one round of the same kernels into fresh arrays.  A run's
+``RunTrace`` is columnar: one float64 array per metric, and
+``RunTrace.rows`` makes the rows a trace CSV writes.
 
 The hybrid schedule runs gradient-push with a large stepsize for a warm
 start, then hands (w, y, z, grad F(z)) to Push-DIGing for exact
@@ -45,16 +46,19 @@ block's end, but its trace and its final state end at the flagged round.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, islice, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
-from .costs import grad_stack
+from .costs import _grad_into, _grad_pad, grad_stack
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import _sum_squares, pi_norm
+from .linalg import _CHUNK_FLOATS, _sum_squares, pi_norm
+from .network import _push_sum_weights
 
 DIVERGENCE_THRESHOLD = 1e12
-_ROUND_BLOCK_FLOATS = 1 << 13  # floats of the stacked states one divergence check takes
+_ROUND_BLOCK_FLOATS = _CHUNK_FLOATS  # floats of the stacked states one divergence check takes
 
 
 @dataclass(frozen=True)
@@ -144,19 +148,41 @@ def init_gp_state(net, ensemble, x0):
     return GradientPushState(t=0, x=x0.copy(), w=x0.copy(), z=x0.copy(), y=np.ones(net.n))
 
 
-def _ratios(a, y):
-    """``a / y[:, None]`` on (K, n*d) rows: n*d-long inner loops, not d-long ones."""
-    return (a.reshape(-1, a.shape[-2] * a.shape[-1]) / np.repeat(y, a.shape[-1])).reshape(a.shape)
+def _gradients(ensemble):
+    """``grad(u, out)``: ``costs._grad_into`` with padding buffers of its own."""
+    return partial(_grad_into, ensemble, pad=_grad_pad(ensemble))
+
+
+def _ratios(a, y_rows, out):
+    """``a / y[:, None]`` into ``out`` as (K, n*d) rows over y_rows = ``np.repeat(y, d)``."""
+    np.divide(a.reshape(-1, y_rows.size), y_rows, out=out.reshape(-1, y_rows.size))
+
+
+def _step(net, ensemble, alpha, state, kernel, names):
+    """One round of ``kernel`` from ``state`` into fresh arrays for its fields ``names``."""
+    shape = np.shape(state.x)
+    new = replace(state, t=state.t + 1, y=net.W @ state.y,
+                  **{name: np.empty(shape) for name in names})
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kernel(net, alpha, _gradients(ensemble), state, new, np.repeat(new.y, shape[-1]))
+    return new
+
+
+def _gp_round(net, alpha, grad, state, new, y_rows):
+    """One gradient-push round from the arrays of ``state`` into those of
+    ``new``, in the exact update order w, y, z, x; ``y_rows`` is the round's
+    weights, each repeated d times, and ``grad(u, out)`` writes grad F(u) into out."""
+    np.matmul(net.W, state.x, out=new.w)
+    _ratios(new.w, y_rows, new.z)
+    x = new.x
+    grad(new.z, x)
+    x *= alpha
+    np.subtract(new.w, x, out=x)
 
 
 def gp_step(net, ensemble, alpha, state):
     """One gradient-push round, in the exact update order w, y, z, x."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = net.W @ state.x
-        y = net.W @ state.y
-        z = _ratios(w, y)
-        x = w - alpha * grad_stack(ensemble, z)
-    return GradientPushState(t=state.t + 1, x=x, w=w, z=z, y=y)
+    return _step(net, ensemble, alpha, state, _gp_round, ("x", "w", "z"))
 
 
 def init_pd_state(net, ensemble, x0):
@@ -183,17 +209,28 @@ def _check_pd_init(net, ensemble, init):
         )
 
 
+def _pd_round(net, alpha, grad, state, new, y_rows):
+    """One Push-DIGing round from the arrays of ``state`` into those of
+    ``new``; v mixes the old gradients, then swaps new for old."""
+    x, v = new.x, new.v
+    np.matmul(net.W, state.v, out=v)
+    np.matmul(net.W, state.x, out=x)
+    np.multiply(alpha, state.v, out=new.z)  # alpha v, until the ratios overwrite it
+    x -= new.z
+    _ratios(x, y_rows, new.z)
+    grad(new.z, new.g)
+    v += new.g
+    v -= state.g
+
+
 def pd_step(net, ensemble, alpha, state):
     """One Push-DIGing round; v mixes the old gradients, then swaps new for old."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = net.W @ state.v  # first, then updated in place: a stacked round keeps a steady heap
-        x = net.W @ state.x - alpha * state.v
-        y = net.W @ state.y
-        z = _ratios(x, y)
-        g = grad_stack(ensemble, z)
-        v += g
-        v -= state.g
-    return PushDigingState(t=state.t + 1, x=x, z=z, v=v, g=g, y=y)
+    return _step(net, ensemble, alpha, state, _pd_round, ("x", "z", "v", "g"))
+
+
+# the round kernel ``_sweep`` runs for a step (``functools.wraps`` copies it
+# onto a wrapper of the step)
+gp_step.round, pd_step.round = _gp_round, _pd_round
 
 
 def _blocks_exceeded(arrays):
@@ -248,10 +285,9 @@ def _recorder(net, refs, mixed, slices, rows, t0):
 
     def record(live, t, state):
         w = getattr(state, mixed)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = (_sum_z_err(state.z, x_star) if has_opt else None,
-                      pi_norm(w - refs.w_fixed, net.pi) if has_fp else None,
-                      pi_norm(w - target, net.pi) if has_opt else None)
+        values = (_sum_z_err(state.z, x_star) if has_opt else None,
+                  pi_norm(w - refs.w_fixed, net.pi) if has_fp else None,
+                  pi_norm(w - target, net.pi) if has_opt else None)
         start = t - t0
         for column, v in zip(columns, values):
             if column is not None:
@@ -270,19 +306,15 @@ def _traces(columns, ends, t0, switch):
 def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None):
     """Run ``init`` for ``iters`` rounds at each stepsize of ``alphas``.
 
-    The fields ``names`` of ``init`` are stacked, one slice per stepsize.
-    Each round makes one ``step`` (a block's first without z).  Rounds are
-    checked in blocks of B = ``_ROUND_BLOCK_FLOATS`` // the floats of one
-    stacked state (at least one round, and the last block ends at round
-    ``iters``): the block's states, the initial state included, go to one
-    ``flagged`` call, giving ``flags[i, k]`` for slice k at the block's
-    round i, and, if given, one ``record(live, t, state)`` call, as one
-    (B*K, n, d) stack per field, round by round (a block of one round is
-    handed over as it is).  A slice leaves the stack after the block of its
-    first flagged round: it may be stepped and measured to the block's
-    end, but its final state, taken from the block's states, ends at that
-    round.  Returns each slice's (final state, flagged), the state
-    unstacked.
+    The fields ``names`` of ``init`` are stacked, one slice per stepsize,
+    and each round runs ``step.round`` from one slot of the block buffers
+    into the next (never onto itself).  A block, its first holding round
+    0, goes as (B*K, n, d) views to one ``flagged`` call, giving
+    ``flags[i, k]`` for slice k at the block's round i, and, if given, one
+    ``record(live, t, state)`` call.  A slice leaves the stack after the
+    block of its first flagged round: its final state is copied from the
+    block at that round.  The slices left get new buffers.  Returns each
+    slice's (final state, flagged), the state unstacked.
     """
     if iters < 0:
         raise ValidationError("iteration count must be >= 0")
@@ -291,37 +323,54 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
     out = [None] * len(alphas)
     live = np.arange(len(alphas))  # the stepsize index of each slice of the stack
     alpha = np.asarray(alphas, dtype=float)[:, None, None]
-    state = replace(init, **{name: np.repeat(getattr(init, name)[None], len(alphas), axis=0)
-                             for name in names})
-    slice_floats = sum(np.size(getattr(init, n)) for n in names)
-    states = []
-    for r in range(iters + 1):
-        if r:
-            if not states:  # no held state has this z, which x / y recomputes: free it
-                state = replace(state, z=None)
-            state = step(net, ensemble, alpha, state)
-        states.append(state)
-        if (len(states) + 1) * slice_floats * len(live) <= _ROUND_BLOCK_FLOATS and r < iters:
-            continue  # one more state fits in the block
-        block = states[0] if len(states) == 1 else replace(states[-1], **{
-            n: np.concatenate([getattr(s, n) for s in states]) for n in names})
-        flags = np.reshape(flagged(block), (len(states), len(live)))
-        if record is not None:
-            record(live, states[0].t, block)
-        del block  # or it holds a stack a retirement replaces through the next step
-        if r == iters or flags.any():
-            last = np.where(flags.any(axis=0), flags.argmax(axis=0), len(states) - 1)
-            keep = ~flags.any(axis=0) & (r < iters)
-            take = np.copy if keep.any() else (lambda a: a)  # a retiree must not hold the stack
-            for i in np.flatnonzero(~keep):
-                fields = {n: take(getattr(states[last[i]], n)[i]) for n in names}
-                out[live[i]] = replace(states[last[i]], **fields), flags[last[i], i]
-            if not keep.any():
-                break
-            live, alpha = live[keep], alpha[keep]
-            state = replace(state, **{n: getattr(state, n)[keep] for n in names})
-        states = []
-    return out
+    shape = np.shape(init.x)
+    weights, grad = _push_sum_weights(net.W, init.y), _gradients(ensemble)
+    state, t, slots, held = init, init.t, None, None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            if slots is None:  # a new stack: its buffers, and its last state in the last slot
+                rounds = max(1, _ROUND_BLOCK_FLOATS // (len(names) * len(live) * math.prod(shape)))
+                buffers = {n: np.empty((max(rounds, 2), len(live), *shape)) for n in names}
+                slots = [SimpleNamespace(**{n: b[i] for n, b in buffers.items()})
+                         for i in range(max(rounds, 2))]
+                if t > init.t:
+                    for n in names:
+                        getattr(slots[-1], n)[...] = getattr(state, n)
+                    state = slots[-1]
+                start = 1
+            start = 0 if rounds > 1 else 1 - start
+            size = min(rounds, init.t + iters + 1 - t)
+            ys = []
+            for i in range(start, start + size):
+                y = next(weights)
+                if t == init.t:
+                    for n in names:
+                        getattr(slots[i], n)[...] = getattr(init, n)
+                else:
+                    if y is not held:  # new weights: until they stop changing, every round
+                        held, y_rows = y, np.repeat(y, shape[-1])
+                    step.round(net, alpha, grad, state, slots[i], y_rows)
+                ys.append(y)
+                state, t = slots[i], t + 1
+            block = SimpleNamespace(**{n: b[start:start + size].reshape(-1, *shape)
+                                       for n, b in buffers.items()})
+            flags = np.reshape(flagged(block), (size, len(live)))
+            if record is not None:
+                record(live, t - size, block)
+            del block
+            if t > init.t + iters or flags.any():
+                last = np.where(flags.any(axis=0), flags.argmax(axis=0), size - 1)
+                keep = ~flags.any(axis=0) & (t <= init.t + iters)
+                for k in np.flatnonzero(~keep):
+                    i = int(last[k])
+                    fields = {n: getattr(slots[start + i], n)[k].copy() for n in names}
+                    out[live[k]] = (replace(init, t=t - size + i, y=ys[i].copy(), **fields),
+                                    flags[i, k])
+                if not keep.any():
+                    return out
+                live, alpha = live[keep], alpha[keep]
+                state = SimpleNamespace(**{n: getattr(state, n)[keep] for n in names})
+                buffers = slots = None  # freed before the new stack's buffers are made
 
 
 def gp_sweep(net, ensemble, alphas, x0, iters, refs=None):

@@ -241,30 +241,56 @@ def grad_stack(ensemble, u):
     Leading axes of u are carried through, so a (K, n, d) stack of points
     gives K gradient stacks, each slice bit-identical to its own (n, d)
     call: the slices are padded with zero slices to whole blocks of
-    ``_GRAD_ROWS`` = 4, and each block makes one (4 x d) (d x d) gemm per
-    agent j, its 4 rows of u_j times H_j^T (``ensemble.hess_t``).  So every
-    row, alone or stacked, goes through one gemm shape.  One gemm of K rows
-    per agent would be faster, but one row takes gemv, and at some d (17,
-    33) a larger gemm rounds its rows differently.  Overflow stays silent.
+    ``_GRAD_ROWS`` = 4 for ``_block_gemms``.  Overflow stays silent.
     """
     u = np.ascontiguousarray(u, dtype=float)  # a strided row would not go through BLAS
     n, d = ensemble.n, ensemble.d
     if u.shape[-2:] != (n, d):
         raise DimensionMismatchError(f"stacked point {u.shape} vs ensemble ({n}, {d})")
     k = u.size // (n * d)
-    blocks = -(-k // _GRAD_ROWS)
     rows = u
     if k % _GRAD_ROWS:
-        rows = np.zeros((blocks * _GRAD_ROWS, n, d))
+        rows = np.zeros((-(-k // _GRAD_ROWS) * _GRAD_ROWS, n, d))
         rows[:k] = u.reshape(k, n, d)
-    g = np.empty((blocks * _GRAD_ROWS, n, d))
-    shape = (blocks, _GRAD_ROWS, n, d)  # swapped to (blocks, n, 4, d): agent j's rows of a block
+    g = np.empty(rows.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(rows.reshape(shape).swapaxes(1, 2), ensemble.hess_t,
-                  out=g.reshape(shape).swapaxes(1, 2))
+        _block_gemms(ensemble, rows, g)
     g = g[:k].reshape(u.shape)
     g += ensemble.lin_stack
     return g
+
+
+def _block_gemms(ensemble, u, g):
+    """``g = grad F(u) - lin`` on whole blocks of 4 slices: one (4 x d) (d x d)
+    gemm per agent j and block, its 4 rows of u_j times H_j^T
+    (``ensemble.hess_t``).  So every row, alone or stacked, goes through one
+    gemm shape: one row alone would take gemv, and at some d (17, 33) a
+    larger gemm rounds its rows differently."""
+    shape = (-1, _GRAD_ROWS, ensemble.n, ensemble.d)  # swapped to (blocks, n, 4, d)
+    np.matmul(u.reshape(shape).swapaxes(1, 2), ensemble.hess_t,
+              out=g.reshape(shape).swapaxes(1, 2))
+
+
+def _grad_pad(ensemble):
+    """The two 4-slice buffers ``_grad_into`` pads a last, partial block in."""
+    shape = (_GRAD_ROWS, ensemble.n, ensemble.d)
+    return np.zeros(shape), np.empty(shape)
+
+
+def _grad_into(ensemble, u, out, pad):
+    """``grad_stack(ensemble, u)`` written into ``out``, both C-contiguous:
+    whole blocks go from u to ``out`` directly, a last, partial block
+    through ``pad`` (``_grad_pad``), which a caller keeps from call to call.
+    Enters no ``np.errstate``."""
+    u, g = u.reshape(-1, ensemble.n, ensemble.d), out.reshape(-1, ensemble.n, ensemble.d)
+    whole = len(u) - len(u) % _GRAD_ROWS
+    if whole:
+        _block_gemms(ensemble, u[:whole], g[:whole])
+    if whole < len(u):
+        pad[0][:len(u) - whole] = u[whole:]
+        _block_gemms(ensemble, *pad)
+        g[whole:] = pad[1][:len(u) - whole]
+    g += ensemble.lin_stack
 
 
 def grad0_pi_norm(ensemble, pi):

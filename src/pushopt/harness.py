@@ -23,7 +23,7 @@ from . import costs as co
 from . import network as nw
 from . import operators as op
 from .errors import AllDivergedError, ConfigError, ScenarioAssertionError
-from .linalg import pi_norm
+from .linalg import _CHUNK_FLOATS, pi_norm
 
 # offset separating the cost stream from the network stream of one seed
 COST_SEED_OFFSET = 1000003
@@ -301,9 +301,8 @@ def check_plateau_ordering(plateaus):
 
 
 # candidates per stacked tuning run: the default budget fits in one block,
-# and one stacked array stays under 2**20 floats on large instances
+# and one stacked array stays within the chunk budget on large instances
 _TUNE_BLOCK = 200
-_TUNE_BLOCK_FLOATS = 1 << 20
 
 
 def _pd_candidates(net, ensemble, alphas, x0, iters, x_star):
@@ -349,7 +348,7 @@ def tune_pd_stepsize(net, ensemble, grid_start, grid_step, budget, iters=500):
         raise ConfigError("tuning grid parameters must be positive")
     x_star = co.ensemble_minimizer(ensemble)
     x0 = np.zeros((net.n, ensemble.d))
-    block = max(1, min(_TUNE_BLOCK, _TUNE_BLOCK_FLOATS // x0.size))
+    block = min(_TUNE_BLOCK, max(1, _CHUNK_FLOATS // x0.size))
     best_alpha = None
     best_err = np.inf
     for start in range(0, budget, block):

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NoConvergenceError, NumericError
 
+# working-set floats of one chunk of any stacked kernel: a Lanczos or GMRES
+# chunk, a block of rounds, one stacked array of a tuner block
+_CHUNK_FLOATS = 1 << 17
 _EIG_TOL = 1e-10  # relative Ritz residual that retires a slice of the Lanczos kernel
 _EIG_MAX_ITER = 500  # its steps before NoConvergenceError
 _EIG_CHECK = 4  # Lanczos steps per stop test

@@ -25,6 +25,7 @@ nonnegative, column stochastic and with the edge pattern by construction;
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -183,6 +184,19 @@ def compute_perron(W):
     if np.any(best_vec <= 0.0):
         raise NumericError("eigenvector lost positivity; W is not primitive")
     return best_vec
+
+
+def _push_sum_weights(W, y):
+    """The push-sum weights y, W y, W^2 y, ..., an endless generator.  From
+    the first product that returns its input's bits on, every product would,
+    so the same array is yielded and none is made.  Never write a yielded y."""
+    while True:
+        yield y
+        new = W @ y
+        if new.tobytes() == y.tobytes():
+            break
+        y = new
+    yield from repeat(y)
 
 
 def compute_rho(W, pi):

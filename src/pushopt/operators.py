@@ -34,6 +34,7 @@ checks live in ``OperatorContext``, which the sweeps call.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -48,11 +49,11 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .linalg import _EIG_TOL, _lanczos_top_eig, pi_norm
+from .linalg import _CHUNK_FLOATS, _EIG_TOL, _lanczos_top_eig, pi_norm
+from .network import _push_sum_weights
 
 _KRYLOV_RESTART = 60  # Arnoldi vectors per restart cycle of the fixed-point solve
 _MAX_CYCLES = 100  # restart cycles of the fixed-point solve before NoConvergenceError
-_CHUNK_FLOATS = 1 << 17  # working-set floats of one chunk of a stacked Lanczos or GMRES kernel
 _PRODUCT_TRUNCATION = 1e-16  # factor excess over one that ends the perturbation product
 _BRANCH_TOL = 1e-12  # |1 - C alpha - rho| that selects the degenerate envelope branch
 CONTRACTION_SLACK = 1e-9  # allowed excess of a measured Lipschitz value over 1 - C alpha
@@ -526,13 +527,11 @@ def estimate_consensus_constants(net):
         scale = 4.0 * gap * float(np.max(np.sqrt(pi) / (n * pi) ** 2))
         ulp = np.finfo(float).eps * float(np.min(inv_target))
         horizon = max(0, math.ceil(math.log(ulp / scale) / math.log(rho)))
-    y = np.ones(n)
     inv_y_max = 0.0
     rho_pow = 1.0
     peaks, rho_pows = [], []
-    for t in range(horizon + _TAIL_ROUNDS + 1):
-        if t > 0:
-            y = net.W @ y  # stays positive: W is nonnegative with a positive diagonal
+    # y stays positive: W is nonnegative with a positive diagonal
+    for y in islice(_push_sum_weights(net.W, np.ones(n)), horizon + _TAIL_ROUNDS + 1):
         inv_y = 1.0 / y
         inv_y_max = max(inv_y_max, float(np.max(inv_y)))
         peaks.append(float(np.abs(inv_y - inv_target).max()))

@@ -300,46 +300,48 @@ def test_hybrid_validation(net20, ens_case1):
         alg.pd_run(net20, ens_case1, 0.001, init, -1)
 
 
-def test_sweep_frees_the_old_ratio_stack_before_each_block(monkeypatch, net20, ens_case1):
-    # z is recomputed from x / y, so the step never needs the old stack; inside
-    # a block the block's states still hold it, so only a block's first step
-    # is handed the state without it
-    seen = []
+def test_sweep_writes_each_round_in_place_into_its_block_buffers(monkeypatch, net20, ens_case1):
+    # a stack's rounds go into one buffer per field, a slot a round, and never
+    # onto the state they read: at one round per block two slots take turns
+    written = []
+    kernel = alg.pd_step.round
 
-    def step(net, ensemble, alpha, state):
-        seen.append(state.z is None)
-        return alg.pd_step(net, ensemble, alpha, state)
+    def counted(net, alpha, grad, state, new, y):
+        assert not any(np.shares_memory(getattr(state, n), getattr(new, n)) for n in "xzvg")
+        written.append((new.x.base, new.x.ctypes.data))
+        kernel(net, alpha, grad, state, new, y)
 
+    monkeypatch.setattr(alg.pd_step, "round", counted)
     init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
     for rounds in (1, 3):  # rounds per block of the 2-slice, 4-field stack
         monkeypatch.setattr(alg, "_ROUND_BLOCK_FLOATS", rounds * 4 * 2 * net20.n * ens_case1.d)
-        seen.clear()
-        ends = alg._sweep(net20, ens_case1, step, alg.pd_diverged, ("x", "z", "v", "g"),
-                          [0.001, 0.002], init, 7)
-        assert seen == [r % rounds == 0 for r in range(1, 8)]
-        for alpha, (state, flagged) in zip((0.001, 0.002), ends):
-            own = alg.pd_run(net20, ens_case1, alpha, init, 7).final_state
-            assert not flagged and state.z.tobytes() == own.z.tobytes()
+        written.clear()
+        alg._sweep(net20, ens_case1, alg.pd_step, alg.pd_diverged, ("x", "z", "v", "g"),
+                   [0.001, 0.002], init, 7)
+        assert len(written) == 7 and all(base is written[0][0] for base, _ in written)
+        assert len({slot for _, slot in written}) == max(rounds, 2)
 
 
-def test_sweep_releases_the_stack_a_retirement_replaces(net20, ens_case1):
-    # past the first divergence, the live stacks must not be held twice
+def test_sweep_releases_the_stack_a_retirement_replaces(monkeypatch, net20, ens_case1):
+    # past the first divergence, the live stacks' block buffers must not be held twice
     traced = []
+    kernel = alg.pd_step.round
 
-    def step(net, ensemble, alpha, state):
+    def counted(net, alpha, grad, state, new, y):
         traced.append((len(alpha), tracemalloc.get_traced_memory()[0]))
-        return alg.pd_step(net, ensemble, alpha, state)
+        kernel(net, alpha, grad, state, new, y)
 
+    monkeypatch.setattr(alg.pd_step, "round", counted)
     init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
     tracemalloc.start()
     try:
-        alg._sweep(net20, ens_case1, step, alg.pd_diverged, ("x", "z", "v", "g"),
+        alg._sweep(net20, ens_case1, alg.pd_step, alg.pd_diverged, ("x", "z", "v", "g"),
                    list(np.geomspace(0.01, 1.0, 40)), init, 30)
     finally:
         tracemalloc.stop()
     first = next(r for r in range(1, len(traced)) if traced[r][0] < traced[r - 1][0])
-    one_stack = 40 * net20.n * ens_case1.d * 8
-    assert traced[first][1] - traced[first - 1][1] < one_stack
+    one_slot = 4 * 40 * net20.n * ens_case1.d * 8  # one stacked state; the buffers hold 13
+    assert traced[first][1] - traced[first - 1][1] < one_slot
 
 
 def test_runs_stay_under_certified_envelope(net20, ens_case1):

@@ -212,14 +212,21 @@ def test_pd_run_rejects_malformed_initial_states(net20, ens_case1):
 
 
 def _count_gradients(monkeypatch):
+    """Count the gradient evaluations of ``algorithms``: its ``grad_stack``
+    calls and the in-place ones of its round kernels."""
     calls = []
-    real = alg.grad_stack
+    real, real_into = alg.grad_stack, alg._grad_into
 
     def counting(ensemble, u):
         calls.append(np.shape(u))
         return real(ensemble, u)
 
+    def counting_into(ensemble, u, out, pad):
+        calls.append(np.shape(u))
+        real_into(ensemble, u, out, pad)
+
     monkeypatch.setattr(alg, "grad_stack", counting)
+    monkeypatch.setattr(alg, "_grad_into", counting_into)
     return calls
 
 

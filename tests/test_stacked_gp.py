@@ -328,13 +328,13 @@ def test_fig4_sweep_makes_one_gradient_call_per_round(monkeypatch, tmp_path):
     cfg = hz.resolve_config({"scenario": "fig4_case1_sweep"})
     net, ens = hz.build_network(cfg), hz.build_ensemble(cfg)
     calls = []
-    real = alg.grad_stack
+    real = alg._grad_into
 
-    def counting(ensemble, u):
+    def counting(ensemble, u, out, pad):
         calls.append(np.shape(u))
-        return real(ensemble, u)
+        real(ensemble, u, out, pad)
 
-    monkeypatch.setattr(alg, "grad_stack", counting)
+    monkeypatch.setattr(alg, "_grad_into", counting)
     hz._run_fig46(cfg, net, ens, tmp_path)
     k = len(cfg.multipliers) + 1
     assert len(calls) == cfg.run_iters == 1000

@@ -75,16 +75,16 @@ def test_stacked_candidates_match_sequential_runs(monkeypatch, overrides, start,
     alphas = [start + step * k for k in range(count)]
     x_star = co.ensemble_minimizer(ens)
     stepped = []
-    pd_step = alg.pd_step
+    kernel = alg.pd_step.round
 
-    def counted(net, ensemble, alpha, state):
+    def counted(net, alpha, grad, state, new, y):
         stepped.append(len(state.x))
-        return pd_step(net, ensemble, alpha, state)
+        kernel(net, alpha, grad, state, new, y)
 
-    monkeypatch.setattr(alg, "pd_step", counted)
+    monkeypatch.setattr(alg.pd_step, "round", counted)
     diverged, first, lasts = hz._pd_candidates(net, ens, alphas, np.zeros((net.n, ens.d)),
                                                cfg.tune_iters, x_star)
-    monkeypatch.setattr(alg, "pd_step", pd_step)
+    monkeypatch.setattr(alg.pd_step, "round", kernel)
     stacked = [(bool(f), first, None if f else last) for f, last in zip(diverged, lasts)]
     oracle = [sequential_outcome(net, ens, a, cfg.tune_iters, x_star) for a in alphas]
     assert stacked == oracle
@@ -103,15 +103,20 @@ def test_candidates_on_the_agent_gradient_path_match_sequential_runs(monkeypatch
     alphas = [0.005 + 0.0005 * k for k in range(100)]
     x_star = co.ensemble_minimizer(ens)
     slices = []
-    grad_stack = alg.grad_stack
+    grad_stack, grad_into = alg.grad_stack, alg._grad_into
 
     def counted(ensemble, u):
         slices.append(len(u) if np.ndim(u) == 3 else None)
         return grad_stack(ensemble, u)
 
+    def counted_into(ensemble, u, out, pad):  # the round kernels' in-place gradients
+        slices.append(len(u))
+        grad_into(ensemble, u, out, pad)
+
     monkeypatch.setattr(alg, "grad_stack", counted)
+    monkeypatch.setattr(alg, "_grad_into", counted_into)
     diverged, first, lasts = hz._pd_candidates(net, ens, alphas, np.zeros((net.n, ens.d)), 60, x_star)
-    monkeypatch.setattr(alg, "grad_stack", grad_stack)
+    monkeypatch.undo()
     stacked = [(bool(f), first, None if f else last) for f, last in zip(diverged, lasts)]
     assert stacked == [sequential_outcome(net, ens, a, 60, x_star) for a in alphas]
     assert slices[1] == 100 and slices[-1] <= 80
