@@ -148,32 +148,26 @@ def init_gp_state(net, ensemble, x0):
     return GradientPushState(t=0, x=x0.copy(), w=x0.copy(), z=x0.copy(), y=np.ones(net.n))
 
 
-def _gradients(ensemble):
-    """``grad(u, out)``: ``costs._grad_into`` with padding buffers of its own."""
-    return partial(_grad_into, ensemble, pad=_grad_pad(ensemble))
-
-
-def _ratios(a, y_rows, out):
-    """``a / y[:, None]`` into ``out`` as (K, n*d) rows over y_rows = ``np.repeat(y, d)``."""
-    np.divide(a.reshape(-1, y_rows.size), y_rows, out=out.reshape(-1, y_rows.size))
-
-
 def _step(net, ensemble, alpha, state, kernel, names):
     """One round of ``kernel`` from ``state`` into fresh arrays for its fields ``names``."""
     shape = np.shape(state.x)
+    if shape[-2:] != (net.n, ensemble.d):
+        raise DimensionMismatchError(f"state {shape} vs ({net.n}, {ensemble.d})")
     new = replace(state, t=state.t + 1, y=net.W @ state.y,
                   **{name: np.empty(shape) for name in names})
+    grad = partial(_grad_into, ensemble, pad=_grad_pad(ensemble))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kernel(net, alpha, _gradients(ensemble), state, new, np.repeat(new.y, shape[-1]))
+        kernel(net, alpha, grad, state, new, np.repeat(new.y[:, None], shape[-1], axis=1))
     return new
 
 
-def _gp_round(net, alpha, grad, state, new, y_rows):
+def _gp_round(net, alpha, grad, state, new, y_block):
     """One gradient-push round from the arrays of ``state`` into those of
-    ``new``, in the exact update order w, y, z, x; ``y_rows`` is the round's
-    weights, each repeated d times, and ``grad(u, out)`` writes grad F(u) into out."""
+    ``new``, in the exact update order w, y, z, x; ``y_block`` is the round's
+    weights as an (n, d) array, y repeated over d (a full array divides faster
+    than a broadcast column), and ``grad(u, out)`` writes grad F(u) into out."""
     np.matmul(net.W, state.x, out=new.w)
-    _ratios(new.w, y_rows, new.z)
+    np.divide(new.w, y_block, out=new.z)
     x = new.x
     grad(new.z, x)
     x *= alpha
@@ -209,7 +203,7 @@ def _check_pd_init(net, ensemble, init):
         )
 
 
-def _pd_round(net, alpha, grad, state, new, y_rows):
+def _pd_round(net, alpha, grad, state, new, y_block):
     """One Push-DIGing round from the arrays of ``state`` into those of
     ``new``; v mixes the old gradients, then swaps new for old."""
     x, v = new.x, new.v
@@ -217,7 +211,7 @@ def _pd_round(net, alpha, grad, state, new, y_rows):
     np.matmul(net.W, state.x, out=x)
     np.multiply(alpha, state.v, out=new.z)  # alpha v, until the ratios overwrite it
     x -= new.z
-    _ratios(x, y_rows, new.z)
+    np.divide(x, y_block, out=new.z)
     grad(new.z, new.g)
     v += new.g
     v -= state.g
@@ -226,11 +220,6 @@ def _pd_round(net, alpha, grad, state, new, y_rows):
 def pd_step(net, ensemble, alpha, state):
     """One Push-DIGing round; v mixes the old gradients, then swaps new for old."""
     return _step(net, ensemble, alpha, state, _pd_round, ("x", "z", "v", "g"))
-
-
-# the round kernel ``_sweep`` runs for a step (``functools.wraps`` copies it
-# onto a wrapper of the step)
-gp_step.round, pd_step.round = _gp_round, _pd_round
 
 
 def _blocks_exceeded(arrays):
@@ -303,11 +292,11 @@ def _traces(columns, ends, t0, switch):
             for k, (state, flag) in enumerate(ends)]
 
 
-def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None):
+def _sweep(net, ensemble, kernel, flagged, names, alphas, init, iters, record=None):
     """Run ``init`` for ``iters`` rounds at each stepsize of ``alphas``.
 
     The fields ``names`` of ``init`` are stacked, one slice per stepsize,
-    and each round runs ``step.round`` from one slot of the block buffers
+    and each round runs ``kernel`` from one slot of the block buffers
     into the next (never onto itself).  A block, its first holding round
     0, goes as (B*K, n, d) views to one ``flagged`` call, giving
     ``flags[i, k]`` for slice k at the block's round i, and, if given, one
@@ -324,7 +313,8 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
     live = np.arange(len(alphas))  # the stepsize index of each slice of the stack
     alpha = np.asarray(alphas, dtype=float)[:, None, None]
     shape = np.shape(init.x)
-    weights, grad = _push_sum_weights(net.W, init.y), _gradients(ensemble)
+    weights = _push_sum_weights(net.W, init.y)
+    grad = partial(_grad_into, ensemble, pad=_grad_pad(ensemble))
     state, t, slots, held = init, init.t, None, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
@@ -348,8 +338,8 @@ def _sweep(net, ensemble, step, flagged, names, alphas, init, iters, record=None
                         getattr(slots[i], n)[...] = getattr(init, n)
                 else:
                     if y is not held:  # new weights: until they stop changing, every round
-                        held, y_rows = y, np.repeat(y, shape[-1])
-                    step.round(net, alpha, grad, state, slots[i], y_rows)
+                        held, y_block = y, np.repeat(y[:, None], shape[-1], axis=1)
+                    kernel(net, alpha, grad, state, slots[i], y_block)
                 ys.append(y)
                 state, t = slots[i], t + 1
             block = SimpleNamespace(**{n: b[start:start + size].reshape(-1, *shape)
@@ -379,7 +369,7 @@ def gp_sweep(net, ensemble, alphas, x0, iters, refs=None):
     to x0).  A slice stops at its first flagged row; the others run on.
     """
     columns, record = _recorder(net, refs or RunRefs(), "w", len(alphas), iters + 1, 0)
-    ends = _sweep(net, ensemble, gp_step, gp_diverged, ("x", "w", "z"), alphas,
+    ends = _sweep(net, ensemble, _gp_round, gp_diverged, ("x", "w", "z"), alphas,
                   init_gp_state(net, ensemble, x0), iters, record)
     return _traces(columns, ends, 0, None)
 
@@ -410,7 +400,7 @@ def pd_run(net, ensemble, alpha, init, iters, refs=None):
     _check_pd_init(net, ensemble, init)
     columns, record = _recorder(net, RunRefs(x_star=refs.x_star if refs else None), "x", 1,
                                 iters + 1, init.t)
-    ends = _sweep(net, ensemble, pd_step, pd_diverged, ("x", "z", "v", "g"), [alpha], init,
+    ends = _sweep(net, ensemble, _pd_round, pd_diverged, ("x", "z", "v", "g"), [alpha], init,
                   iters, record)
     return _traces(columns, ends, init.t, 0)[0]
 

@@ -240,23 +240,15 @@ def grad_stack(ensemble, u):
 
     Leading axes of u are carried through, so a (K, n, d) stack of points
     gives K gradient stacks, each slice bit-identical to its own (n, d)
-    call: the slices are padded with zero slices to whole blocks of
-    ``_GRAD_ROWS`` = 4 for ``_block_gemms``.  Overflow stays silent.
+    call: they go through ``_grad_into`` in whole blocks of ``_GRAD_ROWS``
+    = 4.  Overflow stays silent.
     """
     u = np.ascontiguousarray(u, dtype=float)  # a strided row would not go through BLAS
-    n, d = ensemble.n, ensemble.d
-    if u.shape[-2:] != (n, d):
-        raise DimensionMismatchError(f"stacked point {u.shape} vs ensemble ({n}, {d})")
-    k = u.size // (n * d)
-    rows = u
-    if k % _GRAD_ROWS:
-        rows = np.zeros((-(-k // _GRAD_ROWS) * _GRAD_ROWS, n, d))
-        rows[:k] = u.reshape(k, n, d)
-    g = np.empty(rows.shape)
+    if u.shape[-2:] != (ensemble.n, ensemble.d):
+        raise DimensionMismatchError(f"stacked point {u.shape} vs ensemble {ensemble.n, ensemble.d}")
+    g = np.empty(u.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        _block_gemms(ensemble, rows, g)
-    g = g[:k].reshape(u.shape)
-    g += ensemble.lin_stack
+        _grad_into(ensemble, u, g, _grad_pad(ensemble))
     return g
 
 

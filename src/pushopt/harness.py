@@ -308,7 +308,7 @@ _TUNE_BLOCK = 200
 def _pd_candidates(net, ensemble, alphas, x0, iters, x_star):
     """(diverged, first, last) of Push-DIGing from x0 at each stepsize.
 
-    All stepsizes run as one stacked (K, n, d) state through ``pd_step``
+    All stepsizes run as one stacked (K, n, d) state through ``algorithms._pd_round``
     (see ``algorithms._sweep``), and each slice rounds exactly like its
     own run.  ``diverged`` flags a candidate whose block norms crossed the
     divergence threshold; it stops being stepped at that round.  ``first``
@@ -316,7 +316,7 @@ def _pd_candidates(net, ensemble, alphas, x0, iters, x_star):
     candidate's ``last`` is meaningless).
     """
     init = alg.init_pd_state(net, ensemble, x0)
-    ends = alg._sweep(net, ensemble, alg.pd_step, alg.pd_diverged, ("x", "z", "v", "g"),
+    ends = alg._sweep(net, ensemble, alg._pd_round, alg.pd_diverged, ("x", "z", "v", "g"),
                       alphas, init, iters)
     with np.errstate(over="ignore", invalid="ignore"):
         last = [float(alg._sum_z_err(state.z, x_star)) for state, _ in ends]

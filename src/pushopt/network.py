@@ -194,9 +194,8 @@ def _push_sum_weights(W, y):
         yield y
         new = W @ y
         if new.tobytes() == y.tobytes():
-            break
+            yield from repeat(y)
         y = new
-    yield from repeat(y)
 
 
 def compute_rho(W, pi):

@@ -50,6 +50,18 @@ def test_gp_run_rejects_a_misshapen_start(net20, ens_case1):
             alg.gp_run(net20, ens_case1, 0.01, np.zeros(shape), 5)
 
 
+def test_steps_reject_a_state_of_another_shape(net20, ens_case1):
+    # an (n, 2d) state would otherwise pass as two (n, d) slices of mixed coordinates
+    n, d = net20.n, ens_case1.d
+    for shape in ((n, 2 * d), (n, d + 1), (n - 1, d), (3, n, d + 1)):
+        x = np.zeros(shape)
+        gp = alg.GradientPushState(t=0, x=x, w=x, z=x, y=np.ones(n))
+        pd = alg.PushDigingState(t=0, x=x, z=x, v=x, g=x, y=np.ones(n))
+        for step, state in ((alg.gp_step, gp), (alg.pd_step, pd)):
+            with pytest.raises(DimensionMismatchError, match="state"):
+                step(net20, ens_case1, 0.01, state)
+
+
 def test_gp_weights_stay_one_for_doubly_stochastic(complete4):
     ens = co.cost_ensemble(
         [co.quadratic_cost(np.eye(2), np.ones(2)) for _ in range(4)], "case1"
@@ -294,7 +306,7 @@ def test_hybrid_validation(net20, ens_case1):
     # the shared round loop's own checks, reached through every run
     init = alg.init_pd_state(net20, ens_case1, x0)
     with pytest.raises(ValidationError, match="at least one stepsize"):
-        alg._sweep(net20, ens_case1, alg.pd_step, alg.pd_diverged, ("x", "z", "v", "g"), [],
+        alg._sweep(net20, ens_case1, alg._pd_round, alg.pd_diverged, ("x", "z", "v", "g"), [],
                    init, 5)
     with pytest.raises(ValidationError, match=">= 0"):
         alg.pd_run(net20, ens_case1, 0.001, init, -1)
@@ -304,19 +316,19 @@ def test_sweep_writes_each_round_in_place_into_its_block_buffers(monkeypatch, ne
     # a stack's rounds go into one buffer per field, a slot a round, and never
     # onto the state they read: at one round per block two slots take turns
     written = []
-    kernel = alg.pd_step.round
+    kernel = alg._pd_round
 
     def counted(net, alpha, grad, state, new, y):
         assert not any(np.shares_memory(getattr(state, n), getattr(new, n)) for n in "xzvg")
         written.append((new.x.base, new.x.ctypes.data))
         kernel(net, alpha, grad, state, new, y)
 
-    monkeypatch.setattr(alg.pd_step, "round", counted)
+    monkeypatch.setattr(alg, "_pd_round", counted)
     init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
     for rounds in (1, 3):  # rounds per block of the 2-slice, 4-field stack
         monkeypatch.setattr(alg, "_ROUND_BLOCK_FLOATS", rounds * 4 * 2 * net20.n * ens_case1.d)
         written.clear()
-        alg._sweep(net20, ens_case1, alg.pd_step, alg.pd_diverged, ("x", "z", "v", "g"),
+        alg._sweep(net20, ens_case1, alg._pd_round, alg.pd_diverged, ("x", "z", "v", "g"),
                    [0.001, 0.002], init, 7)
         assert len(written) == 7 and all(base is written[0][0] for base, _ in written)
         assert len({slot for _, slot in written}) == max(rounds, 2)
@@ -325,23 +337,33 @@ def test_sweep_writes_each_round_in_place_into_its_block_buffers(monkeypatch, ne
 def test_sweep_releases_the_stack_a_retirement_replaces(monkeypatch, net20, ens_case1):
     # past the first divergence, the live stacks' block buffers must not be held twice
     traced = []
-    kernel = alg.pd_step.round
+    kernel = alg._pd_round
 
     def counted(net, alpha, grad, state, new, y):
         traced.append((len(alpha), tracemalloc.get_traced_memory()[0]))
         kernel(net, alpha, grad, state, new, y)
 
-    monkeypatch.setattr(alg.pd_step, "round", counted)
+    monkeypatch.setattr(alg, "_pd_round", counted)
     init = alg.init_pd_state(net20, ens_case1, np.zeros((net20.n, ens_case1.d)))
     tracemalloc.start()
     try:
-        alg._sweep(net20, ens_case1, alg.pd_step, alg.pd_diverged, ("x", "z", "v", "g"),
+        alg._sweep(net20, ens_case1, alg._pd_round, alg.pd_diverged, ("x", "z", "v", "g"),
                    list(np.geomspace(0.01, 1.0, 40)), init, 30)
     finally:
         tracemalloc.stop()
     first = next(r for r in range(1, len(traced)) if traced[r][0] < traced[r - 1][0])
-    one_slot = 4 * 40 * net20.n * ens_case1.d * 8  # one stacked state; the buffers hold 13
-    assert traced[first][1] - traced[first - 1][1] < one_slot
+    (before, _), (after, _) = traced[first - 1], traced[first]
+    n, d = net20.n, ens_case1.d
+
+    def buffers(k):  # bytes of the block buffers of a k-slice stack
+        slot = 4 * k * n * d
+        return max(2, alg._ROUND_BLOCK_FLOATS // slot) * slot * 8
+
+    # the new stack's buffers replace the old ones and the retirees' final
+    # states are held on top; past that, growth stays under one field
+    held = buffers(after) - buffers(before) + (before - after) * (4 * n * d + n) * 8
+    one_field = 40 * n * d * 8
+    assert traced[first][1] - traced[first - 1][1] < held + one_field
 
 
 def test_runs_stay_under_certified_envelope(net20, ens_case1):

@@ -423,7 +423,7 @@ def test_round_blocks_check_and_record_once_per_block(monkeypatch, net20, ens_ca
         recorded.append(list(range(t, t + len(state.x))))
 
     iters = 300
-    ((end, flag),) = alg._sweep(net20, ens_case1, alg.gp_step, flagged, ("x", "w", "z"),
+    ((end, flag),) = alg._sweep(net20, ens_case1, alg._gp_round, flagged, ("x", "w", "z"),
                                 [alpha0], init, iters, record)
     assert len(checks) == len(recorded) == -(-(iters + 1) // rounds)
     assert sum(checks) == iters + 1 and sum(recorded, []) == list(range(iters + 1))

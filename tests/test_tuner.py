@@ -75,16 +75,16 @@ def test_stacked_candidates_match_sequential_runs(monkeypatch, overrides, start,
     alphas = [start + step * k for k in range(count)]
     x_star = co.ensemble_minimizer(ens)
     stepped = []
-    kernel = alg.pd_step.round
+    kernel = alg._pd_round
 
     def counted(net, alpha, grad, state, new, y):
         stepped.append(len(state.x))
         kernel(net, alpha, grad, state, new, y)
 
-    monkeypatch.setattr(alg.pd_step, "round", counted)
+    monkeypatch.setattr(alg, "_pd_round", counted)
     diverged, first, lasts = hz._pd_candidates(net, ens, alphas, np.zeros((net.n, ens.d)),
                                                cfg.tune_iters, x_star)
-    monkeypatch.setattr(alg.pd_step, "round", kernel)
+    monkeypatch.setattr(alg, "_pd_round", kernel)
     stacked = [(bool(f), first, None if f else last) for f, last in zip(diverged, lasts)]
     oracle = [sequential_outcome(net, ens, a, cfg.tune_iters, x_star) for a in alphas]
     assert stacked == oracle
